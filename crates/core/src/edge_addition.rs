@@ -191,7 +191,7 @@ pub fn sampled_edge_gains(
         .map(|u| {
             let floor = 1.0 / g.degree(u) as f64;
             let zu = z[u as usize].max(floor);
-            (u, y.column_norm_sq(u) / (1.0 + zu))
+            (u, norm2_sq(y.row(u as usize)) / (1.0 + zu))
         })
         .collect())
 }

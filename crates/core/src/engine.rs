@@ -72,25 +72,43 @@ pub fn solve_options(params: &CfcmParams) -> SddOptions {
 }
 
 /// Reusable dense buffers for SchurDelta rounds — held by the workspace
-/// so SchurCFCM's greedy loop re-fills the same allocations every
-/// iteration (the `|T|` shrinks as `T ∖ S` loses nodes; shrinking a
-/// buffer never reallocates).
+/// so SchurCFCM's greedy loop re-fills the same allocations at every
+/// checkpoint and every iteration (the `|T|` shrinks as `T ∖ S` loses
+/// nodes; shrinking a buffer never reallocates).
 #[derive(Default)]
 pub(crate) struct SchurScratch {
+    /// The round's sketch `W` as its `±1.0` signs (`w × n`).
+    pub w_signs: DenseMatrix,
+    /// Rooted counts `C = Ñ·F̃` as `f64` (`n × |T|`; zero rows on `S ∪ T`).
+    pub counts: DenseMatrix,
+    /// `W·C` in sign units (`w × |T|`): integers, so exact in any order.
+    pub wc: DenseMatrix,
     /// `(W·F̃ + Q)ᵀ ∈ R^{|T| × w}`, rows contiguous per root.
     pub wfq_t: DenseMatrix,
     /// `G · wfq_t ∈ R^{|T| × w}`.
     pub ht: DenseMatrix,
-    /// Scratch for the `fᵀ G f` quadratic form.
-    pub gf: Vec<f64>,
+    /// `C · G` (`n × |T|`), for the `fᵀ G f` quadratic forms.
+    pub cg: DenseMatrix,
+    /// The sketched voltages `Y` (`n × w`), corrected in place.
+    pub y: DenseMatrix,
 }
 
 impl SchurScratch {
-    /// Shape the buffers for a round with `t_len` roots and width `w`.
-    pub fn ensure(&mut self, t_len: usize, w: usize) {
+    /// Shape the buffers for a round with `t_len` roots and the round's
+    /// sketch `W` (`n` nodes, width `w`), and load `W`'s signs.
+    pub fn begin_round(&mut self, sketch: &JlSketch, t_len: usize) {
+        let (n, w) = (sketch.dim(), sketch.width());
+        self.w_signs.reshape(w, n);
+        for u in 0..n {
+            for (j, &s) in sketch.signs(u).iter().enumerate() {
+                self.w_signs.set(j, u, f64::from(s));
+            }
+        }
+        self.counts.reshape(n, t_len);
+        self.wc.reshape(w, t_len);
         self.wfq_t.reshape(t_len, w);
         self.ht.reshape(t_len, w);
-        self.gf.resize(t_len, 0.0);
+        self.cg.reshape(n, t_len);
     }
 }
 
@@ -258,10 +276,12 @@ impl GreedyWorkspace {
             self.x_chunk.reshape(d, c);
             // Numerator chunk: rows of W (as columns) on the kept nodes.
             let sketch = self.sketch.as_ref().unwrap();
+            let scale = sketch.scale();
             for (i, &u) in kept.iter().enumerate() {
-                self.rhs_chunk
-                    .row_mut(i)
-                    .copy_from_slice(&sketch.column(u as usize)[j0..j0 + c]);
+                let signs = &sketch.signs(u as usize)[j0..j0 + c];
+                for (x, &s) in self.rhs_chunk.row_mut(i).iter_mut().zip(signs) {
+                    *x = f64::from(s) * scale;
+                }
             }
             seed_guess(&self.prev_num, shift, &mut self.x_chunk, j0, c);
             // On a failed or interrupted solve the round is abandoned
@@ -365,9 +385,9 @@ mod tests {
         let g = generators::cycle(30);
         let mut ws = GreedyWorkspace::new();
         ws.ensure_sketch(&g, 8, 7);
-        let col0: Vec<f64> = ws.sketch.as_ref().unwrap().column(3).to_vec();
+        let col0: Vec<i8> = ws.sketch.as_ref().unwrap().signs(3).to_vec();
         ws.ensure_sketch(&g, 8, 7);
-        assert_eq!(ws.sketch.as_ref().unwrap().column(3), &col0[..]);
+        assert_eq!(ws.sketch.as_ref().unwrap().signs(3), &col0[..]);
         ws.ensure_sketch(&g, 12, 7);
         assert_eq!(ws.sketch.as_ref().unwrap().width(), 12);
     }

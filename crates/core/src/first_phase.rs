@@ -39,9 +39,7 @@ pub fn first_phase(g: &Graph, params: &CfcmParams) -> FirstPhase {
     let mut in_root = vec![false; n];
     in_root[s as usize] = true;
 
-    let scale = 2.0 / n as f64;
-    let mut acc =
-        ElectricalAccumulator::new(g, &in_root, None, DiagMode::FirstPhase { scale }, None);
+    let mut acc = ElectricalAccumulator::new(g, &in_root, None, DiagMode::FirstPhase, None);
     let cfg = SamplerConfig {
         seed: params.seed ^ 0xF157,
         threads: params.threads,
@@ -54,7 +52,7 @@ pub fn first_phase(g: &Graph, params: &CfcmParams) -> FirstPhase {
         sampled = total;
         // Rank by x̂ ascending; s itself scores 0 (Line 11 of Algorithm 3).
         let xs = acc.diag_means();
-        let (best, second) = top2_min(xs);
+        let (best, second) = top2_min(&xs);
         let mk = |u: Node| Candidate {
             node: u,
             // Negate: the stop rule is phrased for maximization.
@@ -70,7 +68,7 @@ pub fn first_phase(g: &Graph, params: &CfcmParams) -> FirstPhase {
             break;
         }
     }
-    let xs = acc.diag_means().to_vec();
+    let xs = acc.diag_means();
     let (best, _) = top2_min(&xs);
     FirstPhase {
         chosen: best,

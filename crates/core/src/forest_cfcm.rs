@@ -140,6 +140,22 @@ mod tests {
     }
 
     #[test]
+    fn selections_bit_identical_across_thread_counts() {
+        // Integer accumulator merges: nodes, forests and gains are the same
+        // bits at every thread count.
+        let mut rng = StdRng::seed_from_u64(22);
+        let g = generators::barabasi_albert(60, 3, &mut rng);
+        let run = |threads| {
+            let p = CfcmParams::with_epsilon(0.25).seed(12).threads(threads);
+            forest_cfcm(&g, 4, &p).unwrap()
+        };
+        let a = run(1);
+        for threads in [2, 4] {
+            crate::result::assert_same_run(&a, &run(threads), &format!("threads={threads}"));
+        }
+    }
+
+    #[test]
     fn star_selects_hub_first() {
         let g = generators::star(40);
         let sel = forest_cfcm(&g, 2, &CfcmParams::with_epsilon(0.3)).unwrap();

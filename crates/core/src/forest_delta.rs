@@ -16,6 +16,7 @@ use cfcc_forest::estimators::{DiagMode, ElectricalAccumulator};
 use cfcc_forest::sampler::{absorb_batch, SamplerConfig};
 use cfcc_graph::{Graph, Node};
 use cfcc_linalg::jl::JlSketch;
+use cfcc_linalg::vector::norm2_sq;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -90,7 +91,7 @@ fn compute_deltas(g: &Graph, in_s: &[bool], acc: &ElectricalAccumulator, out: &m
         }
         let floor = 1.0 / g.degree(u as Node) as f64;
         let zu = z[u].max(floor);
-        out[u] = y.column_norm_sq(u as Node) / zu;
+        out[u] = norm2_sq(y.row(u)) / zu;
     }
 }
 
@@ -104,7 +105,7 @@ fn delta_halfwidth(acc: &ElectricalAccumulator, u: Node, delta: f64, confidence:
         acc.diag_sup(u).max(1.0),
         confidence,
     );
-    let z = acc.diag_means()[u as usize].max(f64::MIN_POSITIVE);
+    let z = acc.diag_mean(u).max(f64::MIN_POSITIVE);
     delta * (hz / z).min(1.0)
 }
 

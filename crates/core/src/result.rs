@@ -146,6 +146,34 @@ impl Selection {
     }
 }
 
+/// Assert that two runs chose the same nodes from the same forests with
+/// bit-equal gains (thread-count invariance tests).
+#[cfg(test)]
+pub(crate) fn assert_same_run(a: &Selection, b: &Selection, what: &str) {
+    assert_eq!(a.nodes, b.nodes, "{what}: nodes");
+    assert_eq!(a.stats.iterations.len(), b.stats.iterations.len(), "{what}");
+    for (i, (x, y)) in a
+        .stats
+        .iterations
+        .iter()
+        .zip(&b.stats.iterations)
+        .enumerate()
+    {
+        assert_eq!(x.forests, y.forests, "{what}: forests, iteration {i}");
+        assert_eq!(
+            x.walk_steps, y.walk_steps,
+            "{what}: walk steps, iteration {i}"
+        );
+        assert_eq!(
+            x.gain.to_bits(),
+            y.gain.to_bits(),
+            "{what}: gain {} vs {}, iteration {i}",
+            x.gain,
+            y.gain
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

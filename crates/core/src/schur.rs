@@ -184,8 +184,8 @@ pub fn estimated_schur(
                 sigma.add_to(i, j, -1.0);
             } else if !in_root[v as usize] {
                 // v ∈ U: subtract its empirical rooted-probability row.
-                for &(tj, count) in rooted.entries(v) {
-                    sigma.add_to(i, tj as usize, -(count as f64) * inv_n);
+                for (s, &count) in sigma.row_mut(i).iter_mut().zip(rooted.row(v)) {
+                    *s -= f64::from(count) * inv_n;
                 }
             }
             // v ∈ S: column removed by grounding — contributes nothing.

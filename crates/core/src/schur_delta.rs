@@ -20,12 +20,12 @@ use crate::forest_delta::top2_max;
 use crate::schur::{estimated_schur, invert_estimated_schur};
 use crate::{CfcmError, CfcmParams};
 use cfcc_forest::bernstein::bernstein_halfwidth;
-use cfcc_forest::estimators::{DiagMode, ElectricalAccumulator, YMatrix};
-use cfcc_forest::rooted::{RootIndex, RootedCounts};
+use cfcc_forest::estimators::{DiagMode, ElectricalAccumulator};
+use cfcc_forest::rooted::RootIndex;
 use cfcc_forest::sampler::{absorb_batch, SamplerConfig};
 use cfcc_graph::{Graph, Node};
 use cfcc_linalg::jl::JlSketch;
-use cfcc_linalg::vector::norm2_sq;
+use cfcc_linalg::vector::{dot, norm2_sq};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -90,14 +90,13 @@ pub fn schur_delta_ws(
         StdRng::seed_from_u64(params.seed ^ 0x5C47A ^ iteration.wrapping_mul(0x9E37));
     let sketch_w = JlSketch::sample(w, n, &mut sketch_rng);
     let sketch_q = JlSketch::sample(w, t_nodes.len(), &mut sketch_rng);
+    // Dense round buffers live in the run's persistent workspace: each
+    // adaptive round — and each greedy iteration — re-fills the same
+    // allocations instead of creating new ones.
+    ws.schur.begin_round(&sketch_w, t_nodes.len());
     let index = Arc::new(RootIndex::new(n, t_nodes));
-    let mut acc = ElectricalAccumulator::new(
-        g,
-        &in_root,
-        Some(sketch_w.clone()),
-        DiagMode::Diagonal,
-        Some(index),
-    );
+    let mut acc =
+        ElectricalAccumulator::new(g, &in_root, Some(sketch_w), DiagMode::Diagonal, Some(index));
     let cfg = SamplerConfig {
         seed: params.seed ^ 0x5DE17 ^ iteration.wrapping_mul(0x85EB),
         threads: params.threads,
@@ -108,10 +107,6 @@ pub fn schur_delta_ws(
     let mut sampled = 0u64;
     let mut deltas = vec![f64::NAN; n];
     let mut last_ridge = 0.0f64;
-    // Dense round buffers live in the run's persistent workspace: each
-    // adaptive round — and each greedy iteration — re-fills the same
-    // allocations instead of creating new ones.
-    ws.schur.ensure(t_nodes.len(), w);
     for total in batch_schedule(params.min_batch, cap) {
         absorb_batch(g, &in_root, sampled, total - sampled, &cfg, &mut acc);
         sampled = total;
@@ -120,7 +115,6 @@ pub fn schur_delta_ws(
             in_s,
             t_nodes,
             &acc,
-            &sketch_w,
             &sketch_q,
             params.threads,
             &mut ws.schur,
@@ -141,7 +135,7 @@ pub fn schur_delta_ws(
                     acc.diag_sup(u).max(1.0),
                     params.delta_confidence,
                 );
-                let z = acc.diag_means()[u as usize].max(f64::MIN_POSITIVE);
+                let z = acc.diag_mean(u).max(f64::MIN_POSITIVE);
                 deltas[u as usize] * (hz / z).min(1.0)
             },
         };
@@ -160,25 +154,23 @@ pub fn schur_delta_ws(
 }
 
 /// Assemble Δ' for all `u ∉ S` from the current accumulator state. The
-/// `|T| × w` round buffers come from the run's persistent
-/// [`SchurScratch`].
+/// dense buffers come from the run's persistent [`SchurScratch`], whose
+/// `w_signs` holds this round's sketch `W`; every product below is one
+/// blocked GEMM, bit-identical for every thread count.
 #[allow(clippy::too_many_arguments)]
 fn compute_schur_deltas(
     g: &Graph,
     in_s: &[bool],
     t_nodes: &[Node],
     acc: &ElectricalAccumulator,
-    sketch_w: &JlSketch,
     sketch_q: &JlSketch,
     threads: usize,
     ws: &mut SchurScratch,
     deltas: &mut [f64],
 ) -> Result<f64, CfcmError> {
     let n = g.num_nodes();
-    let w = sketch_w.width();
-    let t_len = t_nodes.len();
-    let rooted: &RootedCounts = acc.rooted().expect("rooted tracking enabled");
-    let num_forests = acc.num_forests();
+    let rooted = acc.rooted().expect("rooted tracking enabled");
+    let inv_n = 1.0 / acc.num_forests() as f64;
 
     // Σ̃ and its inverse G — the quadratic forms below read G's entries
     // directly, so this is a genuine inverse consumer (|T| × |T|, small).
@@ -186,42 +178,37 @@ fn compute_schur_deltas(
     for &t in t_nodes {
         in_root[t as usize] = true;
     }
-    let sigma = estimated_schur(g, &in_root, t_nodes, rooted, num_forests);
+    let sigma = estimated_schur(g, &in_root, t_nodes, rooted, acc.num_forests());
     let (gmat, ridge) = invert_estimated_schur(sigma)?;
 
-    // wfq_t = (W·F̃ + Q)ᵀ ∈ R^{|T| × w}, rows contiguous per root.
-    let inv_n = 1.0 / num_forests as f64;
-    let wfq_t = &mut ws.wfq_t;
-    wfq_t.fill_zero();
-    for u in 0..n as Node {
-        if in_root[u as usize] {
-            continue;
-        }
-        let col = sketch_w.column(u as usize);
-        for &(ti, count) in rooted.entries(u) {
-            let p = count as f64 * inv_n;
-            let row = wfq_t.row_mut(ti as usize);
-            for j in 0..w {
-                row[j] += p * col[j];
-            }
+    // C = Ñ·F̃ as f64; counts are integers, so the copy is exact.
+    for u in 0..n {
+        let row = ws.counts.row_mut(u);
+        for (c, &k) in row.iter_mut().zip(rooted.row(u as Node)) {
+            *c = f64::from(k);
         }
     }
-    for ti in 0..t_len {
-        let q = sketch_q.column(ti);
-        let row = wfq_t.row_mut(ti);
-        for j in 0..w {
-            row[j] += q[j];
+    // wfq_t = (W·F̃ + Q)ᵀ. W·C sums integers (exact in any order); the
+    // sketch scale and 1/Ñ are applied once, per entry.
+    ws.w_signs.matmul_into(&ws.counts, &mut ws.wc, threads);
+    let scale = sketch_q.scale();
+    let unit = scale * inv_n;
+    for ti in 0..t_nodes.len() {
+        let q = sketch_q.signs(ti);
+        for (j, v) in ws.wfq_t.row_mut(ti).iter_mut().enumerate() {
+            *v = ws.wc.get(j, ti) * unit + f64::from(q[j]) * scale;
         }
     }
     // ht = G · wfq_t ∈ R^{|T| × w}; row t is the column `H e_t` of
     // H = (W F̃ + Q) Σ̃^{-1}.
     gmat.matmul_into(&ws.wfq_t, &mut ws.ht, threads);
-    let ht = &ws.ht;
+    // Y's column correction: Y e_u += H·f_u for every u, i.e. Y += F̃·Hᵀ
+    // (rows of S ∪ T have f_u = 0 and stay as they are).
+    acc.y_matrix_into(&mut ws.y);
+    ws.y.gemm_acc(&ws.counts, &ws.ht, inv_n, threads);
+    // Quadratic forms f_uᵀ G f_u = (C·G)_u · C_u / Ñ².
+    ws.counts.matmul_into(&gmat, &mut ws.cg, threads);
 
-    // Correct Y in place and assemble the ratios.
-    let mut y: YMatrix = acc.y_matrix();
-    let z = acc.diag_means();
-    let gf = &mut ws.gf;
     for u in 0..n as Node {
         let ui = u as usize;
         if in_s[ui] {
@@ -231,48 +218,14 @@ fn compute_schur_deltas(
         if let Some(ti) = rooted.index().index_of(u) {
             // u = t ∈ T: bottom-right block of Eq. (11).
             let zt = gmat.get(ti, ti).max(f64::MIN_POSITIVE);
-            deltas[ui] = norm2_sq(ht.row(ti)) / zt;
+            deltas[ui] = norm2_sq(ws.ht.row(ti)) / zt;
             continue;
         }
         // u ∈ U: top-left block.
-        let entries = rooted.entries(u);
-        // Quadratic form fᵀ G f: choose the cheaper evaluation order.
-        let quad = if entries.len() * entries.len() <= entries.len() * t_len {
-            let mut s = 0.0;
-            for &(ti, ci) in entries {
-                let pi = ci as f64 * inv_n;
-                for &(tj, cj) in entries {
-                    let pj = cj as f64 * inv_n;
-                    s += pi * pj * gmat.get(ti as usize, tj as usize);
-                }
-            }
-            s
-        } else {
-            gf.iter_mut().for_each(|v| *v = 0.0);
-            for &(tj, cj) in entries {
-                let pj = cj as f64 * inv_n;
-                let grow = gmat.row(tj as usize);
-                for ti in 0..t_len {
-                    gf[ti] += pj * grow[ti];
-                }
-            }
-            entries
-                .iter()
-                .map(|&(ti, ci)| ci as f64 * inv_n * gf[ti as usize])
-                .sum()
-        };
+        let quad = dot(ws.counts.row(ui), ws.cg.row(ui)) * inv_n * inv_n;
         let floor = 1.0 / g.degree(u) as f64;
-        let zu = z[ui].max(floor) + quad.max(0.0);
-        // y column correction: + H·f_u = Σ_t p_t · ht.row(t).
-        let col = y.column_mut(u);
-        for &(ti, ci) in entries {
-            let p = ci as f64 * inv_n;
-            let hrow = ht.row(ti as usize);
-            for j in 0..w {
-                col[j] += p * hrow[j];
-            }
-        }
-        deltas[ui] = norm2_sq(y.column(u)) / zu;
+        let zu = acc.diag_mean(u).max(floor) + quad.max(0.0);
+        deltas[ui] = norm2_sq(ws.y.row(ui)) / zu;
     }
     Ok(ridge)
 }

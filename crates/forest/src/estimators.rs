@@ -10,35 +10,43 @@
 //!   (Lemma 3.3 with the fixed path `P_{v,S}` = BFS path).
 //! * **Diagonal samples** `X_f(u)` with `E[X_f(u)] = (L_{-S}^{-1})_{uu}`:
 //!   along `u`'s BFS path, count forest-path traversals of each edge in both
-//!   directions, using O(1) Euler-tour ancestor tests. Welford accumulators
-//!   retain mean and variance for the empirical-Bernstein stop (Lemma 3.6).
-//! * **First-phase samples** `x_u = X_f(u) − scale · Φ̂₁(u)` implementing
+//!   directions, using O(1) Euler-tour ancestor tests. Per-node sample
+//!   moments feed the empirical-Bernstein stop (Lemma 3.6).
+//! * **First-phase samples** `x_u = X_f(u) − (2/n) · Φ̂₁(u)` implementing
 //!   Lemma 3.5's reduction of `L†_uu` to `L_{-s}^{-1}` quantities (the
 //!   shared `1ᵀL^{-1}1/n²` term is rank-preserving and omitted, as in
 //!   Algorithm 3).
 //! * **Rooted counts** for the Schur complement (Lemma 4.2) when an
 //!   auxiliary root index is supplied.
+//!
+//! # Integer layout
+//!
+//! The JL sketch is Rademacher, so every subtree sum `sw_j(x)` is an
+//! integer multiple of `1/√w`. The accumulator keeps `sw` in `i32` lanes
+//! and the edge deltas in `i64` lanes, and applies `(1/√w) / Ñ` once, in
+//! [`ElectricalAccumulator::y_matrix_into`]. Diagonal samples are integers
+//! and first-phase samples are integers over `n`, so their moments are
+//! exact integer sums (`Σx` in `i64`, `Σx²` in `i128`). Every merge is an
+//! exact integer sum: no estimate depends on how the forests were split
+//! across threads.
 
-use crate::forest::{EulerScratch, EulerTour, Forest};
+use crate::forest::{EulerTour, Forest};
 use crate::rooted::{RootIndex, RootedCounts};
 use crate::sampler::ForestAccumulator;
 use cfcc_graph::traversal::{bfs_from_set, NO_PARENT};
 use cfcc_graph::{Graph, Node};
 use cfcc_linalg::jl::JlSketch;
-use cfcc_util::stats::WelfordVec;
+use cfcc_linalg::DenseMatrix;
 use std::sync::Arc;
 
-/// What the accumulator's per-node Welford samples estimate.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// What the accumulator's per-node samples estimate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DiagMode {
     /// `z_u ≈ (L_{-S}^{-1})_{uu}` (Algorithms 2 and 4).
     Diagonal,
-    /// `x_u ≈ (L_{-s}^{-1})_{uu} − scale · 1ᵀL_{-s}^{-1}e_u`
-    /// (Algorithm 3 / 5 first phase, `scale = 2/n`).
-    FirstPhase {
-        /// Multiplier on the all-ones voltage term (`2/n` in the paper).
-        scale: f64,
-    },
+    /// `x_u ≈ (L_{-s}^{-1})_{uu} − (2/n) · 1ᵀL_{-s}^{-1}e_u`
+    /// (Algorithm 3 / 5 first phase).
+    FirstPhase,
 }
 
 /// Immutable sampling context shared by accumulator clones.
@@ -52,6 +60,9 @@ struct Ctx {
     bfs_depth: Vec<u32>,
     sketch: Option<JlSketch>,
     mode: DiagMode,
+    /// Integer samples are this multiple of the estimates (`n` in the
+    /// first phase, 1 otherwise).
+    sample_unit: f64,
     root_index: Option<Arc<RootIndex>>,
 }
 
@@ -61,21 +72,25 @@ pub struct ElectricalAccumulator {
     ctx: Arc<Ctx>,
     num_forests: u64,
     total_walk_steps: u64,
-    /// `n × w` node-major accumulated edge deltas (empty when no sketch).
-    edge_acc: Vec<f64>,
-    /// Per-node Welford over diagonal (or first-phase) samples.
-    diag: WelfordVec,
-    /// Per-node max |sample| — empirical range for the Bernstein stop.
-    diag_sup: Vec<f64>,
+    /// `n × w` node-major edge deltas in units of `1/√w` (empty when no
+    /// sketch).
+    edge_acc: Vec<i64>,
+    /// Per-node `Σx` and `Σx²` over the integer samples (`X_f(u)`, or
+    /// `n·x_u` in the first phase); roots stay 0.
+    diag_sum: Vec<i64>,
+    diag_sumsq: Vec<i128>,
+    /// Per-node max |integer sample| — empirical range for the Bernstein
+    /// stop.
+    diag_sup: Vec<i64>,
     rooted: Option<RootedCounts>,
     // ---- scratch reused across forests ----
-    sw: Vec<f64>,
-    ssize: Vec<f64>,
-    yones: Vec<f64>,
-    xdiag: Vec<f64>,
-    root_scratch: Vec<Node>,
+    /// `n × w` subtree sign sums; all zero between forests.
+    sw: Vec<i32>,
+    /// First phase: all-ones voltage prefix sums `Φ̂₁` (integers).
+    yones: Vec<i64>,
+    /// Rooted tracking: the root of every non-root node's tree.
+    root_of: Vec<Node>,
     tour: EulerTour,
-    escratch: EulerScratch,
 }
 
 impl ElectricalAccumulator {
@@ -115,6 +130,10 @@ impl ElectricalAccumulator {
             bfs_depth: bfs.depth,
             sketch,
             mode,
+            sample_unit: match mode {
+                DiagMode::Diagonal => 1.0,
+                DiagMode::FirstPhase => n as f64,
+            },
             root_index,
         });
         Self::from_ctx(ctx)
@@ -127,29 +146,23 @@ impl ElectricalAccumulator {
             .root_index
             .as_ref()
             .map(|idx| RootedCounts::new(n, idx.clone()));
-        let first_phase = matches!(ctx.mode, DiagMode::FirstPhase { .. });
+        let first_phase = ctx.mode == DiagMode::FirstPhase;
         Self {
             num_forests: 0,
             total_walk_steps: 0,
-            edge_acc: vec![0.0; n * w],
-            diag: WelfordVec::new(n),
-            diag_sup: vec![0.0; n],
+            edge_acc: vec![0; n * w],
+            diag_sum: vec![0; n],
+            diag_sumsq: vec![0; n],
+            diag_sup: vec![0; n],
+            root_of: if rooted.is_some() {
+                vec![NO_PARENT; n]
+            } else {
+                Vec::new()
+            },
             rooted,
-            sw: vec![0.0; n * w],
-            ssize: if first_phase {
-                vec![0.0; n]
-            } else {
-                Vec::new()
-            },
-            yones: if first_phase {
-                vec![0.0; n]
-            } else {
-                Vec::new()
-            },
-            xdiag: vec![0.0; n],
-            root_scratch: Vec::new(),
+            sw: vec![0; n * w],
+            yones: if first_phase { vec![0; n] } else { Vec::new() },
             tour: EulerTour::default(),
-            escratch: EulerScratch::default(),
             ctx,
         }
     }
@@ -169,19 +182,39 @@ impl ElectricalAccumulator {
         self.ctx.w
     }
 
-    /// Mean diagonal/first-phase estimate per node (roots are 0).
-    pub fn diag_means(&self) -> &[f64] {
-        self.diag.means()
+    /// Mean diagonal/first-phase estimate of node `u` (0 for roots and
+    /// before any forest).
+    pub fn diag_mean(&self, u: Node) -> f64 {
+        if self.num_forests == 0 {
+            return 0.0;
+        }
+        self.diag_sum[u as usize] as f64 / (self.num_forests as f64 * self.ctx.sample_unit)
     }
 
-    /// Welford variance of node `u`'s samples.
+    /// [`ElectricalAccumulator::diag_mean`] of every node.
+    pub fn diag_means(&self) -> Vec<f64> {
+        (0..self.ctx.n as Node).map(|u| self.diag_mean(u)).collect()
+    }
+
+    /// Unbiased sample variance of node `u`'s samples (0 for fewer than two
+    /// forests).
     pub fn diag_variance(&self, u: Node) -> f64 {
-        self.diag.variance_at(u as usize)
+        let k = self.num_forests;
+        if k < 2 {
+            return 0.0;
+        }
+        let (sum, sumsq) = (
+            i128::from(self.diag_sum[u as usize]),
+            self.diag_sumsq[u as usize],
+        );
+        // k·Σx² − (Σx)² = k(k−1)·variance, exact in integers.
+        let unit = self.ctx.sample_unit;
+        (i128::from(k) * sumsq - sum * sum) as f64 / (k as f64 * (k - 1) as f64 * unit * unit)
     }
 
     /// Empirical sample range bound for node `u` (max |sample| seen).
     pub fn diag_sup(&self, u: Node) -> f64 {
-        self.diag_sup[u as usize]
+        self.diag_sup[u as usize] as f64 / self.ctx.sample_unit
     }
 
     /// BFS depth of `u` from the root set (the theoretical sample bound).
@@ -194,112 +227,110 @@ impl ElectricalAccumulator {
         self.rooted.as_ref()
     }
 
-    /// The sketched voltage matrix `Y ≈ W L_{-S}^{-1}` as an `n × w`
-    /// node-major buffer: `column(u) = Y·e_u`. Root rows are zero.
-    pub fn y_matrix(&self) -> YMatrix {
-        let n = self.ctx.n;
-        let w = self.ctx.w;
-        assert!(w > 0, "no sketch configured");
+    /// The sketched voltage matrix `Y ≈ W L_{-S}^{-1}`, written into `y`
+    /// (reshaped to `n × w`, node-major): row `u` is `Y·e_u`. Root rows are
+    /// zero.
+    ///
+    /// The integer deltas are scaled by `(1/√w) / Ñ` here, once. For
+    /// `w = 4^k` that factor is a power of two times `1/Ñ`, so the result
+    /// is bit-identical to summing the `±1/√w` entries in `f64`.
+    pub fn y_matrix_into(&self, y: &mut DenseMatrix) {
+        let ctx = &*self.ctx;
+        let (n, w) = (ctx.n, ctx.w);
+        let sketch = ctx.sketch.as_ref().expect("no sketch configured");
         assert!(self.num_forests > 0, "no forests absorbed");
-        let inv = 1.0 / self.num_forests as f64;
-        let mut data = vec![0.0f64; n * w];
-        for &u in &self.ctx.bfs_order {
-            let p = self.ctx.bfs_parent[u as usize];
+        let unit = sketch.scale() * (1.0 / self.num_forests as f64);
+        y.reshape(n, w);
+        let data = y.data_mut();
+        for &u in &ctx.bfs_order {
+            let ui = u as usize;
+            let p = ctx.bfs_parent[ui];
             if p == NO_PARENT {
-                continue; // root: zero voltage
+                data[ui * w..ui * w + w].fill(0.0); // root: zero voltage
+                continue;
             }
-            let (dst, src) = split_rows(&mut data, u as usize, p as usize, w);
-            let acc = &self.edge_acc[u as usize * w..u as usize * w + w];
-            for j in 0..w {
-                dst[j] = src[j] + acc[j] * inv;
+            let (dst, src) = split_rows(data, ui, p as usize, w);
+            let acc = &self.edge_acc[ui * w..ui * w + w];
+            for ((d, &s), &a) in dst.iter_mut().zip(src).zip(acc) {
+                *d = s + a as f64 * unit;
             }
         }
-        YMatrix { data, w }
+    }
+
+    /// [`ElectricalAccumulator::y_matrix_into`] into a new matrix.
+    pub fn y_matrix(&self) -> DenseMatrix {
+        let mut y = DenseMatrix::default();
+        self.y_matrix_into(&mut y);
+        y
     }
 
     fn absorb_inner(&mut self, f: &Forest) {
         let ctx = &*self.ctx;
-        let n = ctx.n;
         let w = ctx.w;
-        debug_assert_eq!(f.parent.len(), n);
+        debug_assert_eq!(f.parent.len(), ctx.n);
         self.num_forests += 1;
         self.total_walk_steps += f.walk_steps;
 
-        // ---- sketched subtree sums and per-BFS-edge deltas ----
+        // ---- sketched subtree sums and per-BFS-edge deltas, one pass ----
+        // Children come first, so when `x` is reached its row holds the sum
+        // over its children; adding `x`'s own signs makes `sw(x)` final.
         if let Some(q) = &ctx.sketch {
             for &x in &f.bottomup {
                 let xi = x as usize;
-                self.sw[xi * w..xi * w + w].copy_from_slice(q.column(xi));
-            }
-            for &x in &f.bottomup {
-                let p = f.parent[x as usize];
-                if !f.is_root(p) {
-                    let (dst, src) = split_rows(&mut self.sw, p as usize, x as usize, w);
-                    for j in 0..w {
-                        dst[j] += src[j];
+                let p = f.parent[xi];
+                let pi = p as usize;
+                for (s, &sign) in self.sw[xi * w..xi * w + w].iter_mut().zip(q.signs(xi)) {
+                    *s += i32::from(sign);
+                }
+                let swx = &self.sw[xi * w..xi * w + w];
+                if p == ctx.bfs_parent[xi] {
+                    // Forest edge x → π_x runs along BFS edge (x, p_x).
+                    for (e, &s) in self.edge_acc[xi * w..xi * w + w].iter_mut().zip(swx) {
+                        *e += i64::from(s);
+                    }
+                } else if ctx.bfs_parent[pi] == x {
+                    // It runs against BFS edge (π_x, p_{π_x} = x).
+                    for (e, &s) in self.edge_acc[pi * w..pi * w + w].iter_mut().zip(swx) {
+                        *e -= i64::from(s);
                     }
                 }
-            }
-            for &x in &f.bottomup {
-                let xi = x as usize;
-                let pb = ctx.bfs_parent[xi];
-                debug_assert_ne!(pb, NO_PARENT);
-                if f.parent[xi] == pb {
-                    // edge_acc and sw are disjoint fields: borrows coexist.
-                    let dst = &mut self.edge_acc[xi * w..xi * w + w];
-                    let swx = &self.sw[xi * w..xi * w + w];
-                    for j in 0..w {
-                        dst[j] += swx[j];
+                if !ctx.in_root[pi] {
+                    let (dst, src) = split_rows(&mut self.sw, pi, xi, w);
+                    for (d, &s) in dst.iter_mut().zip(src) {
+                        *d += s;
                     }
                 }
-                let pbi = pb as usize;
-                if !ctx.in_root[pbi] && f.parent[pbi] == x {
-                    let swp = &self.sw[pbi * w..pbi * w + w];
-                    let dst = &mut self.edge_acc[xi * w..xi * w + w];
-                    for j in 0..w {
-                        dst[j] -= swp[j];
-                    }
-                }
+                self.sw[xi * w..xi * w + w].fill(0);
             }
         }
 
-        // ---- first-phase: subtree sizes and all-ones voltage prefix sums ----
-        let first_scale = match ctx.mode {
-            DiagMode::FirstPhase { scale } => {
-                for &x in &f.bottomup {
-                    self.ssize[x as usize] = 1.0;
+        f.euler_tour_into(&mut self.tour);
+        let tour = &self.tour;
+
+        // ---- first phase: all-ones voltage prefix sums along BFS order ----
+        let first_phase = ctx.mode == DiagMode::FirstPhase;
+        if first_phase {
+            for &u in &ctx.bfs_order {
+                let ui = u as usize;
+                let pb = ctx.bfs_parent[ui];
+                if pb == NO_PARENT {
+                    self.yones[ui] = 0;
+                    continue;
                 }
-                for &x in &f.bottomup {
-                    let p = f.parent[x as usize];
-                    if !f.is_root(p) {
-                        self.ssize[p as usize] += self.ssize[x as usize];
-                    }
+                let pbi = pb as usize;
+                let mut delta = 0i64;
+                if f.parent[ui] == pb {
+                    delta += i64::from(tour.subtree_size(u));
                 }
-                // prefix sums along BFS order
-                for &u in &ctx.bfs_order {
-                    let ui = u as usize;
-                    let pb = ctx.bfs_parent[ui];
-                    if pb == NO_PARENT {
-                        self.yones[ui] = 0.0;
-                        continue;
-                    }
-                    let mut delta = 0.0;
-                    if f.parent[ui] == pb {
-                        delta += self.ssize[ui];
-                    }
-                    let pbi = pb as usize;
-                    if !ctx.in_root[pbi] && f.parent[pbi] == u {
-                        delta -= self.ssize[pbi];
-                    }
-                    self.yones[ui] = self.yones[pbi] + delta;
+                if !ctx.in_root[pbi] && f.parent[pbi] == u {
+                    delta -= i64::from(tour.subtree_size(pb));
                 }
-                Some(scale)
+                self.yones[ui] = self.yones[pbi] + delta;
             }
-            DiagMode::Diagonal => None,
-        };
+        }
 
         // ---- diagonal samples via Euler-tour ancestor tests ----
-        f.euler_tour_into(&mut self.tour, &mut self.escratch);
+        let n = ctx.n as i64;
         for &u in &f.bottomup {
             let ui = u as usize;
             let mut x_acc = 0i64;
@@ -307,50 +338,39 @@ impl ElectricalAccumulator {
             while !ctx.in_root[a as usize] {
                 let b = ctx.bfs_parent[a as usize];
                 debug_assert_ne!(b, NO_PARENT);
-                if f.parent[a as usize] == b && self.tour.is_ancestor_or_self(a, u) {
+                if f.parent[a as usize] == b && tour.is_ancestor_or_self(a, u) {
                     x_acc += 1;
                 }
                 if !ctx.in_root[b as usize]
                     && f.parent[b as usize] == a
-                    && self.tour.is_ancestor_or_self(b, u)
+                    && tour.is_ancestor_or_self(b, u)
                 {
                     x_acc -= 1;
                 }
                 a = b;
             }
-            let mut sample = x_acc as f64;
-            if let Some(scale) = first_scale {
-                sample -= scale * self.yones[ui];
-            }
-            self.xdiag[ui] = sample;
-            let abs = sample.abs();
-            if abs > self.diag_sup[ui] {
-                self.diag_sup[ui] = abs;
-            }
+            // First phase: n·x_u = n·X_f(u) − 2·Φ̂₁(u), an integer.
+            let sample = if first_phase {
+                n * x_acc - 2 * self.yones[ui]
+            } else {
+                x_acc
+            };
+            self.diag_sum[ui] += sample;
+            self.diag_sumsq[ui] += i128::from(sample) * i128::from(sample);
+            self.diag_sup[ui] = self.diag_sup[ui].max(sample.abs());
         }
-        for r in 0..n {
-            if ctx.in_root[r] {
-                self.xdiag[r] = 0.0;
-            }
-        }
-        self.diag.push(&self.xdiag);
 
         // ---- rooted counts for the Schur complement ----
         if let Some(counts) = &mut self.rooted {
-            let root_scratch = &mut self.root_scratch;
-            root_scratch.clear();
-            root_scratch.resize(n, NO_PARENT);
-            for r in 0..n as Node {
-                if f.is_root(r) {
-                    root_scratch[r as usize] = r;
-                }
-            }
             for x in f.topdown() {
                 let p = f.parent[x as usize];
-                root_scratch[x as usize] = root_scratch[p as usize];
-            }
-            for &x in &f.bottomup {
-                counts.record(x, root_scratch[x as usize]);
+                let root = if ctx.in_root[p as usize] {
+                    p
+                } else {
+                    self.root_of[p as usize]
+                };
+                self.root_of[x as usize] = root;
+                counts.record(x, root);
             }
         }
     }
@@ -359,7 +379,7 @@ impl ElectricalAccumulator {
 /// Borrow two distinct `w`-rows of a node-major buffer (`dst = row a`,
 /// `src = row b`). Requires `a != b`.
 #[inline]
-fn split_rows(buf: &mut [f64], a: usize, b: usize, w: usize) -> (&mut [f64], &[f64]) {
+fn split_rows<T>(buf: &mut [T], a: usize, b: usize, w: usize) -> (&mut [T], &[T]) {
     debug_assert_ne!(a, b);
     if a < b {
         let (lo, hi) = buf.split_at_mut(b * w);
@@ -368,6 +388,14 @@ fn split_rows(buf: &mut [f64], a: usize, b: usize, w: usize) -> (&mut [f64], &[f
         let (lo, hi) = buf.split_at_mut(a * w);
         let dst = &mut hi[..w];
         (dst, &lo[b * w..b * w + w])
+    }
+}
+
+/// `a += b` lane by lane.
+fn add_lanes<T: Copy + std::ops::AddAssign>(a: &mut [T], b: &[T]) {
+    assert_eq!(a.len(), b.len());
+    for (x, &y) in a.iter_mut().zip(b) {
+        *x += y;
     }
 }
 
@@ -383,14 +411,11 @@ impl ForestAccumulator for ElectricalAccumulator {
         );
         self.num_forests += other.num_forests;
         self.total_walk_steps += other.total_walk_steps;
-        for (a, b) in self.edge_acc.iter_mut().zip(&other.edge_acc) {
-            *a += b;
-        }
-        self.diag.merge(&other.diag);
+        add_lanes(&mut self.edge_acc, &other.edge_acc);
+        add_lanes(&mut self.diag_sum, &other.diag_sum);
+        add_lanes(&mut self.diag_sumsq, &other.diag_sumsq);
         for (a, &b) in self.diag_sup.iter_mut().zip(&other.diag_sup) {
-            if b > *a {
-                *a = b;
-            }
+            *a = (*a).max(b);
         }
         if let (Some(mine), Some(theirs)) = (&mut self.rooted, other.rooted) {
             mine.merge(theirs);
@@ -406,46 +431,16 @@ impl ForestAccumulator for ElectricalAccumulator {
     }
 }
 
-/// Node-major sketched voltage matrix (`n` columns of width `w`).
-#[derive(Debug, Clone)]
-pub struct YMatrix {
-    data: Vec<f64>,
-    w: usize,
-}
-
-impl YMatrix {
-    /// Sketch width.
-    pub fn width(&self) -> usize {
-        self.w
-    }
-
-    /// The sketched column for node `u` (`Y e_u ∈ R^w`).
-    #[inline]
-    pub fn column(&self, u: Node) -> &[f64] {
-        &self.data[u as usize * self.w..(u as usize + 1) * self.w]
-    }
-
-    /// Mutable column access (SchurDelta adds correction terms in place).
-    #[inline]
-    pub fn column_mut(&mut self, u: Node) -> &mut [f64] {
-        &mut self.data[u as usize * self.w..(u as usize + 1) * self.w]
-    }
-
-    /// `‖Y e_u‖²` — the JL estimate of `‖L_{-S}^{-1} e_u‖²`.
-    #[inline]
-    pub fn column_norm_sq(&self, u: Node) -> f64 {
-        cfcc_linalg::vector::norm2_sq(self.column(u))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sampler::{absorb_batch, SamplerConfig};
+    use crate::wilson::sample_forest_into;
     use cfcc_graph::generators;
     use cfcc_linalg::laplacian::laplacian_submatrix_dense;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use std::collections::HashMap;
 
     fn mask(n: usize, roots: &[Node]) -> Vec<bool> {
         let mut m = vec![false; n];
@@ -470,7 +465,7 @@ mod tests {
         absorb_batch(&g, &in_root, 0, 30_000, &cfg, &mut acc);
         for (ci, &u) in keep.iter().enumerate() {
             let expect = inv.get(ci, ci);
-            let got = acc.diag_means()[u as usize];
+            let got = acc.diag_mean(u);
             let se = (acc.diag_variance(u) / acc.num_forests() as f64).sqrt();
             assert!(
                 (got - expect).abs() < 5.0 * se + 0.02,
@@ -499,11 +494,12 @@ mod tests {
         let y = acc.y_matrix();
         // expected: (W L^{-1})_{j,u} = Σ_v W_{jv} inv[cv][cu]
         for (cu, &u) in keep.iter().enumerate() {
-            let col = y.column(u);
+            let col = y.row(u as usize);
             for (j, &got) in col.iter().enumerate().take(6) {
                 let mut expect = 0.0;
                 for (cv, &v) in keep.iter().enumerate() {
-                    expect += sketch_copy.column(v as usize)[j] * inv.get(cv, cu);
+                    let entry = f64::from(sketch_copy.signs(v as usize)[j]) * sketch_copy.scale();
+                    expect += entry * inv.get(cv, cu);
                 }
                 assert!(
                     (got - expect).abs() < 0.05,
@@ -524,8 +520,7 @@ mod tests {
         let (sub, keep) = laplacian_submatrix_dense(&g, &in_root);
         let inv = sub.cholesky().unwrap().inverse();
         let scale = 2.0 / n as f64;
-        let mut acc =
-            ElectricalAccumulator::new(&g, &in_root, None, DiagMode::FirstPhase { scale }, None);
+        let mut acc = ElectricalAccumulator::new(&g, &in_root, None, DiagMode::FirstPhase, None);
         let cfg = SamplerConfig {
             seed: 1234,
             threads: 1,
@@ -534,7 +529,7 @@ mod tests {
         for (cu, &u) in keep.iter().enumerate() {
             let ones_col: f64 = (0..keep.len()).map(|cv| inv.get(cv, cu)).sum();
             let expect = inv.get(cu, cu) - scale * ones_col;
-            let got = acc.diag_means()[u as usize];
+            let got = acc.diag_mean(u);
             let se = (acc.diag_variance(u) / acc.num_forests() as f64).sqrt();
             assert!(
                 (got - expect).abs() < 5.0 * se + 0.03,
@@ -545,40 +540,32 @@ mod tests {
 
     #[test]
     fn parallel_merge_matches_serial_means() {
+        // Integer lanes and moments merge exactly: every estimate is the
+        // same bits at every thread count, in both modes.
         let mut rng = SmallRng::seed_from_u64(43);
         let g = generators::barabasi_albert(40, 2, &mut rng);
         let in_root = mask(40, &[0]);
-        let build = || ElectricalAccumulator::new(&g, &in_root, None, DiagMode::Diagonal, None);
-        let mut serial = build();
-        absorb_batch(
-            &g,
-            &in_root,
-            0,
-            512,
-            &SamplerConfig {
-                seed: 5,
-                threads: 1,
-            },
-            &mut serial,
-        );
-        let mut par = build();
-        absorb_batch(
-            &g,
-            &in_root,
-            0,
-            512,
-            &SamplerConfig {
-                seed: 5,
-                threads: 3,
-            },
-            &mut par,
-        );
-        assert_eq!(serial.num_forests(), par.num_forests());
-        for u in 0..40 {
-            assert!(
-                (serial.diag_means()[u] - par.diag_means()[u]).abs() < 1e-9,
-                "node {u}"
-            );
+        let sketch = JlSketch::sample(34, 40, &mut rng);
+        for mode in [DiagMode::Diagonal, DiagMode::FirstPhase] {
+            let run = |threads| {
+                let mut acc =
+                    ElectricalAccumulator::new(&g, &in_root, Some(sketch.clone()), mode, None);
+                let cfg = SamplerConfig { seed: 5, threads };
+                absorb_batch(&g, &in_root, 0, 333, &cfg, &mut acc);
+                acc
+            };
+            let serial = run(1);
+            for threads in [2, 3, 4] {
+                let (par, at) = (run(threads), format!("{mode:?}, {threads} threads"));
+                assert_eq!(serial.num_forests(), par.num_forests(), "{at}");
+                assert_eq!(serial.y_matrix(), par.y_matrix(), "{at}");
+                for u in 0..40 {
+                    let (a, b) = (&serial, &par);
+                    assert_eq!(a.diag_mean(u), b.diag_mean(u), "{at}, node {u}");
+                    assert_eq!(a.diag_variance(u), b.diag_variance(u), "{at}, node {u}");
+                    assert_eq!(a.diag_sup(u), b.diag_sup(u), "{at}, node {u}");
+                }
+            }
         }
     }
 
@@ -597,11 +584,7 @@ mod tests {
             if in_root[u as usize] {
                 continue;
             }
-            let total: f64 = rooted
-                .probabilities(u, acc.num_forests())
-                .iter()
-                .map(|&(_, p)| p)
-                .sum();
+            let total = rooted.row(u).iter().sum::<u32>() as f64 / acc.num_forests() as f64;
             assert!((0.0..=1.0 + 1e-9).contains(&total), "u={u} total {total}");
         }
     }
@@ -619,6 +602,165 @@ mod tests {
                 acc.diag_sup(u),
                 acc.bfs_depth(u)
             );
+        }
+    }
+
+    /// The accumulator before the integer layout, kept as a reference: three
+    /// `n × w` `f64` passes (copy the sketch columns, add children into
+    /// parents, then the per-BFS-edge deltas), per-node root tallies, and
+    /// diagonal samples from ancestor sets found by walking up the forest.
+    struct ThreePassOracle {
+        in_root: Vec<bool>,
+        bfs_parent: Vec<Node>,
+        bfs_order: Vec<Node>,
+        sketch: JlSketch,
+        forests: u64,
+        edge_acc: Vec<f64>,
+        sw: Vec<f64>,
+        diag_sum: Vec<f64>,
+        tally: Vec<HashMap<Node, u32>>,
+    }
+
+    impl ThreePassOracle {
+        fn new(g: &Graph, in_root: &[bool], sketch: JlSketch) -> Self {
+            let n = g.num_nodes();
+            let roots: Vec<Node> = (0..n as Node).filter(|&u| in_root[u as usize]).collect();
+            let bfs = bfs_from_set(g, &roots);
+            let w = sketch.width();
+            Self {
+                in_root: in_root.to_vec(),
+                bfs_parent: bfs.parent,
+                bfs_order: bfs.order,
+                sketch,
+                forests: 0,
+                edge_acc: vec![0.0; n * w],
+                sw: vec![0.0; n * w],
+                diag_sum: vec![0.0; n],
+                tally: vec![HashMap::new(); n],
+            }
+        }
+
+        fn absorb(&mut self, f: &Forest) {
+            let w = self.sketch.width();
+            let scale = self.sketch.scale();
+            self.forests += 1;
+            for &x in &f.bottomup {
+                let xi = x as usize;
+                for (v, &s) in self.sw[xi * w..xi * w + w]
+                    .iter_mut()
+                    .zip(self.sketch.signs(xi))
+                {
+                    *v = f64::from(s) * scale;
+                }
+            }
+            for &x in &f.bottomup {
+                let p = f.parent[x as usize];
+                if !f.is_root(p) {
+                    let (dst, src) = split_rows(&mut self.sw, p as usize, x as usize, w);
+                    for j in 0..w {
+                        dst[j] += src[j];
+                    }
+                }
+            }
+            for &x in &f.bottomup {
+                let xi = x as usize;
+                let pb = self.bfs_parent[xi] as usize;
+                for j in 0..w {
+                    if f.parent[xi] as usize == pb {
+                        self.edge_acc[xi * w + j] += self.sw[xi * w + j];
+                    }
+                    if !self.in_root[pb] && f.parent[pb] == x {
+                        self.edge_acc[xi * w + j] -= self.sw[pb * w + j];
+                    }
+                }
+            }
+            for &u in &f.bottomup {
+                let mut ancestors = vec![u];
+                while !f.is_root(*ancestors.last().unwrap()) {
+                    ancestors.push(f.parent[*ancestors.last().unwrap() as usize]);
+                }
+                let root = *ancestors.last().unwrap();
+                *self.tally[u as usize].entry(root).or_insert(0) += 1;
+                let mut x = 0i64;
+                let mut a = u;
+                while !self.in_root[a as usize] {
+                    let b = self.bfs_parent[a as usize];
+                    if f.parent[a as usize] == b && ancestors.contains(&a) {
+                        x += 1;
+                    }
+                    if f.parent[b as usize] == a && ancestors.contains(&b) {
+                        x -= 1;
+                    }
+                    a = b;
+                }
+                self.diag_sum[u as usize] += x as f64;
+            }
+        }
+
+        fn y_matrix(&self) -> DenseMatrix {
+            let w = self.sketch.width();
+            let inv = 1.0 / self.forests as f64;
+            let mut y = DenseMatrix::zeros(self.bfs_parent.len(), w);
+            for &u in &self.bfs_order {
+                let p = self.bfs_parent[u as usize];
+                if p == NO_PARENT {
+                    continue;
+                }
+                for j in 0..w {
+                    let v = y.get(p as usize, j) + self.edge_acc[u as usize * w + j] * inv;
+                    y.set(u as usize, j, v);
+                }
+            }
+            y
+        }
+    }
+
+    #[test]
+    fn integer_accumulator_matches_three_pass_oracle() {
+        let mut rng = SmallRng::seed_from_u64(53);
+        let ba = generators::barabasi_albert(80, 2, &mut rng);
+        let grid = generators::grid(9, 9);
+        for (g, roots) in [(&ba, [0u32, 7, 33, 51]), (&grid, [0, 40, 80, 13])] {
+            let n = g.num_nodes();
+            let in_root = mask(n, &roots);
+            // S is the first root; T the others.
+            let t_nodes = &roots[1..];
+            for w in [6usize, 16, 34, 64] {
+                let sketch = JlSketch::sample(w, n, &mut rng);
+                let index = Arc::new(RootIndex::new(n, t_nodes));
+                let mut acc = ElectricalAccumulator::new(
+                    g,
+                    &in_root,
+                    Some(sketch.clone()),
+                    DiagMode::Diagonal,
+                    Some(index),
+                );
+                let mut oracle = ThreePassOracle::new(g, &in_root, sketch);
+                let mut f = Forest::default();
+                for _ in 0..300 {
+                    sample_forest_into(g, &in_root, &mut rng, &mut f);
+                    acc.absorb(&f);
+                    oracle.absorb(&f);
+                }
+                let (got, want) = (acc.y_matrix(), oracle.y_matrix());
+                if w.is_power_of_two() && w.trailing_zeros() % 2 == 0 {
+                    // 1/√w is a power of two: the f64 sums were exact too.
+                    assert_eq!(got, want, "w={w}");
+                } else {
+                    let scale = want.data().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+                    let diff = got.max_abs_diff(&want);
+                    assert!(diff <= 1e-12 * scale, "w={w}: diff {diff} scale {scale}");
+                }
+                let rooted = acc.rooted().unwrap();
+                for u in 0..n as Node {
+                    for (ti, &c) in rooted.row(u).iter().enumerate() {
+                        let want = oracle.tally[u as usize].get(&t_nodes[ti]);
+                        assert_eq!(c, want.copied().unwrap_or(0), "u={u} t={}", t_nodes[ti]);
+                    }
+                    let mean = oracle.diag_sum[u as usize] / oracle.forests as f64;
+                    assert_eq!(acc.diag_mean(u), mean, "u={u}");
+                }
+            }
         }
     }
 }

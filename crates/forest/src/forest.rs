@@ -26,7 +26,7 @@ pub struct Forest {
 pub struct EulerTour {
     /// Entry times.
     pub tin: Vec<u32>,
-    /// Exit times (exclusive).
+    /// Exit times (exclusive): `tout[u] - tin[u]` is the size of `u`'s subtree.
     pub tout: Vec<u32>,
 }
 
@@ -36,14 +36,12 @@ impl EulerTour {
     pub fn is_ancestor_or_self(&self, a: Node, u: Node) -> bool {
         self.tin[a as usize] <= self.tin[u as usize] && self.tin[u as usize] < self.tout[a as usize]
     }
-}
 
-/// Reusable buffers for [`Forest::euler_tour_into`].
-#[derive(Debug, Clone, Default)]
-pub struct EulerScratch {
-    child_offsets: Vec<u32>,
-    child_targets: Vec<Node>,
-    stack: Vec<(Node, u32)>,
+    /// Number of nodes in `u`'s subtree (`u` included).
+    #[inline]
+    pub fn subtree_size(&self, u: Node) -> u32 {
+        self.tout[u as usize] - self.tin[u as usize]
+    }
 }
 
 impl Forest {
@@ -90,67 +88,47 @@ impl Forest {
         depth
     }
 
-    /// Compute the Euler tour into `tour`, reusing `scratch`.
-    pub fn euler_tour_into(&self, tour: &mut EulerTour, scratch: &mut EulerScratch) {
+    /// Compute pre-order intervals into `tour` (reusing its buffers) in two
+    /// linear passes: subtree sizes bottom-up, then, top-down, each child
+    /// takes the next free entry time inside its parent's interval. The
+    /// child order is whatever `bottomup` implies; ancestor tests do not
+    /// depend on it.
+    pub fn euler_tour_into(&self, tour: &mut EulerTour) {
         let n = self.num_nodes();
-        // Children CSR via counting sort on parent pointers.
-        let offs = &mut scratch.child_offsets;
-        offs.clear();
-        offs.resize(n + 1, 0);
+        let (tin, tout) = (&mut tour.tin, &mut tour.tout);
+        tin.clear();
+        tin.resize(n, 0);
+        // `tout` holds subtree sizes until a node's entry time is set, and
+        // the parent's next free entry time afterwards; once every child
+        // has taken its slot that cursor is the exit time.
+        tout.clear();
+        tout.resize(n, 1);
         for &x in &self.bottomup {
-            let p = self.parent[x as usize];
-            offs[p as usize + 1] += 1;
+            tout[self.parent[x as usize] as usize] += tout[x as usize];
         }
-        for i in 0..n {
-            offs[i + 1] += offs[i];
-        }
-        let targets = &mut scratch.child_targets;
-        targets.clear();
-        targets.resize(self.bottomup.len(), 0);
-        {
-            // cursor per parent — reuse a temporary copy of offsets
-            let mut cursor: Vec<u32> = offs[..n].to_vec();
-            for &x in &self.bottomup {
-                let p = self.parent[x as usize] as usize;
-                targets[cursor[p] as usize] = x;
-                cursor[p] += 1;
-            }
-        }
-        tour.tin.clear();
-        tour.tin.resize(n, 0);
-        tour.tout.clear();
-        tour.tout.resize(n, 0);
-        let stack = &mut scratch.stack;
-        stack.clear();
         let mut time = 0u32;
-        for r in 0..n as Node {
-            if !self.is_root(r) {
-                continue;
-            }
-            stack.push((r, offs[r as usize]));
-            tour.tin[r as usize] = time;
-            time += 1;
-            while let Some(&mut (u, ref mut next_child)) = stack.last_mut() {
-                if *next_child < offs[u as usize + 1] {
-                    let c = targets[*next_child as usize];
-                    *next_child += 1;
-                    tour.tin[c as usize] = time;
-                    time += 1;
-                    stack.push((c, offs[c as usize]));
-                } else {
-                    tour.tout[u as usize] = time;
-                    stack.pop();
-                }
+        for r in 0..n {
+            if self.parent[r] == NO_PARENT {
+                let size = tout[r];
+                tin[r] = time;
+                tout[r] = time + 1;
+                time += size;
             }
         }
         debug_assert_eq!(time as usize, n);
+        for x in self.topdown() {
+            let (x, p) = (x as usize, self.parent[x as usize] as usize);
+            let (size, t) = (tout[x], tout[p]);
+            tin[x] = t;
+            tout[p] = t + size;
+            tout[x] = t + 1;
+        }
     }
 
     /// Allocate-and-return Euler tour (tests / cold paths).
     pub fn euler_tour(&self) -> EulerTour {
         let mut tour = EulerTour::default();
-        let mut scratch = EulerScratch::default();
-        self.euler_tour_into(&mut tour, &mut scratch);
+        self.euler_tour_into(&mut tour);
         tour
     }
 
@@ -254,25 +232,36 @@ mod tests {
     fn euler_matches_naive_on_random_forests() {
         let mut rng = SmallRng::seed_from_u64(11);
         let g = generators::barabasi_albert(60, 2, &mut rng);
-        let mut in_root = vec![false; 60];
-        in_root[0] = true;
-        in_root[20] = true;
-        for _ in 0..5 {
-            let f = sample_forest(&g, &in_root, &mut rng);
-            let t = f.euler_tour();
-            // naive ancestor check by walking up
-            for u in 0..60u32 {
-                let mut anc = [false; 60];
-                let mut i = u;
-                loop {
-                    anc[i as usize] = true;
-                    if f.is_root(i) {
-                        break;
+        // One root, two roots, and a larger multi-root set (many trees).
+        for roots in [&[0u32][..], &[0, 20], &[3, 9, 17, 28, 41, 55]] {
+            let mut in_root = vec![false; 60];
+            for &r in roots {
+                in_root[r as usize] = true;
+            }
+            for _ in 0..5 {
+                let f = sample_forest(&g, &in_root, &mut rng);
+                let t = f.euler_tour();
+                // naive ancestor check by walking up
+                for u in 0..60u32 {
+                    let mut anc = [false; 60];
+                    let mut size = 0;
+                    let mut i = u;
+                    loop {
+                        anc[i as usize] = true;
+                        if f.is_root(i) {
+                            break;
+                        }
+                        i = f.parent[i as usize];
                     }
-                    i = f.parent[i as usize];
-                }
-                for a in 0..60u32 {
-                    assert_eq!(t.is_ancestor_or_self(a, u), anc[a as usize], "a={a} u={u}");
+                    for a in 0..60u32 {
+                        assert_eq!(t.is_ancestor_or_self(a, u), anc[a as usize], "a={a} u={u}");
+                        let mut j = a;
+                        while j != u && !f.is_root(j) {
+                            j = f.parent[j as usize];
+                        }
+                        size += u32::from(j == u);
+                    }
+                    assert_eq!(t.subtree_size(u), size, "subtree of {u}");
                 }
             }
         }

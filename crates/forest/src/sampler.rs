@@ -5,13 +5,16 @@
 //! after each batch whether the empirical-Bernstein stop fires.
 //!
 //! Determinism: every forest's RNG is seeded from `(seed, global index)`
-//! through SplitMix64, so results are identical for any thread count.
+//! through SplitMix64, so the same forests are sampled for any thread
+//! count, and partial accumulators are merged in a fixed order.
 
 use crate::forest::Forest;
 use crate::wilson::sample_forest_into;
 use cfcc_graph::Graph;
+use cfcc_linalg::pool;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::sync::{Mutex, PoisonError};
 
 /// Accumulators that consume sampled forests.
 pub trait ForestAccumulator: Send {
@@ -58,11 +61,11 @@ fn forest_rng(seed: u64, index: u64) -> SmallRng {
 
 /// Sample `batch` forests with global indices `start_index..start_index+batch`
 /// and absorb them into `acc`. With `cfg.threads > 1` the index range is
-/// split into contiguous chunks, each absorbed into a fresh accumulator and
-/// merged back in chunk order. The same forests are sampled for any thread
-/// count (seeding is by global index); linear accumulations are identical,
-/// while merged variance accumulators may differ from the serial path only
-/// in floating-point rounding.
+/// split into contiguous chunks, each absorbed into a fresh accumulator on
+/// the linalg worker pool and merged back in chunk order. The same forests
+/// are sampled for any thread count (seeding is by global index), so an
+/// accumulator whose merge is exact — every one in this crate — ends in
+/// the same state for every thread count.
 pub fn absorb_batch<A: ForestAccumulator>(
     g: &Graph,
     in_root: &[bool],
@@ -76,43 +79,46 @@ pub fn absorb_batch<A: ForestAccumulator>(
     }
     let threads = cfg.threads.max(1).min(batch as usize);
     if threads == 1 {
-        let mut forest = Forest::default();
-        for i in 0..batch {
-            let mut rng = forest_rng(cfg.seed, start_index + i);
-            sample_forest_into(g, in_root, &mut rng, &mut forest);
-            acc.absorb(&forest);
-        }
+        absorb_range(g, in_root, cfg.seed, start_index..start_index + batch, acc);
         return;
     }
     // Contiguous chunking keeps merge order deterministic.
     let chunk = batch.div_ceil(threads as u64);
-    let mut partials: Vec<A> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for tix in 0..threads as u64 {
-            let lo = start_index + tix * chunk;
-            let hi = (lo + chunk).min(start_index + batch);
-            if lo >= hi {
-                break;
-            }
-            let mut local = acc.fresh();
-            let seed = cfg.seed;
-            handles.push(scope.spawn(move || {
-                let mut forest = Forest::default();
-                for i in lo..hi {
-                    let mut rng = forest_rng(seed, i);
-                    sample_forest_into(g, in_root, &mut rng, &mut forest);
-                    local.absorb(&forest);
-                }
-                local
-            }));
-        }
-        for h in handles {
-            partials.push(h.join().expect("sampler worker panicked"));
-        }
+    let tasks = batch.div_ceil(chunk) as usize;
+    let partials: Vec<Mutex<Option<A>>> =
+        (0..tasks).map(|_| Mutex::new(Some(acc.fresh()))).collect();
+    pool::run(threads, tasks, &|tix| {
+        let lo = start_index + tix as u64 * chunk;
+        let hi = (lo + chunk).min(start_index + batch);
+        // Task `tix` alone touches slot `tix`, and never while absorbing, so
+        // the locks are uncontended and cannot be poisoned.
+        let slot = &partials[tix];
+        let mut local = take(slot).expect("each task runs once");
+        absorb_range(g, in_root, cfg.seed, lo..hi, &mut local);
+        *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(local);
     });
-    for p in partials {
-        acc.merge(p);
+    for slot in &partials {
+        acc.merge(take(slot).expect("every task has finished"));
+    }
+}
+
+fn take<A>(slot: &Mutex<Option<A>>) -> Option<A> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner).take()
+}
+
+/// Sample and absorb the forests with global indices in `range`.
+fn absorb_range<A: ForestAccumulator>(
+    g: &Graph,
+    in_root: &[bool],
+    seed: u64,
+    range: std::ops::Range<u64>,
+    acc: &mut A,
+) {
+    let mut forest = Forest::default();
+    for i in range {
+        let mut rng = forest_rng(seed, i);
+        sample_forest_into(g, in_root, &mut rng, &mut forest);
+        acc.absorb(&forest);
     }
 }
 

@@ -6,7 +6,10 @@
 //!
 //! Storage is *node-major* (`d` rows of `w` sketch coordinates): the forest
 //! estimators walk nodes in forest order and need all `w` coordinates of a
-//! node at once, so this layout keeps the inner loop contiguous.
+//! node at once, so this layout keeps the inner loop contiguous. Every
+//! entry is `±1/√w`, so the sketch keeps one `i8` sign per entry and the
+//! common scale once: consumers sum signs in integer lanes and scale at
+//! the end, which is exact.
 
 use rand::Rng;
 
@@ -26,28 +29,31 @@ pub fn theoretical_width(d: usize, epsilon: f64) -> usize {
     (24.0 * (epsilon / 7.0).powi(-2) * (d.max(2) as f64).ln()).ceil() as usize
 }
 
-/// A `w × d` Rademacher JL sketch, stored node-major.
+/// A `w × d` Rademacher JL sketch, stored node-major as signs.
 #[derive(Debug, Clone)]
 pub struct JlSketch {
     w: usize,
     d: usize,
-    /// `data[u*w..(u+1)*w]` = sketch column for coordinate `u`, scaled by `1/√w`.
-    data: Vec<f64>,
+    /// `1/√w`: entry `(j, u)` of the sketch is `signs[u*w + j] · scale`.
+    scale: f64,
+    /// `signs[u*w..(u+1)*w]` = signs (`±1`) of the column for coordinate `u`.
+    signs: Vec<i8>,
 }
 
 impl JlSketch {
-    /// Sample a sketch with the given width `w` over `d` coordinates.
+    /// Sample a sketch with the given width `w` over `d` coordinates: one
+    /// `gen::<bool>()` per entry, coordinate-major.
     pub fn sample<R: Rng>(w: usize, d: usize, rng: &mut R) -> Self {
         assert!(w > 0);
-        let scale = 1.0 / (w as f64).sqrt();
-        let mut data = Vec::with_capacity(w * d);
-        for _ in 0..d {
-            for _ in 0..w {
-                let sign = if rng.gen::<bool>() { scale } else { -scale };
-                data.push(sign);
-            }
+        let signs = (0..w * d)
+            .map(|_| if rng.gen::<bool>() { 1 } else { -1 })
+            .collect();
+        Self {
+            w,
+            d,
+            scale: 1.0 / (w as f64).sqrt(),
+            signs,
         }
-        Self { w, d, data }
     }
 
     /// Sketch width `w`.
@@ -62,18 +68,25 @@ impl JlSketch {
         self.d
     }
 
-    /// The `w` sketch values of coordinate `u` (a column of the `w × d`
-    /// matrix, contiguous in this layout).
+    /// The common entry magnitude `1/√w`.
     #[inline]
-    pub fn column(&self, u: usize) -> &[f64] {
-        &self.data[u * self.w..(u + 1) * self.w]
+    pub fn scale(&self) -> f64 {
+        self.scale
     }
 
-    /// Row `j` of the sketch as a dense vector (strided gather; used by
-    /// ApproxGreedy which needs rows as CG right-hand sides).
+    /// The `w` signs of coordinate `u`'s column (a column of the `w × d`
+    /// matrix, contiguous in this layout); the values are `signs · scale`.
+    #[inline]
+    pub fn signs(&self, u: usize) -> &[i8] {
+        &self.signs[u * self.w..(u + 1) * self.w]
+    }
+
+    /// Row `j` of the sketch as a dense vector (strided gather).
     pub fn row(&self, j: usize) -> Vec<f64> {
         assert!(j < self.w);
-        (0..self.d).map(|u| self.data[u * self.w + j]).collect()
+        (0..self.d)
+            .map(|u| f64::from(self.signs[u * self.w + j]) * self.scale)
+            .collect()
     }
 
     /// Apply to a vector: `y = Q x` with `y ∈ R^w`.
@@ -85,9 +98,9 @@ impl JlSketch {
             if xu == 0.0 {
                 continue;
             }
-            let col = self.column(u);
-            for j in 0..self.w {
-                y[j] += xu * col[j];
+            let v = xu * self.scale;
+            for (yj, &s) in y.iter_mut().zip(self.signs(u)) {
+                *yj += f64::from(s) * v;
             }
         }
     }
@@ -112,10 +125,23 @@ mod tests {
     fn entries_are_pm_inv_sqrt_w() {
         let mut rng = StdRng::seed_from_u64(1);
         let q = JlSketch::sample(16, 10, &mut rng);
-        let s = 1.0 / 4.0;
+        assert_eq!(q.scale(), 1.0 / 4.0);
         for u in 0..10 {
-            for &v in q.column(u) {
-                assert!((v - s).abs() < 1e-15 || (v + s).abs() < 1e-15);
+            assert!(q.signs(u).iter().all(|&s| s == 1 || s == -1));
+        }
+        // Both signs occur: the entries are not a constant column.
+        assert!((0..10).any(|u| q.signs(u).contains(&1)));
+        assert!((0..10).any(|u| q.signs(u).contains(&-1)));
+    }
+
+    #[test]
+    fn sign_stream_is_one_bool_per_entry_coordinate_major() {
+        // Entry (j, u) is the (u·w + j)-th `gen::<bool>()` of the stream.
+        let q = JlSketch::sample(8, 5, &mut StdRng::seed_from_u64(4));
+        let mut rng = StdRng::seed_from_u64(4);
+        for u in 0..5 {
+            for &s in q.signs(u) {
+                assert_eq!(s == 1, rng.gen::<bool>());
             }
         }
     }

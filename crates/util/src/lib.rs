@@ -5,8 +5,8 @@
 //! * [`fx`] — the Fx hash function plus `HashMap`/`HashSet` aliases keyed on
 //!   it. The default SipHash tables are measurably slower for the small
 //!   integer keys that dominate this workspace (node ids, edge ids).
-//! * [`stats`] — Welford online mean/variance accumulators used by the
-//!   adaptive (empirical Bernstein) sampling loops.
+//! * [`stats`] — a Welford online mean/variance accumulator for streamed
+//!   real-valued samples.
 //! * [`timing`] — a tiny stopwatch for benchmark harnesses.
 //! * [`table`] — fixed-width text tables matching the paper's row formats.
 //! * [`json`] — minimal JSON emission for machine-consumable reports.

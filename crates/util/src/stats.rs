@@ -1,8 +1,9 @@
-//! Online statistics: Welford mean/variance accumulators.
+//! Online statistics: a Welford mean/variance accumulator.
 //!
-//! Used by the adaptive sampling loops (empirical Bernstein stopping rule,
-//! paper Lemma 3.6): variance must be maintained incrementally while forests
-//! stream in, without storing per-sample histories.
+//! Used where real-valued samples stream in and must not be stored, such
+//! as the Hutchinson trace estimator's per-probe quadratic forms. (The
+//! forest estimators' samples are integers; they keep exact integer
+//! moments instead.)
 
 /// Numerically stable online mean/variance (Welford's algorithm).
 #[derive(Debug, Default, Clone, Copy)]
@@ -78,100 +79,6 @@ impl Welford {
     }
 }
 
-/// A dense vector of Welford accumulators stored structure-of-arrays, so the
-/// per-forest update loop touches three contiguous arrays instead of an
-/// array-of-structs (better cache behaviour for n ~ 10^5..10^6 nodes).
-#[derive(Debug, Clone)]
-pub struct WelfordVec {
-    count: u64,
-    mean: Vec<f64>,
-    m2: Vec<f64>,
-}
-
-impl WelfordVec {
-    /// `len` independent accumulators, all sharing a common sample count
-    /// (every forest contributes one observation per node).
-    pub fn new(len: usize) -> Self {
-        Self {
-            count: 0,
-            mean: vec![0.0; len],
-            m2: vec![0.0; len],
-        }
-    }
-
-    /// Number of accumulators.
-    pub fn len(&self) -> usize {
-        self.mean.len()
-    }
-
-    /// True when holding no accumulators.
-    pub fn is_empty(&self) -> bool {
-        self.mean.is_empty()
-    }
-
-    /// Shared observation count.
-    #[inline]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Feed one observation vector (`xs.len() == self.len()`).
-    pub fn push(&mut self, xs: &[f64]) {
-        assert_eq!(xs.len(), self.mean.len());
-        self.count += 1;
-        let c = self.count as f64;
-        for ((&x, mean), m2) in xs.iter().zip(&mut self.mean).zip(&mut self.m2) {
-            let delta = x - *mean;
-            *mean += delta / c;
-            *m2 += delta * (x - *mean);
-        }
-    }
-
-    /// Mean of accumulator `i`.
-    #[inline]
-    pub fn mean_at(&self, i: usize) -> f64 {
-        self.mean[i]
-    }
-
-    /// All means.
-    pub fn means(&self) -> &[f64] {
-        &self.mean
-    }
-
-    /// Unbiased sample variance of accumulator `i`.
-    #[inline]
-    pub fn variance_at(&self, i: usize) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2[i] / (self.count - 1) as f64
-        }
-    }
-
-    /// Merge (parallel reduction over sampling shards).
-    pub fn merge(&mut self, other: &WelfordVec) {
-        assert_eq!(self.len(), other.len());
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            self.count = other.count;
-            self.mean.copy_from_slice(&other.mean);
-            self.m2.copy_from_slice(&other.m2);
-            return;
-        }
-        let na = self.count as f64;
-        let nb = other.count as f64;
-        let total = na + nb;
-        for i in 0..self.mean.len() {
-            let delta = other.mean[i] - self.mean[i];
-            self.mean[i] += delta * nb / total;
-            self.m2[i] += other.m2[i] + delta * delta * na * nb / total;
-        }
-        self.count += other.count;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,49 +136,6 @@ mod tests {
         empty.merge(&a);
         assert_eq!(empty.count(), 2);
         assert!((empty.mean() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn vec_matches_scalar() {
-        let mut wv = WelfordVec::new(3);
-        let mut ws = [Welford::new(), Welford::new(), Welford::new()];
-        let samples = [
-            [1.0, 2.0, 3.0],
-            [4.0, -1.0, 0.0],
-            [2.5, 2.5, 2.5],
-            [0.0, 9.0, -7.0],
-        ];
-        for s in &samples {
-            wv.push(s);
-            for (w, &x) in ws.iter_mut().zip(s.iter()) {
-                w.push(x);
-            }
-        }
-        for (i, w) in ws.iter().enumerate() {
-            assert!((wv.mean_at(i) - w.mean()).abs() < 1e-12);
-            assert!((wv.variance_at(i) - w.variance()).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn vec_merge_equals_sequential() {
-        let mut full = WelfordVec::new(2);
-        let mut a = WelfordVec::new(2);
-        let mut b = WelfordVec::new(2);
-        for i in 0..50 {
-            let s = [(i as f64).cos(), (i as f64) * 0.25];
-            full.push(&s);
-            if i < 20 {
-                a.push(&s);
-            } else {
-                b.push(&s);
-            }
-        }
-        a.merge(&b);
-        for i in 0..2 {
-            assert!((a.mean_at(i) - full.mean_at(i)).abs() < 1e-12);
-            assert!((a.variance_at(i) - full.variance_at(i)).abs() < 1e-10);
-        }
     }
 
     #[test]
