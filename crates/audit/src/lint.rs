@@ -368,7 +368,6 @@ const LINALG_HOT_PATH: &[&str] = &[
     "crates/linalg/src/cg.rs",
     "crates/linalg/src/csr.rs",
     "crates/linalg/src/laplacian.rs",
-    "crates/linalg/src/lsst.rs",
 ];
 
 /// Files allowed to spawn OS threads: the worker pool and the serve

@@ -1,23 +1,15 @@
-//! SDD backend ladder (BENCH_PR4): three sections over the unified
+//! SDD backend ladder (BENCH_PR4): two sections over the unified
 //! `SddSolver` registry.
 //!
 //! 1. **Dense vs sparse** (`sdd_factor_solve16`, carried over from
 //!    BENCH_PR3): factor `L_{-S}` + 16 right-hand sides through
 //!    `solve_mat`, `dense-cholesky` vs `sparse-cg`, n = 512…8192.
-//! 2. **Blocked multi-RHS vs per-column** (`solve16_block_vs_col_*`):
-//!    for every iterative backend, the same 16-RHS workload answered by
-//!    one blocked `solve_mat` (lockstep PCG, shared sweeps, deflation)
-//!    vs sixteen independent `solve_vec` runs on an identical factor —
-//!    baseline column = per-column, blocked column = `solve_mat`.
-//! 3. **Jacobi vs spanning-tree preconditioner on a mesh**
-//!    (`grid_pcg_iterations_jacobi_vs_tree`, `grid_solve16_jacobi_vs_tree`):
-//!    PCG iteration counts (recorded in the two timing columns) and
-//!    16-RHS wall clock on a √n × √n grid — the large-diameter topology
-//!    where Jacobi pays `O(√n)`-ish iteration counts and the `tree-pcg`
-//!    combinatorial preconditioner cuts them.
-//!
-//! Plus the end-to-end 50k-node ApproxGreedy run (jacobi vs sparse-cg)
-//! asserting identical selections.
+//! 2. **Blocked multi-RHS vs per-column**
+//!    (`solve16_block_vs_col_sparse-cg`): the same 16-RHS workload
+//!    answered by one blocked `solve_mat` (lockstep PCG, shared sweeps,
+//!    deflation) vs sixteen independent `solve_vec` runs on an identical
+//!    `sparse-cg` factor — baseline column = per-column, blocked column =
+//!    `solve_mat`.
 //!
 //! * `CFCC_PRESET=smoke` (default): tiny sizes — the CI regression gate.
 //! * `CFCC_PRESET=paper`: the full ladder; emits `BENCH_PR4.json` at the
@@ -26,10 +18,8 @@
 
 use cfcc_bench::report::BenchReport;
 use cfcc_bench::{banner, fmt_ratio, Preset};
-use cfcc_core::approx_greedy::approx_greedy;
-use cfcc_core::CfcmParams;
 use cfcc_graph::generators;
-use cfcc_linalg::sdd::{by_name, SddBackend, SddOptions};
+use cfcc_linalg::sdd::{by_name, SddOptions};
 use cfcc_linalg::DenseMatrix;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -60,7 +50,7 @@ fn main() {
     let preset = Preset::from_env();
     banner(
         "sdd",
-        "the SDD backend ladder: dense vs sparse, blocked vs per-column, Jacobi vs tree-pcg (BENCH_PR4)",
+        "the SDD backend ladder: dense vs sparse, blocked vs per-column (BENCH_PR4)",
         preset,
     );
     let sizes: &[usize] = match preset {
@@ -116,120 +106,32 @@ fn main() {
         in_s[0] = true;
         let d = n - 1;
         let rhs = random_rhs(&mut rng, d, W);
-        for backend in ["cg-jacobi", "sparse-cg", "tree-pcg"] {
-            let b = by_name(backend).expect("registered backend");
-            // Factor outside the timed region: both sides solve through
-            // an identical, already-built factor (cold start per column).
-            let mut fc = b.factor(&g, &in_s, &opts).expect("factor");
-            let col_ms = time_ms(reps, || {
-                let mut col = vec![0.0; d];
-                for j in 0..W {
-                    for (i, c) in col.iter_mut().enumerate() {
-                        *c = rhs.get(i, j);
-                    }
-                    fc.solve_vec(&col).expect("solve");
+        let b = by_name("sparse-cg").expect("registered backend");
+        // Factor outside the timed region: both sides solve through an
+        // identical, already-built factor (cold start per column).
+        let mut fc = b.factor(&g, &in_s, &opts).expect("factor");
+        let col_ms = time_ms(reps, || {
+            let mut col = vec![0.0; d];
+            for j in 0..W {
+                for (i, c) in col.iter_mut().enumerate() {
+                    *c = rhs.get(i, j);
                 }
-            });
-            let mut fb = b.factor(&g, &in_s, &opts).expect("factor");
-            let block_ms = time_ms(reps, || fb.solve_mat(&rhs).expect("solve"));
-            let name = format!("solve16_block_vs_col_{backend}");
-            report.push(&name, n, col_ms, block_ms);
-            println!(
-                "{:<32} {:>6} {:>12.2} {:>12.2} {:>9}",
-                name,
-                n,
-                col_ms,
-                block_ms,
-                fmt_ratio(col_ms / block_ms)
-            );
-        }
+                fc.solve_vec(&col).expect("solve");
+            }
+        });
+        let mut fb = b.factor(&g, &in_s, &opts).expect("factor");
+        let block_ms = time_ms(reps, || fb.solve_mat(&rhs).expect("solve"));
+        let name = "solve16_block_vs_col_sparse-cg";
+        report.push(name, n, col_ms, block_ms);
+        println!(
+            "{:<32} {:>6} {:>12.2} {:>12.2} {:>9}",
+            name,
+            n,
+            col_ms,
+            block_ms,
+            fmt_ratio(col_ms / block_ms)
+        );
     }
-
-    // ---- 3. Jacobi vs the spanning-tree preconditioner on a mesh -------
-    // Iteration counts go into the report's two timing columns (the
-    // "speedup" is then the iteration ratio): the combinatorial
-    // preconditioner's win on large-diameter graphs is an iteration-count
-    // story first, wall clock second.
-    let side = match preset {
-        Preset::Smoke => 24,
-        _ => 91, // 91 × 91 = 8281 ≥ 8192 unknowns+1
-    };
-    let n_grid = side * side;
-    let g = generators::grid(side, side);
-    let mut in_s = vec![false; n_grid];
-    in_s[0] = true;
-    let mut rng = SmallRng::seed_from_u64(0x9D1D);
-    let rhs = random_rhs(&mut rng, n_grid - 1, W);
-    let mut iters = Vec::new();
-    let mut times = Vec::new();
-    for backend in ["cg-jacobi", "tree-pcg"] {
-        let b = by_name(backend).expect("registered backend");
-        let mut f = b.factor(&g, &in_s, &opts).expect("factor");
-        let ms = time_ms(1, || f.solve_mat(&rhs).expect("solve"));
-        // Iterations per RHS column, averaged over the 16-column block.
-        iters.push(f.stats().iterations as f64 / W as f64);
-        times.push(ms);
-    }
-    report.push(
-        "grid_pcg_iterations_jacobi_vs_tree",
-        n_grid,
-        iters[0],
-        iters[1],
-    );
-    report.push("grid_solve16_jacobi_vs_tree", n_grid, times[0], times[1]);
-    println!(
-        "\n{:<32} {:>6} {:>12.1} {:>12.1} {:>9}   (PCG iterations/RHS, jacobi vs tree-pcg)",
-        "grid_pcg_iterations",
-        n_grid,
-        iters[0],
-        iters[1],
-        fmt_ratio(iters[0] / iters[1])
-    );
-    println!(
-        "{:<32} {:>6} {:>12.2} {:>12.2} {:>9}   (16-RHS solve ms, jacobi vs tree-pcg)",
-        "grid_solve16",
-        n_grid,
-        times[0],
-        times[1],
-        fmt_ratio(times[0] / times[1])
-    );
-
-    // ---- end-to-end ApproxGreedy far past the dense ceiling ------------
-    // The historical Jacobi-CG path vs the preconditioned CSR backend;
-    // baseline column = cg-jacobi (dense would need an n² allocation that
-    // this workload is specifically built to avoid).
-    let n_big = match preset {
-        Preset::Smoke => 2_000,
-        _ => 50_000,
-    };
-    let mut rng = SmallRng::seed_from_u64(0xB16);
-    let g = generators::barabasi_albert(n_big, 3, &mut rng);
-    let mut params = CfcmParams::with_epsilon(0.3).seed(7);
-    params.jl_width = Some(4);
-    params.cg_tol = 1e-6;
-    let k = 2;
-    let mut selections = Vec::new();
-    let mut times = Vec::new();
-    for backend in [SddBackend::CgJacobi, SddBackend::SparseCg] {
-        let p = params.clone().backend(backend);
-        let t = Instant::now();
-        let sel = approx_greedy(&g, k, &p).expect("approx greedy");
-        times.push(t.elapsed().as_secs_f64() * 1e3);
-        selections.push(sel.nodes);
-    }
-    assert_eq!(
-        selections[0], selections[1],
-        "backends must select the same group"
-    );
-    report.push("approx_greedy_jacobi_vs_sparse", n_big, times[0], times[1]);
-    println!(
-        "\n{:<32} {:>6} {:>12.2} {:>12.2} {:>9}   (jacobi vs sparse, k={k})",
-        "approx_greedy",
-        n_big,
-        times[0],
-        times[1],
-        fmt_ratio(times[0] / times[1])
-    );
 
     let out = std::env::var("CFCC_BENCH_OUT").ok();
     let emit = out.is_some() || preset != Preset::Smoke;

@@ -149,7 +149,7 @@ pub fn timed_solver(name: &str, g: &Graph, k: usize, params: &CfcmParams) -> (Se
 
 /// Baseline CFCM parameters for harness runs at the given ε. The SDD
 /// backend for grounded solves follows `CFCC_BACKEND`
-/// (auto|dense-cholesky|cg-jacobi|sparse-cg, default auto), so every
+/// (auto|dense-cholesky|sparse-cg, default auto), so every
 /// table/figure target can be re-run per backend without code changes.
 pub fn params_for(epsilon: f64, threads: usize) -> CfcmParams {
     let mut p = CfcmParams::with_epsilon(epsilon)

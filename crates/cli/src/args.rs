@@ -98,10 +98,8 @@ OPTIONS:
     --seed <int>       RNG seed (default: 0x5EED)
     --threads <int>    worker threads: forest sampling + dense kernels (default: 1)
     --backend <name>   SDD solver backend for grounded Laplacian systems
-                       (see --list-backends; default: auto — dense below
-                       ~1.5k unknowns, sparse CSR/IC(0) above; tree-pcg
-                       opts into the spanning-tree preconditioner for
-                       meshes/road networks)
+                       (see --list-backends; default: auto — dense up to
+                       1536 unknowns, sparse CSR/IC(0) above)
     --graph <path>     whitespace edge-list file ('#'/'%' comments ok)
     --dataset <name>   bundled dataset (see --list-datasets)
     --scale <float>    proxy scale for bundled datasets in (0,1] (default: 1.0)
@@ -316,14 +314,15 @@ mod tests {
         assert_eq!(a.backend, SddBackend::SparseCg);
         let a = parse(&["--dataset", "karate", "--backend", "dense"]).unwrap();
         assert_eq!(a.backend, SddBackend::DenseCholesky);
-        let a = parse(&["--dataset", "karate", "--backend", "tree-pcg"]).unwrap();
-        assert_eq!(a.backend, SddBackend::TreePcg);
-        let a = parse(&["--dataset", "karate", "--backend", "tree"]).unwrap();
-        assert_eq!(a.backend, SddBackend::TreePcg);
+        let a = parse(&["--dataset", "karate", "--backend", "ic"]).unwrap();
+        assert_eq!(a.backend, SddBackend::SparseCg);
         let a = parse(&["--dataset", "karate"]).unwrap();
         assert_eq!(a.backend, SddBackend::Auto);
-        let err = parse(&["--dataset", "karate", "--backend", "warp"]).unwrap_err();
-        assert!(err.0.contains("sparse-cg"), "lists backends: {err}");
+        for unknown in ["warp", "tree-pcg", "lsst-pcg", "cg-jacobi"] {
+            let err = parse(&["--dataset", "karate", "--backend", unknown]).unwrap_err();
+            assert!(err.0.contains("unknown backend"), "{unknown}: {err}");
+            assert!(err.0.contains("sparse-cg"), "lists backends: {err}");
+        }
     }
 
     #[test]

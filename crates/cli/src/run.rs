@@ -18,9 +18,11 @@ pub struct Report {
     pub algo: String,
     /// Solver family label (exact / monte-carlo / heuristic).
     pub kind: String,
-    /// SDD backend selection the run was configured with (`auto` shows
-    /// the name it resolves to for this graph size).
-    pub backend: String,
+    /// SDD backend selection the run's solves went through (`auto` shows
+    /// the name it resolves to for this graph size). `None` when nothing
+    /// ran through a backend: the solver did no SDD solve and C(S) was
+    /// not evaluated.
+    pub backend: Option<String>,
     /// Graph statistics after LCC extraction: (nodes, edges).
     pub graph_stats: (usize, usize),
     /// Whether the input graph was disconnected and reduced to its LCC.
@@ -59,7 +61,9 @@ impl Report {
                 ""
             }
         ));
-        out.push_str(&format!("backend   : {}\n", self.backend));
+        if let Some(backend) = &self.backend {
+            out.push_str(&format!("backend   : {backend}\n"));
+        }
         out.push_str(&format!("time      : {:.3}s\n", self.seconds));
         if self.forests > 0 {
             out.push_str(&format!("forests   : {}\n", self.forests));
@@ -89,7 +93,10 @@ impl Report {
         let mut obj = JsonObject::new()
             .str("algorithm", &self.algo)
             .str("kind", &self.kind)
-            .str("backend", &self.backend)
+            .raw(
+                "backend",
+                self.backend.as_deref().map_or("null".into(), json::escape),
+            )
             .int("nodes", self.graph_stats.0 as i128)
             .int("edges", self.graph_stats.1 as i128)
             .bool("reduced_to_lcc", self.reduced_to_lcc)
@@ -147,11 +154,6 @@ pub fn execute(args: &CliArgs) -> Result<Report, String> {
         .seed(args.seed)
         .threads(args.threads)
         .backend(args.backend);
-    let backend_label = match args.backend {
-        cfcc_linalg::SddBackend::Auto => auto_label(g.num_nodes(), args.k),
-        other => other.name().to_string(),
-    };
-
     let mut session = SolveSession::new(&g)
         .k(args.k)
         .solver_impl(solver)
@@ -194,10 +196,14 @@ pub fn execute(args: &CliArgs) -> Result<Report, String> {
     } else {
         (None, None)
     };
+    let backend = (args.evaluate || sel.stats.solve.solves > 0).then(|| match args.backend {
+        cfcc_linalg::SddBackend::Auto => auto_label(g.num_nodes(), args.k),
+        other => other.name().to_string(),
+    });
     Ok(Report {
         algo: solver.name().to_string(),
         kind: solver.kind().label().to_string(),
-        backend: backend_label,
+        backend,
         graph_stats: (g.num_nodes(), g.num_edges()),
         reduced_to_lcc: reduced,
         nodes: sel.nodes.iter().map(|&u| labels[u as usize]).collect(),
@@ -214,8 +220,8 @@ pub fn execute(args: &CliArgs) -> Result<Report, String> {
 /// with `n` nodes and budget `k`. Greedy factors run at n−1 … n−k kept
 /// unknowns; within `k` of the dense limit the policy can genuinely
 /// switch mid-run, so only name a single backend when the whole range
-/// resolves to it. Since the lsst-pcg routing change the policy is
-/// size-only, so this needs no graph sniff.
+/// resolves to it. The policy is size-only, so this needs no graph
+/// sniff.
 fn auto_label(n: usize, k: usize) -> String {
     let auto = cfcc_linalg::SddBackend::Auto;
     let first = auto.resolve(n.saturating_sub(1)).name();
@@ -266,7 +272,7 @@ pub fn render_backend_list() -> String {
         "auto".into(),
         "policy".into(),
         format!(
-            "dense-cholesky up to {} unknowns; above: lsst-pcg (low-stretch tree + sampled off-tree ultrasparsifier), with sparse-cg as fallback if tree construction fails",
+            "dense-cholesky up to {} unknowns, sparse-cg above",
             cfcc_linalg::SddBackend::AUTO_DENSE_LIMIT
         ),
     ]);
@@ -463,35 +469,29 @@ mod tests {
         assert!(text.contains("auto"));
         assert!(text.contains("iterative"));
         assert!(
-            text.contains("lsst-pcg (low-stretch tree"),
-            "auto policy row must name the default large-graph backend: {text}"
+            text.contains("dense-cholesky up to 1536 unknowns, sparse-cg above"),
+            "auto policy row must name both sides of the limit: {text}"
         );
     }
 
     #[test]
-    fn auto_label_routes_large_graphs_to_lsst() {
-        // Above the dense limit every graph routes to lsst-pcg — the label
-        // the CLI reports for a 257×257 grid run (n = 66049, k = 16).
-        assert_eq!(auto_label(66049, 16), "auto (lsst-pcg)");
+    fn auto_label_routes_large_graphs_to_sparse_cg() {
+        // Above the dense limit every graph routes to sparse-cg — the
+        // label the CLI reports for a 257×257 grid run (n = 66049, k = 16).
+        assert_eq!(auto_label(66049, 16), "auto (sparse-cg)");
         // Small graphs stay dense.
         assert_eq!(auto_label(34, 2), "auto (dense-cholesky)");
         // Straddling the limit names both, in run order.
         let limit = cfcc_linalg::SddBackend::AUTO_DENSE_LIMIT;
         assert_eq!(
             auto_label(limit + 2, 2),
-            "auto (lsst-pcg then dense-cholesky)"
+            "auto (sparse-cg then dense-cholesky)"
         );
     }
 
     #[test]
     fn explicit_backend_runs_and_is_reported() {
-        for backend in [
-            "sparse-cg",
-            "cg-jacobi",
-            "dense-cholesky",
-            "tree-pcg",
-            "lsst-pcg",
-        ] {
+        for backend in ["sparse-cg", "dense-cholesky"] {
             let a = args(&[
                 "--dataset",
                 "karate",
@@ -507,15 +507,43 @@ mod tests {
             ]);
             let r = execute(&a).unwrap();
             assert_eq!(r.nodes.len(), 2, "{backend}");
-            assert_eq!(r.backend, backend);
+            assert_eq!(r.backend.as_deref(), Some(backend));
             assert!(r.render().contains(backend));
             assert!(r.to_json().contains(&format!(r#""backend":"{backend}""#)));
             assert!(r.cfcc.unwrap() > 0.0);
         }
         // Auto reports the resolved name alongside the policy.
-        let a = args(&["--dataset", "karate", "--algo", "exact", "--k", "2"]);
+        let a = args(&["--dataset", "karate", "--algo", "approx", "--k", "2"]);
         let r = execute(&a).unwrap();
-        assert_eq!(r.backend, "auto (dense-cholesky)");
+        assert_eq!(r.backend.as_deref(), Some("auto (dense-cholesky)"));
+    }
+
+    #[test]
+    fn backend_is_reported_only_when_something_solved_through_it() {
+        // SchurCFCM samples forests and does no SDD solve: no label in
+        // text, `null` in JSON.
+        let schur = ["--dataset", "karate", "--algo", "schur", "--k", "2"];
+        let r = execute(&args(&schur)).unwrap();
+        assert_eq!(r.stats.solve.solves, 0);
+        assert_eq!(r.backend, None);
+        assert!(!r.render().contains("backend"), "{}", r.render());
+        assert!(r.to_json().contains(r#""backend":null"#));
+        // Evaluating C(S) solves through the backend, so it is named.
+        let r = execute(&args(&[&schur[..], &["--evaluate"]].concat())).unwrap();
+        assert_eq!(r.backend.as_deref(), Some("auto (dense-cholesky)"));
+        // ApproxGreedy solves through the backend on its own.
+        let r = execute(&args(&[
+            "--dataset",
+            "karate",
+            "--algo",
+            "approx",
+            "--k",
+            "2",
+            "--json",
+        ]))
+        .unwrap();
+        assert!(r.stats.solve.solves > 0);
+        assert!(r.to_json().contains(r#""backend":"auto (dense-cholesky)""#));
     }
 
     #[test]

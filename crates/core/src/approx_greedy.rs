@@ -18,14 +18,13 @@
 //! [`cfcc_linalg::sdd`] backend chosen by [`CfcmParams::backend`]
 //! (factor once per iteration, then `2w` right-hand sides through
 //! `solve_mat_into`): dense Cholesky amortizes its factorization on small
-//! graphs, and the CSR/IC(0) `sparse-cg` and spanning-tree `tree-pcg`
-//! backends carry the solver to large ones in `O(n + m)` memory — no
-//! `n × n` matrix is ever allocated on that path, preserving the
-//! baseline's edge-count-dominated scaling that Table II exercises. The
-//! iterative backends answer each 16-column chunk with **blocked
-//! multi-RHS PCG**: the whole chunk advances in lockstep, sharing every
-//! SpMV/preconditioner sweep, instead of degenerating into 16
-//! independent CG runs.
+//! graphs, and the CSR/IC(0) `sparse-cg` backend carries the solver to
+//! large ones in `O(n + m)` memory — no `n × n` matrix is ever allocated
+//! on that path, preserving the baseline's edge-count-dominated scaling
+//! that Table II exercises. `sparse-cg` answers each 16-column chunk with
+//! **blocked multi-RHS PCG**: the whole chunk advances in lockstep,
+//! sharing every SpMV/preconditioner sweep, instead of degenerating into
+//! 16 independent CG runs.
 //!
 //! Iterations run through the persistent execution engine
 //! ([`crate::engine::GreedyWorkspace`]): the JL sketch and sketched

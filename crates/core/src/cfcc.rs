@@ -305,7 +305,6 @@ mod tests {
         for backend in [
             cfcc_linalg::SddBackend::DenseCholesky,
             cfcc_linalg::SddBackend::SparseCg,
-            cfcc_linalg::SddBackend::TreePcg,
         ] {
             let params = CfcmParams {
                 backend,

@@ -223,10 +223,8 @@ impl SolveContext {
         g: &'g Graph,
         in_s: &[bool],
     ) -> Result<Box<dyn SddFactor + Send + 'g>, CfcmError> {
-        // The front door resolves `auto` (size-only since the lsst-pcg
-        // routing change — no per-round topology sniff to memoize) and
-        // falls back to sparse-cg if an auto-routed lsst factorization
-        // fails on a pathological input.
+        // The front door resolves `auto` by size alone, so there is no
+        // per-round topology sniff to memoize.
         sdd::factor(g, in_s, self.params.backend, &self.sdd_options()).map_err(CfcmError::from)
     }
 

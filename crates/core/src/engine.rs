@@ -184,11 +184,6 @@ impl GreedyWorkspace {
         self.solve.last_rel_residual = s.last_rel_residual;
         self.solve.flops += s.flops;
         self.solve.precond_shift = self.solve.precond_shift.max(s.precond_shift);
-        self.solve.precond_stretch = self.solve.precond_stretch.max(s.precond_stretch);
-        self.solve.precond_offtree_edges = self
-            .solve
-            .precond_offtree_edges
-            .max(s.precond_offtree_edges);
     }
 
     /// Sample the persistent sketches for graph `g` at width `w`

@@ -34,10 +34,8 @@ pub struct CfcmParams {
     /// evaluation).
     pub cg_tol: f64,
     /// SDD solver backend for grounded Laplacian systems (`auto` picks
-    /// dense Cholesky on small systems and the CSR/IC(0) sparse solver on
-    /// large ones; `tree-pcg` — the compensated spanning-tree
-    /// preconditioner — is an explicit opt-in for meshes and road
-    /// networks; see `cfcc_linalg::sdd`).
+    /// dense Cholesky up to 1536 unknowns and the CSR/IC(0) `sparse-cg`
+    /// solver above; see `cfcc_linalg::sdd`).
     pub backend: SddBackend,
     /// Size `c` of SchurCFCM's auxiliary root set `T` (`None` = `|T*|`).
     pub schur_c: Option<usize>,

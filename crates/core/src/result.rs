@@ -100,11 +100,6 @@ impl RunStats {
             .num("total_seconds", self.total_seconds())
             .int("solver_solves", i128::from(self.solve.solves))
             .int("solver_iterations", i128::from(self.solve.iterations))
-            .num("precond_stretch", self.solve.precond_stretch)
-            .int(
-                "precond_offtree_edges",
-                i128::from(self.solve.precond_offtree_edges),
-            )
             .raw("iterations", iterations)
             .render()
     }

@@ -351,7 +351,6 @@ mod tests {
         let oracle = schur_complement_dense(&l_minus_s, &t_idx, &u_idx).unwrap();
         for backend in [
             cfcc_linalg::SddBackend::DenseCholesky,
-            cfcc_linalg::SddBackend::CgJacobi,
             cfcc_linalg::SddBackend::SparseCg,
         ] {
             let got = schur_complement_grounded(

@@ -121,9 +121,8 @@ pub struct CgStats {
 /// Preconditioned CG over an abstract SPD operator: `apply` computes
 /// `y = A x`, `precond` computes `z = M^{-1} r`. `x` carries the initial
 /// guess and receives the solution. This single loop backs the Jacobi
-/// matrix-free path ([`solve_grounded`]) and the preconditioned CSR
-/// paths of the `sparse-cg`, `tree-pcg`, and `lsst-pcg` backends (see
-/// [`crate::sdd`]).
+/// matrix-free path ([`solve_grounded`]) and the IC(0)-preconditioned
+/// CSR path of the `sparse-cg` backend (see [`crate::sdd`]).
 pub fn pcg_operator<A, M>(
     mut apply: A,
     mut precond: M,

@@ -79,66 +79,6 @@ impl CsrMatrix {
         )
     }
 
-    /// Assemble a symmetric matrix from its `diag`onal and a list of
-    /// strictly-off-diagonal entries `(i, j, v)` with `i ≠ j` — each pair
-    /// is stored mirrored, so list every unordered pair **once**. Rows
-    /// come out sorted by column index (counting-sort by row, then a
-    /// per-row sort). `O(n + k log k)` for `k` off-diagonal pairs.
-    ///
-    /// This is the assembly seam of the `lsst-pcg` ultrasparsifier
-    /// ([`crate::lsst`]): the sparsified matrix is built directly in its
-    /// elimination order and handed to [`IncompleteCholesky::factor`].
-    pub fn from_symmetric_parts(n: usize, diag: &[f64], off: &[(u32, u32, f64)]) -> Self {
-        assert_eq!(diag.len(), n);
-        let mut row_ptr = vec![0usize; n + 1];
-        for &(i, j, _) in off {
-            debug_assert!(i != j && (i as usize) < n && (j as usize) < n);
-            row_ptr[i as usize + 1] += 1;
-            row_ptr[j as usize + 1] += 1;
-        }
-        for i in 0..n {
-            row_ptr[i + 1] += row_ptr[i] + 1; // +1 diagonal per row
-        }
-        let nnz = row_ptr[n];
-        let mut col_idx = vec![0u32; nnz];
-        let mut vals = vec![0.0f64; nnz];
-        let mut cursor = row_ptr.clone();
-        for (i, &d) in diag.iter().enumerate() {
-            col_idx[cursor[i]] = i as u32;
-            vals[cursor[i]] = d;
-            cursor[i] += 1;
-        }
-        for &(i, j, v) in off {
-            for (r, c) in [(i as usize, j), (j as usize, i)] {
-                col_idx[cursor[r]] = c;
-                vals[cursor[r]] = v;
-                cursor[r] += 1;
-            }
-        }
-        let mut row: Vec<(u32, f64)> = Vec::new();
-        for i in 0..n {
-            let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
-            row.clear();
-            row.extend(
-                col_idx[lo..hi]
-                    .iter()
-                    .copied()
-                    .zip(vals[lo..hi].iter().copied()),
-            );
-            row.sort_unstable_by_key(|&(c, _)| c);
-            for (k, &(c, v)) in row.iter().enumerate() {
-                col_idx[lo + k] = c;
-                vals[lo + k] = v;
-            }
-        }
-        Self {
-            n,
-            row_ptr,
-            col_idx,
-            vals,
-        }
-    }
-
     /// Dimension.
     #[inline]
     pub fn dim(&self) -> usize {
@@ -350,7 +290,7 @@ impl IncompleteCholesky {
                 // (MIC-style diagonal compensation of those drops cannot
                 // preserve row sums in this up-looking pass — the
                 // symmetric drop belongs to an already-finalized row — and
-                // measured worse under the tree-depth orders we use).
+                // measured worse).
                 for t in csc_ptr[j]..csc_ptr[j + 1] {
                     let r = csc_row[t] as usize;
                     if in_row[r] {

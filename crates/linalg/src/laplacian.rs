@@ -115,56 +115,6 @@ impl<'g> LaplacianSubmatrix<'g> {
         }
     }
 
-    /// Blocked [`LaplacianSubmatrix::apply`]: `Y = L_{-S} X` for a block
-    /// of column vectors (row-major `n × w` matrices). Adjacency lists are
-    /// traversed once for all `w` columns — the sharing the blocked
-    /// multi-RHS PCG relies on.
-    pub fn apply_block(&self, x: &DenseMatrix, y: &mut DenseMatrix) {
-        self.apply_block_threaded(x, y, 1);
-    }
-
-    /// [`LaplacianSubmatrix::apply_block`] with output rows partitioned
-    /// across the worker pool — each output row is one independent
-    /// adjacency-list gather, so results are bit-identical for every
-    /// thread count.
-    pub fn apply_block_threaded(&self, x: &DenseMatrix, y: &mut DenseMatrix, threads: usize) {
-        assert_eq!(x.rows(), self.dim());
-        assert_eq!(y.rows(), self.dim());
-        assert_eq!(x.cols(), y.cols());
-        let n = self.dim();
-        let w = x.cols();
-        /// Minimum multiply-adds per pool task.
-        const GRAIN: usize = 16 * 1024;
-        let edges2 = 2 * self.graph.num_edges() + n;
-        let t = threads.max(1).min(n.max(1)).min(1 + edges2 * w / GRAIN);
-        let yp = crate::pool::SendPtr::new(y.data_mut());
-        crate::pool::run(t, t, &move |tix| {
-            let r0 = n * tix / t;
-            let r1 = n * (tix + 1) / t;
-            for (i, &u) in self.keep[r0..r1]
-                .iter()
-                .enumerate()
-                .map(|(i, u)| (r0 + i, u))
-            {
-                let deg = self.graph.degree(u) as f64;
-                // SAFETY: rows [r0, r1) of y are owned exclusively by
-                // this task (disjoint partition over output rows).
-                let yr = unsafe { yp.slice(i * w, w) };
-                for (ys, &xs) in yr.iter_mut().zip(x.row(i)) {
-                    *ys = deg * xs;
-                }
-                for &v in self.graph.neighbors(u) {
-                    let j = self.pos[v as usize];
-                    if j != usize::MAX {
-                        for (ys, &xs) in yr.iter_mut().zip(x.row(j)) {
-                            *ys -= xs;
-                        }
-                    }
-                }
-            }
-        });
-    }
-
     /// Diagonal of `L_{-S}` (the full degrees) — the Jacobi preconditioner.
     pub fn diagonal(&self) -> Vec<f64> {
         self.keep

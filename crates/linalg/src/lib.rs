@@ -12,31 +12,26 @@
 //! (multi-RHS), `diag_inverse`, and `trace_inverse`, plus a cumulative
 //! [`sdd::SolveStats`] report (iterations, worst residual, flops).
 //! Backends are registered by name ([`sdd::backends`]) and selected via
-//! [`sdd::SddBackend`] (`auto` picks dense below ~1.5k unknowns and the
-//! low-stretch-tree ultrasparsifier `lsst-pcg` above — no topology
-//! sniffing; its iteration bound holds on every graph):
+//! [`sdd::SddBackend`] (`auto` picks dense up to 1536 unknowns and
+//! `sparse-cg` above):
 //!
 //! | backend          | kind      | storage       | operations |
 //! |------------------|-----------|---------------|------------|
 //! | `dense-cholesky` | direct    | dense + blocked Cholesky | all, exact; `O(n³)` factor amortized over RHS |
-//! | `cg-jacobi`      | iterative | matrix-free   | all, to `rel_tol`; zero setup |
 //! | `sparse-cg`      | iterative | CSR + IC(0)   | all, to `rel_tol`; `O(n + m)` memory, never densifies |
-//! | `tree-pcg`       | iterative | CSR + BFS spanning tree | all, to `rel_tol`; `O(n)` preconditioner sweeps |
-//! | `lsst-pcg`       | iterative | CSR + low-stretch tree + sampled off-tree edges | all, to `rel_tol`; `O(n + m/ρ)` preconditioner, low iterations on every topology |
 //!
-//! Both iterative families answer `solve_mat` through **blocked
-//! multi-RHS PCG** ([`cg::pcg_operator_block`]): all active right-hand
-//! sides advance in lockstep, so each SpMV and each preconditioner sweep
-//! is shared across the block, and converged columns deflate out.
+//! The iterative backend answers `solve_mat` through **blocked multi-RHS
+//! PCG** ([`cg::pcg_operator_block`]): all active right-hand sides advance
+//! in lockstep, so each SpMV and each preconditioner sweep is shared
+//! across the block, and converged columns deflate out.
 //!
 //! Consumers in `cfcc-core` (ApproxGreedy, the CFCC evaluators, Schur
-//! utilities) dispatch through this seam, so swapping a solver — a future
-//! combinatorial preconditioner, a sketched solver — touches no greedy
-//! loop.
+//! utilities) dispatch through this seam, so swapping a solver touches no
+//! greedy loop.
 //!
 //! ## Modules
 //!
-//! * [`sdd`] — the backend trait, registry, and the five backends above.
+//! * [`sdd`] — the backend trait, registry, and the two backends above.
 //! * [`pool`] — the persistent worker pool every parallel kernel runs on:
 //!   spawn once, park between jobs, task-index dispatch with
 //!   caller-computed partitioning (bit-identical results per thread
@@ -54,12 +49,6 @@
 //!   blocks), and as the oracle in estimator tests.
 //! * [`csr`] — compressed-sparse-row grounded Laplacians and the IC(0)
 //!   incomplete-Cholesky preconditioner behind the `sparse-cg` backend.
-//! * [`tree`] — the diagonal-compensated spanning-tree (combinatorial)
-//!   preconditioner behind the `tree-pcg` backend: zero-fill `O(n)`
-//!   factorization and sweeps over a BFS spanning forest.
-//! * [`lsst`] — the AKPW-style low-stretch spanning tree (with exact
-//!   per-edge stretch verification) and the stretch-sampled off-tree
-//!   ultrasparsifier behind the `lsst-pcg` backend.
 //! * [`laplacian`] — Laplacian operators for a [`cfcc_graph::Graph`]: the full
 //!   `L`, and the grounded submatrix `L_{-S}` as a matrix-free operator on
 //!   compacted index space.
@@ -81,12 +70,10 @@ pub mod error;
 pub mod jl;
 pub mod kernel;
 pub mod laplacian;
-pub mod lsst;
 pub mod pinv;
 pub mod pool;
 pub mod sdd;
 pub mod trace;
-pub mod tree;
 pub mod vector;
 
 pub use cg::{CgConfig, CgStats, StopCause, StopHook};

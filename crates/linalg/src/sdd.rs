@@ -10,14 +10,11 @@
 //! | backend          | kind      | representation | best for |
 //! |------------------|-----------|----------------|----------|
 //! | `dense-cholesky` | direct    | dense `L_{-S}` + blocked Cholesky | `n ≲ 2k`: exact, amortizes over many RHS |
-//! | `cg-jacobi`      | iterative | matrix-free operator | mid-size, few solves, zero setup cost |
 //! | `sparse-cg`      | iterative | CSR + IC(0) preconditioner | large graphs; never densifies |
-//! | `tree-pcg`       | iterative | CSR + compensated BFS spanning tree | explicit choice for meshes/road networks |
-//! | `lsst-pcg`       | iterative | CSR + low-stretch tree ultrasparsifier | **every** large graph — the `auto` default |
 //!
-//! All three iterative backends answer [`SddFactor::solve_mat`] through
-//! **blocked multi-RHS PCG** ([`crate::cg::pcg_operator_block`]): the
-//! whole RHS block advances in lockstep so each operator sweep and each
+//! `sparse-cg` answers [`SddFactor::solve_mat`] through **blocked
+//! multi-RHS PCG** ([`crate::cg::pcg_operator_block`]): the whole RHS
+//! block advances in lockstep so each operator sweep and each
 //! preconditioner sweep is shared across the columns, with converged
 //! columns deflating out — a 16-column `solve_mat` costs one traversal of
 //! the matrix per iteration, not sixteen.
@@ -25,8 +22,8 @@
 //! # Contract
 //!
 //! [`SddSolver::factor`] grounds `S`, does whatever setup the backend
-//! needs (dense factorization, CSR assembly + incomplete Cholesky, or
-//! nothing), and returns an [`SddFactor`] over the **compacted** index
+//! needs (dense factorization, or CSR assembly + incomplete Cholesky),
+//! and returns an [`SddFactor`] over the **compacted** index
 //! space `V ∖ S` (same ordering as
 //! [`crate::laplacian::LaplacianSubmatrix`]). The factor then answers any
 //! number of:
@@ -49,25 +46,17 @@
 //! # Selection
 //!
 //! Callers hold an [`SddBackend`] (a `CfcmParams` field / `--backend`
-//! upstream): `auto` picks `dense-cholesky` below
+//! upstream): `auto` picks `dense-cholesky` up to
 //! [`SddBackend::AUTO_DENSE_LIMIT`] unknowns (where the blocked dense
-//! layer wins) and `lsst-pcg` above it — the low-stretch-tree
-//! ultrasparsifier ([`crate::lsst`]) has provable iteration counts on
-//! every topology, so no sniffing is needed (the PR 5 BFS-diameter
-//! heuristic is retired). `tree-pcg` and `sparse-cg` remain as explicit
-//! choices, and the [`factor`]/[`factor_owned`] front doors fall back to
-//! `sparse-cg` if an auto-routed `lsst-pcg` factorization fails for any
-//! reason other than a singular grounding. [`backends`], [`by_name`],
-//! and [`name_list`] expose the registry for discoverability
+//! layer wins) and `sparse-cg` above it, on every topology. [`backends`],
+//! [`by_name`], and [`name_list`] expose the registry for discoverability
 //! (`--list-backends`).
 
 use crate::cg::{pcg_operator, pcg_operator_block, CgConfig, StopCause, StopHook};
 use crate::csr::{CsrMatrix, IncompleteCholesky};
 use crate::dense::Cholesky;
 use crate::error::LinalgError;
-use crate::laplacian::{laplacian_submatrix_dense, LaplacianSubmatrix};
-use crate::lsst::LsstPreconditioner;
-use crate::tree::TreePreconditioner;
+use crate::laplacian::laplacian_submatrix_dense;
 use crate::DenseMatrix;
 use cfcc_graph::{Graph, Node};
 
@@ -112,15 +101,6 @@ pub struct SolveStats {
     /// solves still converge to the true solution, possibly in more
     /// iterations. Historically this was swallowed.
     pub precond_shift: f64,
-    /// Average edge stretch of the combinatorial preconditioner's
-    /// spanning tree (over all edges; tree edges count 1) — the quantity
-    /// that bounds tree-PCG iteration counts. 0 for backends without a
-    /// tree (`lsst-pcg` reports it; routing decisions become measurable).
-    pub precond_stretch: f64,
-    /// Off-tree edges the `lsst-pcg` ultrasparsifier sampled into its
-    /// preconditioner (0 for every other backend, and for tree-only
-    /// `lsst-pcg` runs with `offtree_ratio = 0`).
-    pub precond_offtree_edges: u64,
 }
 
 /// Tuning for a factorization (tolerances only bind iterative backends).
@@ -133,17 +113,11 @@ pub struct SddOptions {
     /// Worker threads for the blocked dense kernels.
     pub threads: usize,
     /// Cooperative cancellation, polled every iteration by the iterative
-    /// backends' inner CG loops. A fired hook surfaces as
+    /// backend's inner CG loop. A fired hook surfaces as
     /// [`LinalgError::Cancelled`] / [`LinalgError::DeadlineExceeded`]
     /// with the partial work already folded into [`SolveStats`] and the
     /// partial iterate left in `x` for a warm-started retry.
     pub stop: StopHook,
-    /// Fraction of off-tree edges the `lsst-pcg` ultrasparsifier samples
-    /// into its preconditioner (`1/ρ`, clamped to `[0, 1]`; 0 = the
-    /// low-stretch tree alone). More edges → fewer PCG iterations but
-    /// costlier IC(0) sweeps; the default balances the two on meshes and
-    /// power-law graphs alike. Ignored by every other backend.
-    pub offtree_ratio: f64,
 }
 
 impl Default for SddOptions {
@@ -153,7 +127,6 @@ impl Default for SddOptions {
             max_iter: 50_000,
             threads: 1,
             stop: StopHook::none(),
-            offtree_ratio: 0.25,
         }
     }
 }
@@ -324,7 +297,7 @@ fn compact_pos(num_nodes: usize, keep: &[Node]) -> Vec<usize> {
 }
 
 /// `L_{-S}` is positive definite iff every kept node has a path to the
-/// grounded set `S`. The iterative backends check this up front (one
+/// grounded set `S`. `sparse-cg` checks this up front (one
 /// `O(n + m)` BFS from all of `S`) so an isolated vertex or a component
 /// disjoint from `S` fails with a structured
 /// [`LinalgError::SingularGrounding`] instead of an `inf`/NaN
@@ -455,59 +428,6 @@ impl SddFactor for DenseFactor {
     }
 }
 
-// ---------------------------------------------------------------------
-// cg-jacobi
-// ---------------------------------------------------------------------
-
-/// Iterative backend: the matrix-free operator with Jacobi-preconditioned
-/// CG — zero setup cost, the historical ApproxGreedy path.
-pub struct CgJacobiBackend;
-
-struct CgJacobiFactor<'g> {
-    op: LaplacianSubmatrix<'g>,
-    inv_diag: Vec<f64>,
-    cfg: CgConfig,
-    edges2: u64,
-    stats: SolveStats,
-}
-
-impl SddSolver for CgJacobiBackend {
-    fn name(&self) -> &'static str {
-        "cg-jacobi"
-    }
-
-    fn kind(&self) -> SddKind {
-        SddKind::Iterative
-    }
-
-    fn ops(&self) -> &'static str {
-        "solve_vec (warm-startable), solve_mat (blocked multi-RHS), diag_inverse/trace_inverse (n solves); matrix-free, no setup"
-    }
-
-    fn factor<'g>(
-        &self,
-        g: &'g Graph,
-        in_s: &[bool],
-        opts: &SddOptions,
-    ) -> Result<Box<dyn SddFactor + Send + 'g>, LinalgError> {
-        check_grounding(g, in_s)?;
-        let op = LaplacianSubmatrix::new(g, in_s);
-        let inv_diag: Vec<f64> = op.diagonal().iter().map(|&d| 1.0 / d).collect();
-        Ok(Box::new(CgJacobiFactor {
-            inv_diag,
-            cfg: CgConfig {
-                rel_tol: opts.rel_tol,
-                max_iter: opts.max_iter,
-                threads: opts.threads,
-                stop: opts.stop.clone(),
-            },
-            edges2: 2 * g.num_edges() as u64,
-            stats: SolveStats::default(),
-            op,
-        }))
-    }
-}
-
 /// Shared iterative-backend bookkeeping: fold one PCG run into the
 /// cumulative [`SolveStats`] (`flops_per_iter` is the backend's rough
 /// per-iteration cost) and map non-convergence to the error contract.
@@ -585,103 +505,13 @@ fn record_block(
     Ok(())
 }
 
-impl<'g> SddFactor for CgJacobiFactor<'g> {
-    fn dim(&self) -> usize {
-        self.op.dim()
-    }
-
-    fn kept_nodes(&self) -> &[Node] {
-        self.op.kept_nodes()
-    }
-
-    fn compact_of(&self, u: Node) -> Option<usize> {
-        self.op.compact_of(u)
-    }
-
-    fn solve_vec_into(&mut self, b: &[f64], x: &mut [f64]) -> Result<(), LinalgError> {
-        if b.len() != self.dim() || x.len() != self.dim() {
-            return Err(LinalgError::DimensionMismatch(format!(
-                "vector length vs factor dimension {}",
-                self.dim()
-            )));
-        }
-        // `x` carries the caller's initial guess (warm start), per the
-        // trait contract — do NOT zero it here.
-        let op = &self.op;
-        let inv_diag = &self.inv_diag;
-        let n = op.dim();
-        let stats = pcg_operator(
-            |v, out| op.apply(v, out),
-            |r, z| {
-                for i in 0..n {
-                    z[i] = r[i] * inv_diag[i];
-                }
-            },
-            b,
-            x,
-            &self.cfg,
-        );
-        // SpMV + preconditioner + 5 vector ops per iteration, roughly.
-        record_iterative(
-            &mut self.stats,
-            &stats,
-            2 * self.edges2 + 12 * self.op.dim() as u64,
-        )
-    }
-
-    fn solve_mat_into(&mut self, b: &DenseMatrix, x: &mut DenseMatrix) -> Result<(), LinalgError> {
-        if b.rows() != self.dim() || x.rows() != self.dim() || b.cols() != x.cols() {
-            return Err(LinalgError::DimensionMismatch(format!(
-                "RHS {}×{} / guess {}×{} vs factor dimension {}",
-                b.rows(),
-                b.cols(),
-                x.rows(),
-                x.cols(),
-                self.dim()
-            )));
-        }
-        // Every column of `x` is that column's initial guess (block warm
-        // start), per the trait contract.
-        let op = &self.op;
-        let inv_diag = &self.inv_diag;
-        let threads = self.cfg.threads;
-        let runs = pcg_operator_block(
-            |v, out| op.apply_block_threaded(v, out, threads),
-            |r, z| {
-                for (i, &d) in inv_diag.iter().enumerate() {
-                    for (zs, &rs) in z.row_mut(i).iter_mut().zip(r.row(i)) {
-                        *zs = rs * d;
-                    }
-                }
-            },
-            b,
-            x,
-            &self.cfg,
-        );
-        record_block(
-            &mut self.stats,
-            &runs,
-            2 * self.edges2 + 12 * self.op.dim() as u64,
-        )
-    }
-
-    fn stats(&self) -> SolveStats {
-        self.stats
-    }
-
-    fn set_stop(&mut self, stop: StopHook) {
-        self.cfg.stop = stop;
-    }
-}
-
 // ---------------------------------------------------------------------
 // sparse-cg
 // ---------------------------------------------------------------------
 
 /// Iterative backend: CSR `L_{-S}` with an IC(0) incomplete-Cholesky
 /// preconditioner. `O(n + m)` memory end to end — the Laplacian is never
-/// densified — and far fewer iterations than Jacobi on meshes and road
-/// networks. The substitute for the paper's Kyng–Sachdeva solver.
+/// densified. The substitute for the paper's Kyng–Sachdeva solver.
 pub struct SparseCgBackend;
 
 struct SparseCgFactor {
@@ -756,6 +586,11 @@ impl SparseCgFactor {
             csr,
         }
     }
+
+    /// SpMV + two triangular solves + 5 vector ops per iteration.
+    fn flops_per_iter(&self) -> u64 {
+        2 * self.csr.nnz() as u64 + 4 * self.ic.nnz_lower() as u64 + 12 * self.csr.dim() as u64
+    }
 }
 
 impl SddFactor for SparseCgFactor {
@@ -790,12 +625,8 @@ impl SddFactor for SparseCgFactor {
             x,
             &self.cfg,
         );
-        // SpMV + two triangular solves + 5 vector ops per iteration.
-        record_iterative(
-            &mut self.stats,
-            &stats,
-            2 * self.csr.nnz() as u64 + 4 * self.ic.nnz_lower() as u64 + 12 * self.csr.dim() as u64,
-        )
+        let fpi = self.flops_per_iter();
+        record_iterative(&mut self.stats, &stats, fpi)
     }
 
     fn solve_mat_into(&mut self, b: &DenseMatrix, x: &mut DenseMatrix) -> Result<(), LinalgError> {
@@ -821,300 +652,6 @@ impl SddFactor for SparseCgFactor {
             x,
             &self.cfg,
         );
-        record_block(
-            &mut self.stats,
-            &runs,
-            2 * self.csr.nnz() as u64 + 4 * self.ic.nnz_lower() as u64 + 12 * self.csr.dim() as u64,
-        )
-    }
-
-    fn stats(&self) -> SolveStats {
-        self.stats
-    }
-
-    fn set_stop(&mut self, stop: StopHook) {
-        self.cfg.stop = stop;
-    }
-}
-
-// ---------------------------------------------------------------------
-// tree-pcg
-// ---------------------------------------------------------------------
-
-/// Iterative backend: CSR `L_{-S}` preconditioned by a
-/// diagonal-compensated BFS spanning tree ([`TreePreconditioner`]) — the
-/// Vaidya-style combinatorial rung toward the paper's Kyng–Sachdeva
-/// solver. `O(n)` preconditioner factorization and sweeps (cheaper than
-/// IC(0) per iteration), and because the tree carries long-range
-/// connectivity, far fewer PCG iterations on meshes and road networks
-/// where Jacobi and IC(0) pay `O(√n)`-ish counts.
-pub struct TreePcgBackend;
-
-struct TreePcgFactor {
-    csr: CsrMatrix,
-    tree: TreePreconditioner,
-    keep: Vec<Node>,
-    pos: Vec<usize>,
-    cfg: CgConfig,
-    stats: SolveStats,
-}
-
-impl SddSolver for TreePcgBackend {
-    fn name(&self) -> &'static str {
-        "tree-pcg"
-    }
-
-    fn kind(&self) -> SddKind {
-        SddKind::Iterative
-    }
-
-    fn ops(&self) -> &'static str {
-        "solve_vec (warm-startable), solve_mat (blocked multi-RHS), diag_inverse/trace_inverse (n solves); CSR + compensated spanning tree, O(n) preconditioner sweeps"
-    }
-
-    fn factor<'g>(
-        &self,
-        g: &'g Graph,
-        in_s: &[bool],
-        opts: &SddOptions,
-    ) -> Result<Box<dyn SddFactor + Send + 'g>, LinalgError> {
-        check_grounding(g, in_s)?;
-        let (csr, keep, pos) = CsrMatrix::grounded_laplacian(g, in_s);
-        let tree = TreePreconditioner::build(g, in_s, &keep, &pos)?;
-        Ok(Box::new(TreePcgFactor {
-            stats: SolveStats {
-                // BFS + one O(n) elimination pass.
-                flops: (2 * csr.nnz() + 4 * csr.dim()) as u64,
-                ..SolveStats::default()
-            },
-            tree,
-            keep,
-            pos,
-            cfg: CgConfig {
-                rel_tol: opts.rel_tol,
-                max_iter: opts.max_iter,
-                threads: opts.threads,
-                stop: opts.stop.clone(),
-            },
-            csr,
-        }))
-    }
-}
-
-impl TreePcgFactor {
-    /// SpMV + three O(n) tree sweeps + 5 vector ops per iteration.
-    fn flops_per_iter(&self) -> u64 {
-        2 * self.csr.nnz() as u64 + 18 * self.csr.dim() as u64
-    }
-}
-
-impl SddFactor for TreePcgFactor {
-    fn dim(&self) -> usize {
-        self.csr.dim()
-    }
-
-    fn kept_nodes(&self) -> &[Node] {
-        &self.keep
-    }
-
-    fn compact_of(&self, u: Node) -> Option<usize> {
-        let p = self.pos[u as usize];
-        (p != usize::MAX).then_some(p)
-    }
-
-    fn solve_vec_into(&mut self, b: &[f64], x: &mut [f64]) -> Result<(), LinalgError> {
-        if b.len() != self.dim() || x.len() != self.dim() {
-            return Err(LinalgError::DimensionMismatch(format!(
-                "vector length vs factor dimension {}",
-                self.dim()
-            )));
-        }
-        // `x` carries the caller's initial guess (warm start), per the
-        // trait contract — do NOT zero it here.
-        let csr = &self.csr;
-        let tree = &self.tree;
-        let stats = pcg_operator(
-            |v, out| csr.spmv(v, out),
-            |r, z| tree.apply(r, z),
-            b,
-            x,
-            &self.cfg,
-        );
-        let fpi = self.flops_per_iter();
-        record_iterative(&mut self.stats, &stats, fpi)
-    }
-
-    fn solve_mat_into(&mut self, b: &DenseMatrix, x: &mut DenseMatrix) -> Result<(), LinalgError> {
-        if b.rows() != self.dim() || x.rows() != self.dim() || b.cols() != x.cols() {
-            return Err(LinalgError::DimensionMismatch(format!(
-                "RHS {}×{} / guess {}×{} vs factor dimension {}",
-                b.rows(),
-                b.cols(),
-                x.rows(),
-                x.cols(),
-                self.dim()
-            )));
-        }
-        // Every column of `x` is that column's initial guess (block warm
-        // start), per the trait contract.
-        let csr = &self.csr;
-        let tree = &self.tree;
-        let threads = self.cfg.threads;
-        let runs = pcg_operator_block(
-            |v, out| csr.spmm_threaded(v, out, threads),
-            |r, z| tree.apply_block(r, z),
-            b,
-            x,
-            &self.cfg,
-        );
-        let fpi = self.flops_per_iter();
-        record_block(&mut self.stats, &runs, fpi)
-    }
-
-    fn stats(&self) -> SolveStats {
-        self.stats
-    }
-
-    fn set_stop(&mut self, stop: StopHook) {
-        self.cfg.stop = stop;
-    }
-}
-
-// ---------------------------------------------------------------------
-// lsst-pcg
-// ---------------------------------------------------------------------
-
-/// Iterative backend: CSR `L_{-S}` preconditioned by an AKPW-style
-/// low-stretch spanning tree plus stretch-sampled off-tree edges — the
-/// ultrasparsifier rung of the Spielman–Teng / Kyng–Sachdeva solver line
-/// ([`crate::lsst`]). Unlike the BFS tree behind `tree-pcg`, the
-/// low-stretch tree's iteration bound is polylogarithmic on *every*
-/// topology (meshes AND expanders), which is why the `auto` policy routes
-/// all graphs above the dense limit here. `O(n + m·offtree_ratio)`
-/// preconditioner memory; tree stretch and sampled-edge count surface in
-/// [`SolveStats`].
-pub struct LsstPcgBackend;
-
-struct LsstPcgFactor {
-    csr: CsrMatrix,
-    pre: LsstPreconditioner,
-    keep: Vec<Node>,
-    pos: Vec<usize>,
-    cfg: CgConfig,
-    stats: SolveStats,
-}
-
-impl SddSolver for LsstPcgBackend {
-    fn name(&self) -> &'static str {
-        "lsst-pcg"
-    }
-
-    fn kind(&self) -> SddKind {
-        SddKind::Iterative
-    }
-
-    fn ops(&self) -> &'static str {
-        "solve_vec (warm-startable), solve_mat (blocked multi-RHS), diag_inverse/trace_inverse (n solves); CSR + low-stretch tree ultrasparsifier, O(n + m/rho) preconditioner, low iteration counts on every topology"
-    }
-
-    fn factor<'g>(
-        &self,
-        g: &'g Graph,
-        in_s: &[bool],
-        opts: &SddOptions,
-    ) -> Result<Box<dyn SddFactor + Send + 'g>, LinalgError> {
-        check_grounding(g, in_s)?;
-        let (csr, keep, pos) = CsrMatrix::grounded_laplacian(g, in_s);
-        let pre = LsstPreconditioner::build(g, &keep, &pos, opts.offtree_ratio)?;
-        Ok(Box::new(LsstPcgFactor {
-            stats: SolveStats {
-                // Tree build (O((n+m) log n)-ish) + sparsifier IC(0).
-                flops: (6 * csr.nnz() + 8 * csr.dim()) as u64,
-                precond_shift: pre.shift(),
-                precond_stretch: pre.avg_stretch(),
-                precond_offtree_edges: pre.sampled_offtree(),
-                ..SolveStats::default()
-            },
-            pre,
-            keep,
-            pos,
-            cfg: CgConfig {
-                rel_tol: opts.rel_tol,
-                max_iter: opts.max_iter,
-                threads: opts.threads,
-                stop: opts.stop.clone(),
-            },
-            csr,
-        }))
-    }
-}
-
-impl LsstPcgFactor {
-    /// SpMV + two sweeps over the sparsified factor + 5 vector ops.
-    fn flops_per_iter(&self) -> u64 {
-        2 * self.csr.nnz() as u64 + 4 * self.pre.nnz_factor() as u64 + 14 * self.csr.dim() as u64
-    }
-}
-
-impl SddFactor for LsstPcgFactor {
-    fn dim(&self) -> usize {
-        self.csr.dim()
-    }
-
-    fn kept_nodes(&self) -> &[Node] {
-        &self.keep
-    }
-
-    fn compact_of(&self, u: Node) -> Option<usize> {
-        let p = self.pos[u as usize];
-        (p != usize::MAX).then_some(p)
-    }
-
-    fn solve_vec_into(&mut self, b: &[f64], x: &mut [f64]) -> Result<(), LinalgError> {
-        if b.len() != self.dim() || x.len() != self.dim() {
-            return Err(LinalgError::DimensionMismatch(format!(
-                "vector length vs factor dimension {}",
-                self.dim()
-            )));
-        }
-        // `x` carries the caller's initial guess (warm start), per the
-        // trait contract — do NOT zero it here.
-        let csr = &self.csr;
-        let pre = &mut self.pre;
-        let stats = pcg_operator(
-            |v, out| csr.spmv(v, out),
-            |r, z| pre.apply(r, z),
-            b,
-            x,
-            &self.cfg,
-        );
-        let fpi = self.flops_per_iter();
-        record_iterative(&mut self.stats, &stats, fpi)
-    }
-
-    fn solve_mat_into(&mut self, b: &DenseMatrix, x: &mut DenseMatrix) -> Result<(), LinalgError> {
-        if b.rows() != self.dim() || x.rows() != self.dim() || b.cols() != x.cols() {
-            return Err(LinalgError::DimensionMismatch(format!(
-                "RHS {}×{} / guess {}×{} vs factor dimension {}",
-                b.rows(),
-                b.cols(),
-                x.rows(),
-                x.cols(),
-                self.dim()
-            )));
-        }
-        // Every column of `x` is that column's initial guess (block warm
-        // start), per the trait contract.
-        let csr = &self.csr;
-        let pre = &mut self.pre;
-        let threads = self.cfg.threads;
-        let runs = pcg_operator_block(
-            |v, out| csr.spmm_threaded(v, out, threads),
-            |r, z| pre.apply_block(r, z),
-            b,
-            x,
-            &self.cfg,
-        );
         let fpi = self.flops_per_iter();
         record_block(&mut self.stats, &runs, fpi)
     }
@@ -1133,28 +670,14 @@ impl SddFactor for LsstPcgFactor {
 // ---------------------------------------------------------------------
 
 /// Every registered backend, in listing order.
-static BACKENDS: &[&dyn SddSolver] = &[
-    &DenseCholeskyBackend,
-    &CgJacobiBackend,
-    &SparseCgBackend,
-    &TreePcgBackend,
-    &LsstPcgBackend,
-];
+static BACKENDS: &[&dyn SddSolver] = &[&DenseCholeskyBackend, &SparseCgBackend];
 
 /// Alias table (alias → canonical name).
 static ALIASES: &[(&str, &str)] = &[
     ("dense", "dense-cholesky"),
     ("cholesky", "dense-cholesky"),
-    ("cg", "cg-jacobi"),
-    ("jacobi", "cg-jacobi"),
     ("sparse", "sparse-cg"),
     ("ic", "sparse-cg"),
-    ("tree", "tree-pcg"),
-    ("lst", "tree-pcg"),
-    ("vaidya", "tree-pcg"),
-    ("lsst", "lsst-pcg"),
-    ("akpw", "lsst-pcg"),
-    ("ultrasparsifier", "lsst-pcg"),
 ];
 
 /// All registered backends.
@@ -1182,24 +705,18 @@ pub fn name_list() -> String {
 /// Backend selection carried through `CfcmParams` / `--backend`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SddBackend {
-    /// Dense below [`SddBackend::AUTO_DENSE_LIMIT`] unknowns, the
-    /// low-stretch-tree ultrasparsifier (`lsst-pcg`) above.
+    /// `dense-cholesky` up to [`SddBackend::AUTO_DENSE_LIMIT`] unknowns,
+    /// `sparse-cg` above.
     #[default]
     Auto,
     /// Force `dense-cholesky`.
     DenseCholesky,
-    /// Force `cg-jacobi`.
-    CgJacobi,
     /// Force `sparse-cg`.
     SparseCg,
-    /// Force `tree-pcg`.
-    TreePcg,
-    /// Force `lsst-pcg`.
-    LsstPcg,
 }
 
 impl SddBackend {
-    /// Crossover of the `auto` policy: the dense blocked layer wins below
+    /// Crossover of the `auto` policy: the dense blocked layer wins up to
     /// this many unknowns (factor amortized over many RHS), the CSR path
     /// above (where `O(n³)` and `O(n²)` memory stop being payable).
     pub const AUTO_DENSE_LIMIT: usize = 1536;
@@ -1212,10 +729,7 @@ impl SddBackend {
         }
         match by_name(name)?.name() {
             "dense-cholesky" => Some(SddBackend::DenseCholesky),
-            "cg-jacobi" => Some(SddBackend::CgJacobi),
             "sparse-cg" => Some(SddBackend::SparseCg),
-            "tree-pcg" => Some(SddBackend::TreePcg),
-            "lsst-pcg" => Some(SddBackend::LsstPcg),
             _ => None,
         }
     }
@@ -1225,38 +739,27 @@ impl SddBackend {
         match self {
             SddBackend::Auto => "auto",
             SddBackend::DenseCholesky => "dense-cholesky",
-            SddBackend::CgJacobi => "cg-jacobi",
             SddBackend::SparseCg => "sparse-cg",
-            SddBackend::TreePcg => "tree-pcg",
-            SddBackend::LsstPcg => "lsst-pcg",
         }
     }
 
-    /// Resolve to a concrete backend for an `n`-unknown system: dense
-    /// below [`SddBackend::AUTO_DENSE_LIMIT`] (blocked factor amortized
-    /// over many RHS), the low-stretch-tree ultrasparsifier `lsst-pcg`
-    /// above it. The decision is size-only — the low-stretch tree's
-    /// iteration bound holds on every topology, so the PR 5 BFS-diameter
-    /// sniff is gone and resolution never looks at the graph.
+    /// Resolve to a concrete backend for an `n`-unknown system:
+    /// `dense-cholesky` up to [`SddBackend::AUTO_DENSE_LIMIT`] (blocked
+    /// factor amortized over many RHS), `sparse-cg` above it. The decision
+    /// is size-only; resolution never looks at the graph.
     pub fn resolve(self, n: usize) -> &'static dyn SddSolver {
-        let name = match self {
-            SddBackend::Auto => {
-                if n <= Self::AUTO_DENSE_LIMIT {
-                    "dense-cholesky"
-                } else {
-                    "lsst-pcg"
-                }
-            }
-            other => other.name(),
-        };
-        by_name(name).expect("registered backend")
+        match self {
+            SddBackend::Auto if n <= Self::AUTO_DENSE_LIMIT => &DenseCholeskyBackend,
+            SddBackend::Auto | SddBackend::SparseCg => &SparseCgBackend,
+            SddBackend::DenseCholesky => &DenseCholeskyBackend,
+        }
     }
 
     /// Resolve to a concrete backend for a `kept`-unknown system on `g`.
-    /// Today this is exactly [`SddBackend::resolve`] — the auto policy no
-    /// longer inspects the graph — but callers that *have* the graph
+    /// Today this is exactly [`SddBackend::resolve`] — the auto policy
+    /// does not inspect the graph — but callers that *have* the graph
     /// (the front doors, serve's factor-cache keying) go through this
-    /// seam so a future topology-aware policy needs no signature change.
+    /// seam so a topology-aware policy would need no signature change.
     pub fn resolve_for_graph(self, _g: &Graph, kept: usize) -> &'static dyn SddSolver {
         self.resolve(kept)
     }
@@ -1268,21 +771,8 @@ impl std::fmt::Display for SddBackend {
     }
 }
 
-/// Should an `auto`-routed factorization failure on `solver` retry on
-/// `sparse-cg`? Only construction failures qualify — a singular grounding
-/// fails identically on every backend and must surface as-is.
-fn auto_fallback(backend: SddBackend, solver: &dyn SddSolver, err: &LinalgError) -> bool {
-    backend == SddBackend::Auto
-        && solver.name() == "lsst-pcg"
-        && !matches!(err, LinalgError::SingularGrounding { .. })
-}
-
 /// Factor `L_{-S}` through the chosen backend (resolving `auto` by the
-/// number of kept nodes) — the one-call front door consumers use. If the
-/// `auto` policy routed to `lsst-pcg` and the tree/sparsifier build fails
-/// for any reason other than a singular grounding, the front door falls
-/// back to `sparse-cg` so auto-routed callers never pay for a pathological
-/// input; an *explicit* `--backend lsst-pcg` surfaces the error.
+/// number of kept nodes) — the one-call front door consumers use.
 pub fn factor<'g>(
     g: &'g Graph,
     in_s: &[bool],
@@ -1290,13 +780,7 @@ pub fn factor<'g>(
     opts: &SddOptions,
 ) -> Result<Box<dyn SddFactor + Send + 'g>, LinalgError> {
     let kept = in_s.iter().filter(|&&s| !s).count();
-    let solver = backend.resolve_for_graph(g, kept);
-    match solver.factor(g, in_s, opts) {
-        Err(e) if auto_fallback(backend, solver, &e) => by_name("sparse-cg")
-            .expect("registered backend")
-            .factor(g, in_s, opts),
-        other => other,
-    }
+    backend.resolve_for_graph(g, kept).factor(g, in_s, opts)
 }
 
 /// A factor that owns (a reference count on) its graph, so it can outlive
@@ -1367,16 +851,8 @@ pub fn factor_owned(
     opts: &SddOptions,
 ) -> Result<OwnedFactor, LinalgError> {
     let kept = in_s.iter().filter(|&&s| !s).count();
-    let mut solver = backend.resolve_for_graph(g, kept);
-    let raw: Box<dyn SddFactor + Send + '_> = match solver.factor(g, in_s, opts) {
-        Err(e) if auto_fallback(backend, solver, &e) => {
-            // Same auto-routed fallback as [`factor`]; the cache key sees
-            // the backend that actually produced the factor.
-            solver = by_name("sparse-cg").expect("registered backend");
-            solver.factor(g, in_s, opts)?
-        }
-        other => other?,
-    };
+    let solver = backend.resolve_for_graph(g, kept);
+    let raw: Box<dyn SddFactor + Send + '_> = solver.factor(g, in_s, opts)?;
     // SAFETY: the only borrow the factor may hold is `&Graph` into the
     // `Arc` allocation. The `Arc` clone stored alongside keeps that
     // allocation alive (at a fixed address) for the wrapper's whole
@@ -1419,10 +895,27 @@ mod tests {
     fn backend_enum_parses_and_displays() {
         assert_eq!(SddBackend::parse("auto"), Some(SddBackend::Auto));
         assert_eq!(SddBackend::parse("dense"), Some(SddBackend::DenseCholesky));
-        assert_eq!(SddBackend::parse("cg-jacobi"), Some(SddBackend::CgJacobi));
         assert_eq!(SddBackend::parse("sparse-cg"), Some(SddBackend::SparseCg));
+        assert_eq!(SddBackend::parse("IC"), Some(SddBackend::SparseCg));
         assert_eq!(SddBackend::parse("warp"), None);
+        // Retired backends and every one of their aliases are unknown.
+        for gone in [
+            "cg-jacobi",
+            "tree-pcg",
+            "lsst-pcg",
+            "cg",
+            "jacobi",
+            "tree",
+            "lst",
+            "vaidya",
+            "lsst",
+            "akpw",
+            "ultrasparsifier",
+        ] {
+            assert_eq!(SddBackend::parse(gone), None, "{gone}");
+        }
         assert_eq!(SddBackend::SparseCg.to_string(), "sparse-cg");
+        assert_eq!(backends().len(), 2);
     }
 
     #[test]
@@ -1437,9 +930,9 @@ mod tests {
             SddBackend::Auto
                 .resolve(SddBackend::AUTO_DENSE_LIMIT + 1)
                 .name(),
-            "lsst-pcg"
+            "sparse-cg"
         );
-        assert_eq!(SddBackend::CgJacobi.resolve(10).name(), "cg-jacobi");
+        assert_eq!(SddBackend::SparseCg.resolve(10).name(), "sparse-cg");
     }
 
     #[test]
@@ -1478,18 +971,21 @@ mod tests {
         }
     }
 
+    /// A grid has cycles, so IC(0) is inexact there and two iterations
+    /// cannot reach the tolerance (on a tree such as a path, IC(0) is the
+    /// exact factor and PCG would converge in one).
     #[test]
     fn iterative_nonconvergence_is_an_error() {
-        let g = generators::path(400);
-        let in_s = mask(400, &[0]);
+        let g = generators::grid(30, 30);
+        let in_s = mask(900, &[0]);
         let opts = SddOptions {
             rel_tol: 1e-14,
             max_iter: 2,
             ..SddOptions::default()
         };
         let mut rng = StdRng::seed_from_u64(63);
-        let b: Vec<f64> = (0..399).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let mut f = CgJacobiBackend.factor(&g, &in_s, &opts).unwrap();
+        let b: Vec<f64> = (0..899).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let mut f = SparseCgBackend.factor(&g, &in_s, &opts).unwrap();
         assert!(matches!(
             f.solve_vec(&b),
             Err(LinalgError::DidNotConverge { .. })
@@ -1520,47 +1016,43 @@ mod tests {
         assert_eq!(f.stats().iterations, 0);
     }
 
-    /// Regression (auto policy, post-diameter-sniff): above the dense
-    /// limit `auto` routes EVERY topology — the large-diameter grid AND
-    /// the low-diameter expander-like BA graph — to `lsst-pcg`; below the
-    /// limit the size rule stays dense; explicit backends are never
+    /// Above the dense limit `auto` routes every topology — the
+    /// large-diameter grid and the low-diameter BA graph — to `sparse-cg`;
+    /// at the limit it stays dense; explicit backends are never
     /// overridden.
     #[test]
-    fn auto_policy_routes_every_large_graph_to_lsst() {
+    fn auto_policy_routes_every_large_graph_to_sparse_cg() {
         let grid = generators::grid(45, 45); // 2025 > AUTO_DENSE_LIMIT
         assert_eq!(
             SddBackend::Auto.resolve_for_graph(&grid, 2024).name(),
-            "lsst-pcg"
+            "sparse-cg"
         );
         let mut rng = StdRng::seed_from_u64(0x70D0);
         let ba = generators::barabasi_albert(2000, 4, &mut rng);
         assert_eq!(
             SddBackend::Auto.resolve_for_graph(&ba, 1999).name(),
-            "lsst-pcg"
-        );
-        // Below the dense limit the size rule wins regardless of topology.
-        let small_grid = generators::grid(20, 20);
-        assert_eq!(
-            SddBackend::Auto.resolve_for_graph(&small_grid, 399).name(),
-            "dense-cholesky"
-        );
-        // Explicit backends are never overridden by the policy.
-        assert_eq!(
-            SddBackend::SparseCg.resolve_for_graph(&grid, 2024).name(),
             "sparse-cg"
         );
+        for g in [&grid, &ba] {
+            assert_eq!(
+                SddBackend::Auto
+                    .resolve_for_graph(g, SddBackend::AUTO_DENSE_LIMIT)
+                    .name(),
+                "dense-cholesky"
+            );
+        }
         assert_eq!(
-            SddBackend::TreePcg.resolve_for_graph(&ba, 1999).name(),
-            "tree-pcg"
+            SddBackend::DenseCholesky
+                .resolve_for_graph(&ba, 1999)
+                .name(),
+            "dense-cholesky"
         );
-        // The front door actually dispatches the policy: a grid factor
-        // through `auto` must behave like lsst-pcg (iterative, with the
-        // tree stretch surfaced in the stats).
+        // The front door dispatches the policy: a grid factor through
+        // `auto` iterates.
         let in_s = mask(grid.num_nodes(), &[0]);
         let mut f = factor(&grid, &in_s, SddBackend::Auto, &SddOptions::default()).unwrap();
         f.solve_vec(&vec![1.0; grid.num_nodes() - 1]).unwrap();
         assert!(f.stats().iterations > 0);
-        assert!(f.stats().precond_stretch > 1.0);
     }
 
     /// Regression (block warm start): `solve_mat_into` documents that
@@ -1613,56 +1105,6 @@ mod tests {
             .copied()
             .filter(|b| b.kind() == SddKind::Iterative)
             .collect()
-    }
-
-    #[test]
-    fn tree_backend_registers_parses_and_aliases() {
-        assert_eq!(by_name("tree-pcg").unwrap().name(), "tree-pcg");
-        assert_eq!(by_name("tree").unwrap().name(), "tree-pcg");
-        assert_eq!(by_name("vaidya").unwrap().name(), "tree-pcg");
-        assert_eq!(SddBackend::parse("tree"), Some(SddBackend::TreePcg));
-        assert_eq!(SddBackend::TreePcg.to_string(), "tree-pcg");
-        assert_eq!(SddBackend::TreePcg.resolve(10).name(), "tree-pcg");
-        assert_eq!(backends().len(), 5);
-    }
-
-    #[test]
-    fn lsst_backend_registers_parses_and_aliases() {
-        assert_eq!(by_name("lsst-pcg").unwrap().name(), "lsst-pcg");
-        assert_eq!(by_name("lsst").unwrap().name(), "lsst-pcg");
-        assert_eq!(by_name("akpw").unwrap().name(), "lsst-pcg");
-        assert_eq!(by_name("ultrasparsifier").unwrap().name(), "lsst-pcg");
-        assert_eq!(SddBackend::parse("lsst"), Some(SddBackend::LsstPcg));
-        assert_eq!(SddBackend::LsstPcg.to_string(), "lsst-pcg");
-        assert_eq!(SddBackend::LsstPcg.resolve(10).name(), "lsst-pcg");
-    }
-
-    /// `lsst-pcg` observability: tree stretch and sampled off-tree edge
-    /// counts surface in `SolveStats`; tree-only runs (`offtree_ratio=0`)
-    /// report zero sampled edges but still report the stretch.
-    #[test]
-    fn lsst_stats_surface_stretch_and_sampled_edges() {
-        let g = generators::grid(30, 30);
-        let in_s = mask(900, &[0]);
-        let opts = SddOptions::default();
-        let mut f = LsstPcgBackend.factor(&g, &in_s, &opts).unwrap();
-        f.solve_vec(&[1.0; 899]).unwrap();
-        let st = f.stats();
-        assert!(st.precond_stretch > 1.0, "stretch {}", st.precond_stretch);
-        assert!(st.precond_offtree_edges > 0);
-        let tree_only = SddOptions {
-            offtree_ratio: 0.0,
-            ..SddOptions::default()
-        };
-        let mut f0 = LsstPcgBackend.factor(&g, &in_s, &tree_only).unwrap();
-        f0.solve_vec(&[1.0; 899]).unwrap();
-        assert_eq!(f0.stats().precond_offtree_edges, 0);
-        assert!(f0.stats().precond_stretch > 1.0);
-        // Other backends report zeros for both.
-        let mut fs = SparseCgBackend.factor(&g, &in_s, &opts).unwrap();
-        fs.solve_vec(&[1.0; 899]).unwrap();
-        assert_eq!(fs.stats().precond_stretch, 0.0);
-        assert_eq!(fs.stats().precond_offtree_edges, 0);
     }
 
     /// Regression (singular-system guard): a grounding that leaves nodes
@@ -1796,24 +1238,25 @@ mod tests {
     }
 
     /// A blocked solve where columns cannot converge must surface the
-    /// error contract, same as the per-column path.
+    /// error contract, same as the per-column path (on a grid, for the
+    /// reason given at `iterative_nonconvergence_is_an_error`).
     #[test]
     fn blocked_nonconvergence_is_an_error() {
-        let g = generators::path(400);
-        let in_s = mask(400, &[0]);
+        let g = generators::grid(30, 30);
+        let in_s = mask(900, &[0]);
         let opts = SddOptions {
             rel_tol: 1e-14,
             max_iter: 2,
             ..SddOptions::default()
         };
         let mut rng = StdRng::seed_from_u64(0xBADC);
-        let mut rhs = DenseMatrix::zeros(399, 4);
-        for i in 0..399 {
+        let mut rhs = DenseMatrix::zeros(899, 4);
+        for i in 0..899 {
             for j in 0..4 {
                 rhs.set(i, j, rng.gen_range(-1.0..1.0));
             }
         }
-        let mut f = CgJacobiBackend.factor(&g, &in_s, &opts).unwrap();
+        let mut f = SparseCgBackend.factor(&g, &in_s, &opts).unwrap();
         assert!(matches!(
             f.solve_mat(&rhs),
             Err(LinalgError::DidNotConverge { .. })

@@ -5,8 +5,8 @@
 //! gradient method" (§V-B2); this module implements that evaluation as a
 //! Hutchinson estimator — `Tr(M^{-1}) ≈ (1/p) Σ_i z_iᵀ M^{-1} z_i` with
 //! Rademacher probes `z_i` — where each application of `M^{-1}` is a
-//! solve through an [`SddFactor`], so any registered backend (Jacobi CG,
-//! the CSR/IC(0) sparse solver, even dense Cholesky) can carry it.
+//! solve through an [`SddFactor`], so either registered backend (the
+//! CSR/IC(0) sparse solver or dense Cholesky) can carry it.
 //!
 //! Non-convergence of the underlying solves surfaces as
 //! [`LinalgError::DidNotConverge`] — historically it was a silent `bool`
@@ -93,9 +93,25 @@ pub fn trace_inverse_hutchinson_factor<R: Rng>(
     })
 }
 
-/// Hutchinson trace on a graph through the Jacobi-CG path (the historical
-/// entry point; backend-pluggable callers should factor once through
-/// [`crate::sdd`] and use [`trace_inverse_hutchinson_factor`]).
+/// A single-threaded `sparse-cg` factor of `L_{-S}` solving to `cfg`'s
+/// tolerance, iteration cap and stop hook.
+fn sparse_factor<'g>(
+    g: &'g Graph,
+    in_s: &[bool],
+    cfg: &CgConfig,
+) -> Result<Box<dyn SddFactor + Send + 'g>, LinalgError> {
+    let opts = SddOptions {
+        rel_tol: cfg.rel_tol,
+        max_iter: cfg.max_iter,
+        threads: 1,
+        stop: cfg.stop.clone(),
+    };
+    sdd::factor(g, in_s, SddBackend::SparseCg, &opts)
+}
+
+/// Hutchinson trace on a graph through the `sparse-cg` backend
+/// (backend-pluggable callers should factor once through [`crate::sdd`]
+/// and use [`trace_inverse_hutchinson_factor`]).
 pub fn trace_inverse_hutchinson<R: Rng>(
     g: &Graph,
     in_s: &[bool],
@@ -103,36 +119,20 @@ pub fn trace_inverse_hutchinson<R: Rng>(
     cfg: &CgConfig,
     rng: &mut R,
 ) -> Result<TraceEstimate, LinalgError> {
-    let opts = SddOptions {
-        rel_tol: cfg.rel_tol,
-        max_iter: cfg.max_iter,
-        threads: 1,
-        stop: cfg.stop.clone(),
-        ..SddOptions::default()
-    };
-    let mut factor = sdd::factor(g, in_s, SddBackend::CgJacobi, &opts)?;
-    trace_inverse_hutchinson_factor(factor.as_mut(), probes, rng)
+    trace_inverse_hutchinson_factor(sparse_factor(g, in_s, cfg)?.as_mut(), probes, rng)
 }
 
-/// Exact trace of `L_{-S}^{-1}` by `|V∖S|` solves against basis vectors.
-/// `O(n)` solves — exact up to the solver tolerance, used for modest `n`
-/// where dense `O(n³)` inversion is already too slow but `O(n · m)`
-/// solving is fine. A solve that fails to converge aborts with
+/// Exact trace of `L_{-S}^{-1}` by `|V∖S|` `sparse-cg` solves against
+/// basis vectors. `O(n)` solves — exact up to the solver tolerance, used
+/// for modest `n` where dense `O(n³)` inversion is already too slow but
+/// `O(n · m)` solving is fine. A solve that fails to converge aborts with
 /// [`LinalgError::DidNotConverge`].
 pub fn trace_inverse_exact_cg(
     g: &Graph,
     in_s: &[bool],
     cfg: &CgConfig,
 ) -> Result<TraceEstimate, LinalgError> {
-    let opts = SddOptions {
-        rel_tol: cfg.rel_tol,
-        max_iter: cfg.max_iter,
-        threads: 1,
-        stop: cfg.stop.clone(),
-        ..SddOptions::default()
-    };
-    let mut factor = sdd::factor(g, in_s, SddBackend::CgJacobi, &opts)?;
-    trace_inverse_exact_factor(factor.as_mut())
+    trace_inverse_exact_factor(sparse_factor(g, in_s, cfg)?.as_mut())
 }
 
 /// Exact trace through an already-built factor: direct backends read it
@@ -162,8 +162,7 @@ pub fn trace_inverse_exact_factor(
 mod tests {
     use super::*;
     use crate::laplacian::laplacian_submatrix_dense;
-    use crate::sdd::SddSolver;
-    use crate::sdd::SparseCgBackend;
+    use crate::sdd::{DenseCholeskyBackend, SddSolver};
     use cfcc_graph::generators;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -191,10 +190,12 @@ mod tests {
         );
     }
 
+    /// On a grid, not a path: IC(0) is the exact factor of a tree's
+    /// grounded Laplacian, so a path converges in one iteration.
     #[test]
     fn nonconvergence_surfaces_as_error_not_flag() {
-        let g = generators::path(500);
-        let mut in_s = vec![false; 500];
+        let g = generators::grid(30, 30);
+        let mut in_s = vec![false; 900];
         in_s[0] = true;
         let cfg = CgConfig {
             rel_tol: 1e-14,
@@ -229,9 +230,9 @@ mod tests {
 
     #[test]
     fn hutchinson_through_the_sparse_backend_agrees() {
-        // Same probes (same RNG stream) through cg-jacobi and sparse-cg
-        // give near-identical estimates: the backends answer the same
-        // solves to the same tolerance.
+        // Same probes (same RNG stream) through sparse-cg and the exact
+        // dense-cholesky factor give near-identical estimates: sparse-cg
+        // answers every probe solve to its tolerance.
         let mut rng = StdRng::seed_from_u64(31);
         let g = generators::barabasi_albert(80, 3, &mut rng);
         let mut in_s = vec![false; 80];
@@ -240,8 +241,8 @@ mod tests {
         let mut rng_b = StdRng::seed_from_u64(99);
         let a = trace_inverse_hutchinson(&g, &in_s, 50, &CgConfig::with_tol(1e-11), &mut rng_a)
             .unwrap();
-        let mut f = SparseCgBackend
-            .factor(&g, &in_s, &SddOptions::with_tol(1e-11))
+        let mut f = DenseCholeskyBackend
+            .factor(&g, &in_s, &SddOptions::default())
             .unwrap();
         let b = trace_inverse_hutchinson_factor(f.as_mut(), 50, &mut rng_b).unwrap();
         assert!(

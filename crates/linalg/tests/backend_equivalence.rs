@@ -1,15 +1,13 @@
 //! Backend-equivalence property tests for the unified `SddSolver` API:
-//! `dense-cholesky`, `cg-jacobi`, the CSR/IC(0) `sparse-cg` backend, the
-//! spanning-tree `tree-pcg` backend, and the low-stretch-tree
-//! ultrasparsifier `lsst-pcg` backend must agree to ≤ 1e-8 *relative*
-//! error on `solve_mat` (multi-column RHS — the iterative backends answer
-//! it with blocked multi-RHS PCG), `diag_inverse`, and `trace_inverse`
-//! over random connected graphs (seeded loops — the offline stand-in for
-//! proptest). The loops iterate the live registry, so a future sixth
-//! backend is covered the moment it is registered.
+//! `dense-cholesky` and the CSR/IC(0) `sparse-cg` backend must agree to
+//! ≤ 1e-8 *relative* error on `solve_mat` (multi-column RHS — `sparse-cg`
+//! answers it with blocked multi-RHS PCG), `diag_inverse`, and
+//! `trace_inverse` over random connected graphs (seeded loops — the
+//! offline stand-in for proptest). The loops iterate the live registry,
+//! so a newly registered backend is covered the moment it is registered.
 
 use cfcc_graph::{generators, Graph};
-use cfcc_linalg::sdd::{backends, by_name, SddOptions};
+use cfcc_linalg::sdd::{backends, SddOptions};
 use cfcc_linalg::DenseMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,7 +30,7 @@ fn rel_err(a: f64, b: f64) -> f64 {
 #[test]
 fn backends_agree_on_solve_mat_diag_and_trace() {
     // Guard against silently testing fewer backends than are registered.
-    assert_eq!(backends().len(), 5, "registry grew: extend the doc above");
+    assert_eq!(backends().len(), 2, "registry grew: extend the doc above");
     let mut rng = StdRng::seed_from_u64(0x5DD0);
     let opts = SddOptions::with_tol(1e-12);
     for trial in 0..8u64 {
@@ -118,7 +116,6 @@ fn backends_agree_after_regrounding_a_larger_set() {
             traces.push(f.trace_inverse().unwrap());
         }
         assert_eq!(kepts[0], kepts[1]);
-        assert_eq!(kepts[0], kepts[2]);
         for t in &traces[1..] {
             assert!(rel_err(*t, traces[0]) <= 1e-8, "step {step}: {traces:?}");
         }
@@ -132,7 +129,7 @@ fn sparse_backend_handles_a_path_graph_ill_conditioning() {
     let g = generators::path(600);
     let mut in_s = vec![false; 600];
     in_s[0] = true;
-    let sparse = backends()[2];
+    let sparse = backends()[1];
     assert_eq!(sparse.name(), "sparse-cg");
     let mut f = sparse
         .factor(&g, &in_s, &SddOptions::with_tol(1e-10))
@@ -158,36 +155,4 @@ fn sparse_backend_handles_a_path_graph_ill_conditioning() {
         "IC(0) on a tree should converge immediately, took {}",
         f.stats().iterations
     );
-}
-
-#[test]
-fn tree_pcg_cuts_iterations_on_a_mesh() {
-    // The combinatorial preconditioner's reason to exist: on a
-    // large-diameter grid the spanning tree carries long-range
-    // connectivity that the Jacobi diagonal cannot, so PCG converges in
-    // decisively fewer iterations (BENCH_PR4 records the same at 8k+
-    // nodes in release mode).
-    let g = generators::grid(40, 40);
-    let mut in_s = vec![false; 1600];
-    in_s[0] = true;
-    let opts = SddOptions::with_tol(1e-8);
-    let mut rng = StdRng::seed_from_u64(0x9D1D);
-    let b: Vec<f64> = (0..1599).map(|_| rng.gen_range(-1.0..1.0)).collect();
-    let mut iters = Vec::new();
-    let mut solutions = Vec::new();
-    for name in ["cg-jacobi", "tree-pcg"] {
-        let mut f = by_name(name).unwrap().factor(&g, &in_s, &opts).unwrap();
-        solutions.push(f.solve_vec(&b).unwrap());
-        iters.push(f.stats().iterations);
-    }
-    assert!(
-        iters[1] < iters[0],
-        "tree-pcg {} vs cg-jacobi {} iterations",
-        iters[1],
-        iters[0]
-    );
-    let scale = solutions[0].iter().fold(1e-30f64, |m, &v| m.max(v.abs()));
-    for (a, c) in solutions[0].iter().zip(&solutions[1]) {
-        assert!((a - c).abs() / scale <= 1e-7, "{a} vs {c}");
-    }
 }

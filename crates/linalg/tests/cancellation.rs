@@ -1,5 +1,5 @@
-//! Breakdown-path tests for mid-solve cancellation across all three
-//! iterative backends (`cg-jacobi`, `sparse-cg`, `tree-pcg`):
+//! Breakdown-path tests for mid-solve cancellation on the iterative
+//! `sparse-cg` backend:
 //!
 //! * a hook that fires on the very first poll interrupts at iteration 0
 //!   with a typed error, not a poisoned result;
@@ -21,7 +21,7 @@ use cfcc_linalg::{DenseMatrix, LinalgError, StopCause, StopHook};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const ITERATIVE: [&str; 3] = ["cg-jacobi", "sparse-cg", "tree-pcg"];
+const ITERATIVE: [&str; 1] = ["sparse-cg"];
 
 /// A hook that fires `cause` on the `nth` poll (1-based) and counts.
 fn nth_poll_hook(nth: u64, cause: StopCause) -> (StopHook, Arc<AtomicU64>) {

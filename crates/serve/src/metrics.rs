@@ -79,8 +79,6 @@ impl Metrics {
         agg.max_rel_residual = agg.max_rel_residual.max(after.max_rel_residual);
         agg.last_rel_residual = after.last_rel_residual;
         agg.precond_shift = agg.precond_shift.max(after.precond_shift);
-        agg.precond_stretch = agg.precond_stretch.max(after.precond_stretch);
-        agg.precond_offtree_edges = agg.precond_offtree_edges.max(after.precond_offtree_edges);
     }
 
     /// Mean fused width over all executed batches.
@@ -187,8 +185,6 @@ impl Metrics {
                     .int("flops", solve.flops as i64)
                     .num("max_rel_residual", solve.max_rel_residual)
                     .num("precond_shift", solve.precond_shift)
-                    .num("precond_stretch", solve.precond_stretch)
-                    .int("precond_offtree_edges", solve.precond_offtree_edges as i64)
                     .render(),
             )
             .raw("graphs", graphs_json)
@@ -236,8 +232,7 @@ mod tests {
             iterations: 160,
             flops: 1500,
             max_rel_residual: 1e-9,
-            precond_stretch: 2.5,
-            precond_offtree_edges: 37,
+            precond_shift: 0.25,
             ..SolveStats::default()
         };
         m.absorb_solve_delta(before, after);
@@ -246,7 +241,6 @@ mod tests {
         assert!(j.contains(r#""solves":4"#));
         assert!(j.contains(r#""iterations":60"#));
         assert!(j.contains(r#""flops":500"#));
-        assert!(j.contains(r#""precond_stretch":2.5"#));
-        assert!(j.contains(r#""precond_offtree_edges":37"#));
+        assert!(j.contains(r#""precond_shift":0.25"#));
     }
 }

@@ -63,7 +63,7 @@ fn cfcc_of(terminal: &str) -> f64 {
 /// 1e-10 comparison tolerance.
 #[test]
 fn batched_eval_group_matches_sequential() {
-    for backend in ["dense-cholesky", "sparse-cg", "tree-pcg"] {
+    for backend in ["dense-cholesky", "sparse-cg"] {
         let requests = parity_requests(backend);
 
         // Sequential baseline: batching off, one connection, in order.

@@ -273,6 +273,15 @@ fn hostile_input_gets_bad_request_and_keeps_the_connection() {
     let t = read_reply(&mut reader);
     assert!(t.starts_with("err code=bad_request"), "{t}");
 
+    // A retired backend name is an unknown backend.
+    writer
+        .write_all(b"eval_group graph=g nodes=3,17 backend=lsst-pcg\n")
+        .unwrap();
+    writer.flush().unwrap();
+    let t = read_reply(&mut reader);
+    assert!(t.starts_with("err code=bad_request"), "{t}");
+    assert!(t.contains("unknown backend"), "{t}");
+
     // Same connection still does real work.
     writer.write_all(b"ping\n").unwrap();
     writer.flush().unwrap();

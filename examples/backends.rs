@@ -59,7 +59,11 @@ fn main() {
     println!("\nApproxGreedy (k = 4) per backend:\n");
     let choices: Vec<SddBackend> = match std::env::var("CFCC_BACKEND") {
         Ok(name) => vec![SddBackend::parse(&name).expect("known backend")],
-        Err(_) => vec![SddBackend::Auto, SddBackend::CgJacobi, SddBackend::SparseCg],
+        Err(_) => vec![
+            SddBackend::Auto,
+            SddBackend::DenseCholesky,
+            SddBackend::SparseCg,
+        ],
     };
     for backend in choices {
         let mut params = CfcmParams::with_epsilon(0.3).seed(7).backend(backend);

@@ -11,19 +11,13 @@ use cfcc_linalg::SddBackend;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-const BACKENDS: [SddBackend; 5] = [
-    SddBackend::DenseCholesky,
-    SddBackend::CgJacobi,
-    SddBackend::SparseCg,
-    SddBackend::TreePcg,
-    SddBackend::LsstPcg,
-];
+const BACKENDS: [SddBackend; 2] = [SddBackend::DenseCholesky, SddBackend::SparseCg];
 
-/// ApproxGreedy selects identical groups across all five backends on a
+/// ApproxGreedy selects identical groups across both backends on a
 /// ladder of seeded graphs: the backends answer the same solves to a
-/// tight tolerance and consume the same RNG stream. The iterative
-/// backends carry the 16-column `solve_mat` chunks through blocked
-/// multi-RHS PCG, so this also pins blocked == per-column selections.
+/// tight tolerance and consume the same RNG stream. `sparse-cg` carries
+/// the 16-column `solve_mat` chunks through blocked multi-RHS PCG, so
+/// this also pins blocked == per-column selections.
 #[test]
 fn approx_greedy_selects_identical_groups_across_backends() {
     for trial in 0..4u64 {
@@ -103,14 +97,12 @@ fn sparse_backend_runs_end_to_end_and_evaluates() {
 /// This test must stay `#[ignore]`d in the default run: `cargo test`
 /// builds in debug mode, where the unoptimized SpMV/PCG kernels make
 /// this single case run for several minutes — slower than the rest of
-/// the suite combined — while proving nothing the release-mode
-/// `benches/sdd.rs` ladder (which runs the same 50k-node workload, with
-/// a cross-backend selection assertion, on every CI bench step) does not
-/// already prove. Run it directly with
-/// `cargo test --release -- --ignored backends` when touching the sparse
-/// solve path.
+/// the suite combined. CI's `CLI auto backend smoke` step runs
+/// ApproxGreedy through `sparse-cg` in release on a 2k-node graph. Run
+/// this one directly with `cargo test --release -- --ignored backends`
+/// when touching the sparse solve path.
 #[test]
-#[ignore = "debug-mode runtime (minutes); covered in release by benches/sdd.rs in CI"]
+#[ignore = "debug-mode runtime (minutes); run with --release -- --ignored"]
 fn approx_greedy_50k_nodes_through_sparse_backend() {
     let mut rng = StdRng::seed_from_u64(0x50_000);
     let g = generators::barabasi_albert(50_000, 3, &mut rng);

@@ -19,42 +19,38 @@ fn run(g: &cfcc_graph::Graph, k: usize, params: CfcmParams) -> (Vec<u32>, RunSta
 /// Regression (warm-start exploitation): across a k-step ApproxGreedy run
 /// the total blocked-PCG iterations — aggregated over every per-iteration
 /// factor by the engine's `SolveStats` roll-up — must drop when the
-/// previous round's solutions seed the next round's solves, on every
-/// iterative backend. Selections must not change: both runs solve the
-/// same systems to the same tolerance.
+/// previous round's solutions seed the next round's solves on
+/// `sparse-cg`. Selections must not change: both runs solve the same
+/// systems to the same tolerance.
 #[test]
 fn warm_started_approx_greedy_needs_fewer_total_pcg_iterations() {
     let mut rng = StdRng::seed_from_u64(0x77A2);
     let g = generators::barabasi_albert(600, 3, &mut rng);
-    for backend in [
-        SddBackend::SparseCg,
-        SddBackend::CgJacobi,
-        SddBackend::TreePcg,
-    ] {
-        let mut params = CfcmParams::with_epsilon(0.3).seed(21).backend(backend);
-        params.jl_width = Some(8);
-        let (warm_nodes, warm) = run(&g, 5, params.clone().warm_start(true));
-        let (cold_nodes, cold) = run(&g, 5, params.warm_start(false));
-        assert_eq!(warm_nodes, cold_nodes, "{backend}: selections must agree");
-        assert_eq!(
-            warm.solve.solves, cold.solve.solves,
-            "{backend}: same number of right-hand sides either way"
-        );
-        assert!(
-            warm.solve.iterations < cold.solve.iterations,
-            "{backend}: warm {} must need fewer total PCG iterations than cold {}",
-            warm.solve.iterations,
-            cold.solve.iterations
-        );
-        // Rounds 3..k all warm-start one grounding away; the savings
-        // should be substantial, not marginal.
-        assert!(
-            (warm.solve.iterations as f64) < 0.9 * cold.solve.iterations as f64,
-            "{backend}: warm {} vs cold {} — win too small",
-            warm.solve.iterations,
-            cold.solve.iterations
-        );
-    }
+    let mut params = CfcmParams::with_epsilon(0.3)
+        .seed(21)
+        .backend(SddBackend::SparseCg);
+    params.jl_width = Some(8);
+    let (warm_nodes, warm) = run(&g, 5, params.clone().warm_start(true));
+    let (cold_nodes, cold) = run(&g, 5, params.warm_start(false));
+    assert_eq!(warm_nodes, cold_nodes, "selections must agree");
+    assert_eq!(
+        warm.solve.solves, cold.solve.solves,
+        "same number of right-hand sides either way"
+    );
+    assert!(
+        warm.solve.iterations < cold.solve.iterations,
+        "warm {} must need fewer total PCG iterations than cold {}",
+        warm.solve.iterations,
+        cold.solve.iterations
+    );
+    // Rounds 3..k all warm-start one grounding away; the savings should
+    // be substantial, not marginal.
+    assert!(
+        (warm.solve.iterations as f64) < 0.9 * cold.solve.iterations as f64,
+        "warm {} vs cold {} — win too small",
+        warm.solve.iterations,
+        cold.solve.iterations
+    );
 }
 
 /// The aggregated solver stats flow through to the JSON report.
