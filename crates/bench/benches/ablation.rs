@@ -1,4 +1,4 @@
-//! Ablation studies for the design choices DESIGN.md calls out (not in the
+//! Ablation studies for the reproduction's design choices (not in the
 //! paper's figures, but probing its §IV claims directly):
 //!
 //! 1. **|T| sensitivity** — SchurCFCM runtime/quality at |T| ∈

@@ -3,7 +3,7 @@
 //! SchurCFCM (k = 20).
 //!
 //! Graphs are loaded at a dense-feasible scale since the reference needs a
-//! dense inverse (DESIGN.md §6); relative differences are scale-free.
+//! dense inverse; relative differences are scale-free.
 //!
 //! Run: `CFCC_PRESET=paper cargo bench -p cfcc-bench --bench fig5`
 

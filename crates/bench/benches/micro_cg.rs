@@ -1,10 +1,9 @@
 //! Criterion microbenchmark: preconditioned-CG solve cost on a scale-free
 //! vs a road-like Laplacian of equal size — the conditioning gap that
-//! makes the ApproxGreedy baseline degrade on high-diameter graphs
-//! (DESIGN.md §6 substitution note).
+//! makes the ApproxGreedy baseline degrade on high-diameter graphs. Each
+//! solve is one cold `solve_vec_into` through the `sparse-cg` backend.
 
-use cfcc_linalg::cg::{solve_grounded, CgConfig};
-use cfcc_linalg::LaplacianSubmatrix;
+use cfcc_linalg::sdd::{self, SddBackend, SddOptions};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -19,14 +18,16 @@ fn bench_cg(c: &mut Criterion) {
     for (name, g) in [("scale_free", &scale_free), ("road", &road)] {
         let mut in_s = vec![false; g.num_nodes()];
         in_s[g.max_degree_node().unwrap() as usize] = true;
-        let op = LaplacianSubmatrix::new(g, &in_s);
-        let b: Vec<f64> = (0..op.dim()).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let cfg = CgConfig::with_tol(1e-8);
+        let mut factor = sdd::factor(g, &in_s, SddBackend::SparseCg, &SddOptions::with_tol(1e-8))
+            .expect("connected proxy");
+        let b: Vec<f64> = (0..factor.dim())
+            .map(|_| rng.gen_range(-1.0..1.0))
+            .collect();
         group.bench_function(name, |bch| {
-            let mut x = vec![0.0; op.dim()];
+            let mut x = vec![0.0; b.len()];
             bch.iter(|| {
                 x.fill(0.0);
-                solve_grounded(&op, &b, &mut x, &cfg).iterations
+                factor.solve_vec_into(&b, &mut x).expect("solve");
             });
         });
     }

@@ -9,7 +9,7 @@
 //! The environment variable `CFCC_PRESET` selects the workload ladder:
 //!
 //! * `smoke` (default) — minutes on a 2-core box; used by `cargo bench`.
-//! * `paper` — the scale recorded in `EXPERIMENTS.md`.
+//! * `paper` — the scale of the checked-in `BENCH_*.json` reports.
 //! * `full`  — largest ladder (hours); for completeness.
 //!
 //! All randomized algorithms run with fixed seeds, so outputs are
@@ -29,7 +29,7 @@ use cfcc_util::Stopwatch;
 pub enum Preset {
     /// CI-sized smoke ladder.
     Smoke,
-    /// The ladder recorded in EXPERIMENTS.md.
+    /// The ladder of the checked-in `BENCH_*.json` reports.
     Paper,
     /// Largest ladder.
     Full,

@@ -30,7 +30,8 @@ pub struct CliArgs {
     pub dataset: Option<String>,
     /// Proxy scale factor for bundled datasets.
     pub scale: f64,
-    /// Evaluate C(S) of the result (CG-based).
+    /// Evaluate C(S) of the result: the exact trace through `backend` up
+    /// to 4096 nodes, a 64-probe Hutchinson estimate above.
     pub evaluate: bool,
     /// Wall-clock budget for the solve, in seconds (deadline).
     pub timeout_secs: Option<f64>,
@@ -105,9 +106,12 @@ OPTIONS:
     --scale <float>    proxy scale for bundled datasets in (0,1] (default: 1.0)
     --timeout <secs>   wall-clock budget; iterative solvers return their
                        partial selection when the budget is exhausted
-                       (checked between greedy iterations; single-shot
-                       heuristics run to completion)
-    --evaluate         also compute C(S) of the selection (CG)
+                       (checked between greedy iterations, and inside
+                       ApproxGreedy's solves; single-shot heuristics run
+                       to completion)
+    --evaluate         also compute C(S) of the selection: exact trace
+                       through --backend up to 4096 nodes, 64-probe
+                       Hutchinson estimate above
     --json             print the report as a JSON object
     --list-datasets    print the dataset registry and exit
     --list-solvers     print the solver registry and exit

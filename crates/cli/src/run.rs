@@ -39,9 +39,9 @@ pub struct Report {
     pub stats: RunStats,
     /// Evaluated C(S), when requested.
     pub cfcc: Option<f64>,
-    /// How C(S) was computed: `"exact-trace"` (per-column solves through
-    /// the backend) or `"hutchinson-64"` (stochastic estimate at scale,
-    /// percent-level probe noise).
+    /// How C(S) was computed: `"exact-trace"` (read off the dense factor,
+    /// or identity panels through `sparse-cg`) or `"hutchinson-64"`
+    /// (stochastic estimate at scale, percent-level probe noise).
     pub cfcc_method: Option<&'static str>,
 }
 

@@ -130,7 +130,7 @@ pub fn approx_greedy_ctx(g: &Graph, k: usize, ctx: &SolveContext) -> Result<Sele
         }
         // Factor once per iteration, then push all 2w sketched right-hand
         // sides through the backend's multi-RHS solve — in column chunks
-        // of `engine::RHS_CHUNK`, so the live workspace stays O(n · chunk)
+        // of `sdd::RHS_CHUNK`, so the live workspace stays O(n · chunk)
         // (w grows with log n / ε², and explodes under the theoretical
         // bounds). Chunks amortize the dense factorization; on the
         // iterative backends each chunk runs as one blocked multi-RHS PCG

@@ -1,9 +1,11 @@
 //! CFCC evaluation and resistance-distance utilities (paper §II).
 //!
 //! * `C(S) = n / Tr(L_{-S}^{-1})` — [`cfcc_group_exact`] (dense, small
-//!   graphs), [`cfcc_group_cg`] (per-column CG solves, mid-size), and
-//!   [`cfcc_group_hutchinson`] (stochastic trace, large graphs — how the
-//!   paper evaluates quality at scale, §V-B2).
+//!   graphs), [`cfcc_group_cg`] (`sparse-cg` solves of the identity in
+//!   panels, mid-size), [`cfcc_group`] (exact trace through the
+//!   configured backend), and [`cfcc_group_hutchinson`] (stochastic
+//!   trace, large graphs — how the paper evaluates quality at scale,
+//!   §V-B2).
 //! * single-node CFCC `C(u) = n / (Tr(L†) + n·L†_uu)` for the Top-CFCC
 //!   heuristic and sanity checks.
 //! * resistance distances `R(u, v)` and `R(u, S)`.
@@ -11,13 +13,10 @@
 use crate::engine;
 use crate::{CfcmError, CfcmParams};
 use cfcc_graph::{Graph, Node};
-use cfcc_linalg::cg::CgConfig;
 use cfcc_linalg::laplacian::laplacian_submatrix_dense;
 use cfcc_linalg::pinv::{pseudoinverse_dense, pseudoinverse_diag};
-use cfcc_linalg::sdd::{self, SddOptions};
-use cfcc_linalg::trace::{
-    trace_inverse_exact_cg, trace_inverse_exact_factor, trace_inverse_hutchinson_factor,
-};
+use cfcc_linalg::sdd::{self, SddBackend, SddOptions};
+use cfcc_linalg::trace::{trace_inverse_exact_factor, trace_inverse_hutchinson_factor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -62,23 +61,24 @@ pub fn cfcc_group_exact(g: &Graph, group: &[Node]) -> f64 {
     g.num_nodes() as f64 / grounded_trace_exact(g, group)
 }
 
-/// `Tr(L_{-S}^{-1})` by `|V∖S|` CG solves (exact up to CG tolerance).
+/// `Tr(L_{-S}^{-1})` by `|V∖S|` `sparse-cg` solves of the identity, in
+/// panels (exact up to the solver tolerance).
 pub fn grounded_trace_cg(g: &Graph, group: &[Node], tol: f64) -> Result<f64, CfcmError> {
     let mask = group_mask(g, group)?;
-    let est = trace_inverse_exact_cg(g, &mask, &CgConfig::with_tol(tol))?;
-    Ok(est.trace)
+    let mut factor = sdd::factor(g, &mask, SddBackend::SparseCg, &SddOptions::with_tol(tol))?;
+    Ok(trace_inverse_exact_factor(factor.as_mut())?.trace)
 }
 
 /// `Tr(L_{-S}^{-1})` through the SDD backend chosen by
 /// [`CfcmParams::backend`]: direct backends read the trace off their
-/// factorization, iterative ones pay one solve per column.
+/// factorization, iterative ones solve the identity in panels.
 pub fn grounded_trace(g: &Graph, group: &[Node], params: &CfcmParams) -> Result<f64, CfcmError> {
     let mask = group_mask(g, group)?;
     let mut factor = sdd::factor(g, &mask, params.backend, &sdd_opts(params))?;
     Ok(trace_inverse_exact_factor(factor.as_mut())?.trace)
 }
 
-/// Group CFCC via per-column CG solves.
+/// Group CFCC via `sparse-cg` solves of the identity, in panels.
 pub fn cfcc_group_cg(g: &Graph, group: &[Node], tol: f64) -> Result<f64, CfcmError> {
     Ok(g.num_nodes() as f64 / grounded_trace_cg(g, group, tol)?)
 }
@@ -193,8 +193,8 @@ pub fn resistance_exact(g: &Graph, u: Node, v: Node) -> f64 {
 
 /// Resistance `R(u, S) = (L_{-S}^{-1})_{uu}` between a node and a grounded
 /// group, via one solve through the `sparse-cg` backend — a single RHS
-/// never justifies a dense `O(n³)` factorization, and the `O(m)` IC(0)
-/// setup beats plain Jacobi CG on its own solve.
+/// never justifies a dense `O(n³)` factorization. A node or group member
+/// outside the graph is an [`CfcmError::InvalidParameter`].
 pub fn resistance_to_group_cg(
     g: &Graph,
     u: Node,
@@ -202,15 +202,15 @@ pub fn resistance_to_group_cg(
     tol: f64,
 ) -> Result<f64, CfcmError> {
     let mask = group_mask(g, group)?;
+    if u as usize >= mask.len() {
+        return Err(CfcmError::InvalidParameter(format!(
+            "node {u} out of range"
+        )));
+    }
     if mask[u as usize] {
         return Ok(0.0);
     }
-    let mut factor = sdd::factor(
-        g,
-        &mask,
-        cfcc_linalg::SddBackend::SparseCg,
-        &SddOptions::with_tol(tol),
-    )?;
+    let mut factor = sdd::factor(g, &mask, SddBackend::SparseCg, &SddOptions::with_tol(tol))?;
     let ci = factor.compact_of(u).expect("u not in S");
     let mut b = vec![0.0; factor.dim()];
     b[ci] = 1.0;

@@ -218,11 +218,11 @@ impl SolveContext {
     /// shared by all columns per iteration), and reject groundings that
     /// leave part of the graph unreachable from `S` with a structured
     /// error instead of diverging.
-    pub fn factor_grounded<'g>(
+    pub fn factor_grounded(
         &self,
-        g: &'g Graph,
+        g: &Graph,
         in_s: &[bool],
-    ) -> Result<Box<dyn SddFactor + Send + 'g>, CfcmError> {
+    ) -> Result<Box<dyn SddFactor + Send>, CfcmError> {
         // The front door resolves `auto` by size alone, so there is no
         // per-round topology sniff to memoize.
         sdd::factor(g, in_s, self.params.backend, &self.sdd_options()).map_err(CfcmError::from)

@@ -45,16 +45,11 @@
 use crate::{CfcmError, CfcmParams};
 use cfcc_graph::{Graph, Node};
 use cfcc_linalg::jl::JlSketch;
-use cfcc_linalg::sdd::{SddFactor, SddOptions, SolveStats};
+use cfcc_linalg::sdd::{SddFactor, SddOptions, SolveStats, RHS_CHUNK};
 use cfcc_linalg::vector::norm2_sq;
 use cfcc_linalg::DenseMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Column-chunk width of the sketched multi-RHS solves: bounds the live
-/// solver workspace at `O(n · RHS_CHUNK)` while still amortizing each
-/// factorization and each blocked-PCG sweep over a full chunk.
-pub const RHS_CHUNK: usize = 16;
 
 /// SDD solver options derived from solver parameters — the one place the
 /// CG tolerance and the worker-pool thread count are wired together, used

@@ -3,8 +3,7 @@
 //! The evaluation-graph suite for the CFCM reproduction.
 //!
 //! The paper evaluates on KONECT / SNAP / NetworkRepository datasets that
-//! cannot be redistributed here; per the substitution policy (DESIGN.md §6)
-//! this crate provides:
+//! cannot be redistributed here; in their place this crate provides:
 //!
 //! * **Real classics, embedded exactly**: Zachary's Karate club (34 nodes,
 //!   78 edges) and Knuth's Contiguous-USA state-adjacency graph (49 nodes,

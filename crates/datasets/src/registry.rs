@@ -1,5 +1,5 @@
 //! Registry of the paper's evaluation datasets with seeded proxy
-//! generation (DESIGN.md §6).
+//! generation.
 //!
 //! Each entry records the paper-reported LCC statistics (`n`, `m`, `τ`,
 //! `|T*|` where given in Table II) and the topology class used to generate

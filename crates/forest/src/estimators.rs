@@ -1,4 +1,4 @@
-//! Forest-based electrical estimators (DESIGN.md §5).
+//! Forest-based electrical estimators.
 //!
 //! Per sampled forest with root set `S` (or `S ∪ T`), this module extracts:
 //!

@@ -9,7 +9,7 @@
 //! * [`forest`] — the sampled [`forest::Forest`] structure: parent pointers,
 //!   bottom-up order, root lookup, depths, and Euler-tour ancestor tests.
 //! * [`estimators`] — streaming accumulators that turn forests into the
-//!   paper's unbiased electrical estimators (DESIGN.md §5): BFS-path voltage
+//!   paper's unbiased electrical estimators: BFS-path voltage
 //!   prefix sums for `W·L_{-S}^{-1}`, all-ones row sums for `1ᵀL_{-S}^{-1}`,
 //!   and per-node diagonal samples for `(L_{-S}^{-1})_{uu}`.
 //! * [`rooted`] — rooted-probability counters `Ñ(ρ_u = t)` (Lemma 4.2),

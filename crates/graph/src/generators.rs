@@ -2,7 +2,7 @@
 //!
 //! These serve two purposes in the reproduction:
 //!
-//! 1. **Dataset proxies** (DESIGN.md §6): the paper evaluates on KONECT /
+//! 1. **Dataset proxies**: the paper evaluates on KONECT /
 //!    SNAP / NetworkRepository graphs that are not redistributable here, so
 //!    `cfcc-datasets` instantiates seeded generators matched to each
 //!    dataset's size, density and topology class — [`scale_free_with_edges`]

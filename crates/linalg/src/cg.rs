@@ -2,14 +2,18 @@
 //!
 //! This is the substitute for the nearly-linear Laplacian solver
 //! (Kyng–Sachdeva approximate Gaussian elimination) that the paper's
-//! ApproxGreedy baseline calls through Julia (DESIGN.md §6): a classic
-//! Jacobi-preconditioned CG on the grounded submatrix `L_{-S}` (which is
-//! symmetric positive definite for connected `G`), plus a nullspace-projected
-//! CG for pseudoinverse applications `x = L† b`.
+//! ApproxGreedy baseline calls through Julia. One loop per shape:
+//!
+//! * [`pcg_operator`] — one right-hand side over an abstract SPD operator
+//!   and preconditioner: the `sparse-cg` backend's `solve_vec`, and
+//!   [`solve_pseudoinverse`] (`x = L† b`) through nullspace-projecting
+//!   closures;
+//! * [`pcg_operator_block`] — many right-hand sides in lockstep, sharing
+//!   each operator and preconditioner sweep: the `sparse-cg` backend's
+//!   `solve_mat`, which every multi-RHS solve goes through.
 
 use std::sync::Arc;
 
-use crate::laplacian::LaplacianSubmatrix;
 use crate::pool::{self, SendPtr};
 use crate::vector::{axpy, dot, norm2, project_out_ones, xpby};
 use crate::DenseMatrix;
@@ -120,9 +124,9 @@ pub struct CgStats {
 
 /// Preconditioned CG over an abstract SPD operator: `apply` computes
 /// `y = A x`, `precond` computes `z = M^{-1} r`. `x` carries the initial
-/// guess and receives the solution. This single loop backs the Jacobi
-/// matrix-free path ([`solve_grounded`]) and the IC(0)-preconditioned
-/// CSR path of the `sparse-cg` backend (see [`crate::sdd`]).
+/// guess and receives the solution. This single loop backs the
+/// single-RHS solves of the IC(0)-preconditioned `sparse-cg` backend (see
+/// [`crate::sdd`]) and the nullspace-projected [`solve_pseudoinverse`].
 pub fn pcg_operator<A, M>(
     mut apply: A,
     mut precond: M,
@@ -488,35 +492,12 @@ where
     stats
 }
 
-/// Solve `L_{-S} x = b` (compact space) with Jacobi-preconditioned CG.
-/// `x` carries the initial guess and receives the solution.
-pub fn solve_grounded(
-    op: &LaplacianSubmatrix<'_>,
-    b: &[f64],
-    x: &mut [f64],
-    cfg: &CgConfig,
-) -> CgStats {
-    let n = op.dim();
-    assert_eq!(b.len(), n);
-    assert_eq!(x.len(), n);
-    let inv_diag: Vec<f64> = op.diagonal().iter().map(|&d| 1.0 / d).collect();
-    pcg_operator(
-        |v, out| op.apply(v, out),
-        |r, z| {
-            for i in 0..n {
-                z[i] = r[i] * inv_diag[i];
-            }
-        },
-        b,
-        x,
-        cfg,
-    )
-}
-
 /// Solve the pseudoinverse system `x = L† b` for `b ⊥ 1` (the component
-/// along `1` is projected out of `b` defensively). CG on the full Laplacian
-/// restricted to the complement of the nullspace: every iterate is
-/// re-projected so rounding cannot reintroduce the `1` direction.
+/// along `1` is projected out of `b` defensively): Jacobi-preconditioned
+/// [`pcg_operator`] on the full Laplacian, restricted to `1⊥` by
+/// projecting both the operator output and the preconditioned residual,
+/// so rounding cannot reintroduce the `1` direction. The returned `x` is
+/// mean-zero, including the partial iterate of an interrupted solve.
 pub fn solve_pseudoinverse(g: &Graph, b: &[f64], x: &mut [f64], cfg: &CgConfig) -> CgStats {
     let n = g.num_nodes();
     assert_eq!(b.len(), n);
@@ -524,102 +505,60 @@ pub fn solve_pseudoinverse(g: &Graph, b: &[f64], x: &mut [f64], cfg: &CgConfig) 
     let inv_diag: Vec<f64> = (0..n as u32)
         .map(|u| 1.0 / g.degree(u).max(1) as f64)
         .collect();
-
-    let apply = |v: &[f64], out: &mut [f64]| {
-        for u in 0..n {
-            let mut acc = g.degree(u as u32) as f64 * v[u];
-            for &w in g.neighbors(u as u32) {
-                acc -= v[w as usize];
-            }
-            out[u] = acc;
-        }
-    };
-
     let mut bp = b.to_vec();
     project_out_ones(&mut bp);
     project_out_ones(x);
-    let b_norm = norm2(&bp).max(f64::MIN_POSITIVE);
-
-    let mut r = vec![0.0; n];
-    apply(x, &mut r);
-    for i in 0..n {
-        r[i] = bp[i] - r[i];
-    }
-    project_out_ones(&mut r);
-    let mut z: Vec<f64> = r.iter().zip(&inv_diag).map(|(ri, di)| ri * di).collect();
-    project_out_ones(&mut z);
-    let mut p = z.clone();
-    let mut ap = vec![0.0; n];
-    let mut rz = dot(&r, &z);
-    let mut res = norm2(&r) / b_norm;
-    if res <= cfg.rel_tol {
-        return CgStats {
-            iterations: 0,
-            rel_residual: res,
-            converged: true,
-            stopped: None,
-        };
-    }
-    for it in 1..=cfg.max_iter {
-        if let Some(cause) = cfg.stop.check() {
-            project_out_ones(x);
-            return CgStats {
-                iterations: it - 1,
-                rel_residual: res,
-                converged: false,
-                stopped: Some(cause),
-            };
-        }
-        apply(&p, &mut ap);
-        let pap = dot(&p, &ap);
-        if pap <= 0.0 || !pap.is_finite() {
-            return CgStats {
-                iterations: it,
-                rel_residual: res,
-                converged: false,
-                stopped: None,
-            };
-        }
-        let alpha = rz / pap;
-        axpy(alpha, &p, x);
-        axpy(-alpha, &ap, &mut r);
-        project_out_ones(&mut r);
-        res = norm2(&r) / b_norm;
-        if res <= cfg.rel_tol {
-            project_out_ones(x);
-            return CgStats {
-                iterations: it,
-                rel_residual: res,
-                converged: true,
-                stopped: None,
-            };
-        }
-        for i in 0..n {
-            z[i] = r[i] * inv_diag[i];
-        }
-        project_out_ones(&mut z);
-        let rz_new = dot(&r, &z);
-        let beta = rz_new / rz;
-        rz = rz_new;
-        xpby(&z, beta, &mut p);
-    }
+    let stats = pcg_operator(
+        |v, out| {
+            for (u, o) in out.iter_mut().enumerate() {
+                let mut acc = g.degree(u as u32) as f64 * v[u];
+                for &w in g.neighbors(u as u32) {
+                    acc -= v[w as usize];
+                }
+                *o = acc;
+            }
+            project_out_ones(out);
+        },
+        |r, z| {
+            for ((zi, ri), di) in z.iter_mut().zip(r).zip(&inv_diag) {
+                *zi = ri * di;
+            }
+            project_out_ones(z);
+        },
+        &bp,
+        x,
+        cfg,
+    );
     project_out_ones(x);
-    CgStats {
-        iterations: cfg.max_iter,
-        rel_residual: res,
-        converged: false,
-        stopped: None,
-    }
+    stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::laplacian::{laplacian_submatrix_dense, LaplacianSubmatrix};
+    use crate::csr::CsrMatrix;
+    use crate::laplacian::laplacian_submatrix_dense;
     use crate::pinv::pseudoinverse_dense;
     use cfcc_graph::generators;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Jacobi-preconditioned [`pcg_operator`] on the CSR `L_{-S}`.
+    fn grounded_pcg(g: &Graph, in_s: &[bool], b: &[f64], x: &mut [f64], cfg: &CgConfig) -> CgStats {
+        let (csr, _, _) = CsrMatrix::grounded_laplacian(g, in_s);
+        let inv_diag: Vec<f64> = csr.diagonal().iter().map(|&d| 1.0 / d).collect();
+        pcg_operator(
+            |v, out| csr.spmv(v, out),
+            |r, z| {
+                for ((zi, ri), di) in z.iter_mut().zip(r).zip(&inv_diag) {
+                    *zi = ri * di;
+                }
+            },
+            b,
+            x,
+            cfg,
+        )
+    }
 
     #[test]
     fn grounded_solve_matches_dense() {
@@ -628,12 +567,11 @@ mod tests {
         let mut in_s = vec![false; 60];
         in_s[7] = true;
         in_s[23] = true;
-        let op = LaplacianSubmatrix::new(&g, &in_s);
         let (dense, _) = laplacian_submatrix_dense(&g, &in_s);
         let ch = dense.cholesky().unwrap();
-        let b: Vec<f64> = (0..op.dim()).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let mut x = vec![0.0; op.dim()];
-        let stats = solve_grounded(&op, &b, &mut x, &CgConfig::with_tol(1e-12));
+        let b: Vec<f64> = (0..58).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let mut x = vec![0.0; 58];
+        let stats = grounded_pcg(&g, &in_s, &b, &mut x, &CgConfig::with_tol(1e-12));
         assert!(stats.converged, "stats: {stats:?}");
         let exact = ch.solve(&b);
         for i in 0..x.len() {
@@ -652,9 +590,8 @@ mod tests {
         // inverse = [[1,1],[1,2]]. Solve for b = e_0 → x = (1,1).
         let g = generators::path(3);
         let in_s = vec![true, false, false];
-        let op = LaplacianSubmatrix::new(&g, &in_s);
         let mut x = vec![0.0; 2];
-        let stats = solve_grounded(&op, &[1.0, 0.0], &mut x, &CgConfig::with_tol(1e-14));
+        let stats = grounded_pcg(&g, &in_s, &[1.0, 0.0], &mut x, &CgConfig::with_tol(1e-14));
         assert!(stats.converged);
         assert!((x[0] - 1.0).abs() < 1e-10);
         assert!((x[1] - 1.0).abs() < 1e-10);
@@ -663,14 +600,10 @@ mod tests {
     #[test]
     fn zero_rhs_converges_immediately_with_zero_guess() {
         let g = generators::cycle(10);
-        let in_s = {
-            let mut m = vec![false; 10];
-            m[0] = true;
-            m
-        };
-        let op = LaplacianSubmatrix::new(&g, &in_s);
+        let mut in_s = vec![false; 10];
+        in_s[0] = true;
         let mut x = vec![0.0; 9];
-        let stats = solve_grounded(&op, &[0.0; 9], &mut x, &CgConfig::default());
+        let stats = grounded_pcg(&g, &in_s, &[0.0; 9], &mut x, &CgConfig::default());
         assert!(stats.converged);
         assert_eq!(stats.iterations, 0);
     }
@@ -699,19 +632,47 @@ mod tests {
         }
     }
 
+    /// A stop hook that fires after a few polls interrupts the
+    /// pseudoinverse solve mid-sweep: the stats say `stopped`, and the
+    /// partial iterate is still mean-zero (a valid warm start).
+    #[test]
+    fn interrupted_pseudoinverse_keeps_a_mean_zero_iterate() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let mut rng = StdRng::seed_from_u64(14);
+        let g = generators::barabasi_albert(200, 3, &mut rng);
+        let b: Vec<f64> = (0..200).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let polls = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&polls);
+        let cfg = CgConfig {
+            rel_tol: 1e-14,
+            stop: StopHook::new(move || {
+                (seen.fetch_add(1, Ordering::Relaxed) >= 3).then_some(StopCause::Cancelled)
+            }),
+            ..CgConfig::default()
+        };
+        // A guess with a large component along 1, which must not survive.
+        let mut x = vec![5.0; 200];
+        let stats = solve_pseudoinverse(&g, &b, &mut x, &cfg);
+        assert_eq!(stats.stopped, Some(StopCause::Cancelled));
+        assert!(!stats.converged);
+        assert_eq!(stats.iterations, 3);
+        assert!(x.iter().any(|&v| v != 0.0), "partial iterate kept");
+        let mean = x.iter().sum::<f64>() / 200.0;
+        assert!(mean.abs() < 1e-14, "mean {mean}");
+    }
+
     #[test]
     fn warm_start_reduces_iterations() {
         let mut rng = StdRng::seed_from_u64(17);
         let g = generators::barabasi_albert(200, 3, &mut rng);
         let mut in_s = vec![false; 200];
         in_s[0] = true;
-        let op = LaplacianSubmatrix::new(&g, &in_s);
-        let b: Vec<f64> = (0..op.dim()).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let b: Vec<f64> = (0..199).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let cfg = CgConfig::with_tol(1e-10);
-        let mut cold = vec![0.0; op.dim()];
-        let s1 = solve_grounded(&op, &b, &mut cold, &cfg);
+        let mut cold = vec![0.0; 199];
+        let s1 = grounded_pcg(&g, &in_s, &b, &mut cold, &cfg);
         let mut warm = cold.clone();
-        let s2 = solve_grounded(&op, &b, &mut warm, &cfg);
+        let s2 = grounded_pcg(&g, &in_s, &b, &mut warm, &cfg);
         assert!(s2.iterations <= s1.iterations);
         assert!(s2.iterations <= 1);
     }
@@ -722,15 +683,14 @@ mod tests {
         let g = generators::path(500);
         let mut in_s = vec![false; 500];
         in_s[0] = true;
-        let op = LaplacianSubmatrix::new(&g, &in_s);
-        let b: Vec<f64> = (0..op.dim()).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let mut x = vec![0.0; op.dim()];
+        let b: Vec<f64> = (0..499).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let mut x = vec![0.0; 499];
         let cfg = CgConfig {
             rel_tol: 1e-14,
             max_iter: 3,
             ..CgConfig::default()
         };
-        let stats = solve_grounded(&op, &b, &mut x, &cfg);
+        let stats = grounded_pcg(&g, &in_s, &b, &mut x, &cfg);
         assert!(!stats.converged);
         assert_eq!(stats.iterations, 3);
     }

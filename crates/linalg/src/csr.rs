@@ -33,9 +33,10 @@ pub struct CsrMatrix {
 impl CsrMatrix {
     /// Build the grounded Laplacian `L_{-S}` over the compacted index
     /// space `V ∖ S` (same ordering as
-    /// [`crate::laplacian::LaplacianSubmatrix`]). Returns the matrix, the
-    /// kept nodes in compact order, and the original-node → compact-index
-    /// map (`usize::MAX` for grounded nodes). `O(n + m)` time and memory.
+    /// [`crate::laplacian::laplacian_submatrix_dense`]). Returns the
+    /// matrix, the kept nodes in compact order, and the original-node →
+    /// compact-index map (`usize::MAX` for grounded nodes). `O(n + m)`
+    /// time and memory.
     pub fn grounded_laplacian(g: &Graph, in_s: &[bool]) -> (Self, Vec<Node>, Vec<usize>) {
         assert_eq!(in_s.len(), g.num_nodes());
         let keep: Vec<Node> = (0..g.num_nodes() as Node)
@@ -108,14 +109,9 @@ impl CsrMatrix {
     /// matrices). The sparse pattern is traversed **once** for all `w`
     /// columns — the multi-RHS sharing the blocked PCG relies on: every
     /// loaded `(col, val)` pair feeds `w` multiply-adds on adjacent
-    /// memory instead of one.
-    pub fn spmm(&self, x: &DenseMatrix, y: &mut DenseMatrix) {
-        self.spmm_threaded(x, y, 1);
-    }
-
-    /// [`CsrMatrix::spmm`] with output rows partitioned across the worker
-    /// pool. Every output row is one independent gather, so results are
-    /// bit-identical for every thread count.
+    /// memory instead of one. Output rows are partitioned across the
+    /// worker pool; every output row is one independent gather, so
+    /// results are bit-identical for every thread count.
     pub fn spmm_threaded(&self, x: &DenseMatrix, y: &mut DenseMatrix, threads: usize) {
         debug_assert_eq!(x.rows(), self.n);
         debug_assert_eq!(y.rows(), self.n);
@@ -158,7 +154,7 @@ impl CsrMatrix {
         }
     }
 
-    /// Diagonal entries (the Jacobi preconditioner and the shift base).
+    /// Diagonal entries: the full degrees of the kept nodes.
     pub fn diagonal(&self) -> Vec<f64> {
         let mut d = vec![0.0; self.n];
         for (i, di) in d.iter_mut().enumerate() {
@@ -389,32 +385,10 @@ impl IncompleteCholesky {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::laplacian::{laplacian_submatrix_dense, LaplacianSubmatrix};
+    use crate::laplacian::laplacian_submatrix_dense;
     use cfcc_graph::generators;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    #[test]
-    fn csr_matches_matrix_free_operator() {
-        let mut rng = StdRng::seed_from_u64(41);
-        let g = generators::barabasi_albert(80, 3, &mut rng);
-        let mut in_s = vec![false; 80];
-        in_s[3] = true;
-        in_s[17] = true;
-        let (csr, keep, _) = CsrMatrix::grounded_laplacian(&g, &in_s);
-        let op = LaplacianSubmatrix::new(&g, &in_s);
-        assert_eq!(csr.dim(), op.dim());
-        assert_eq!(keep, op.kept_nodes());
-        let x: Vec<f64> = (0..op.dim()).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let mut ya = vec![0.0; op.dim()];
-        let mut yb = vec![0.0; op.dim()];
-        csr.spmv(&x, &mut ya);
-        op.apply(&x, &mut yb);
-        for (a, b) in ya.iter().zip(&yb) {
-            assert!((a - b).abs() < 1e-12);
-        }
-        assert_eq!(csr.diagonal(), op.diagonal());
-    }
 
     #[test]
     fn csr_memory_is_linear_in_edges() {

@@ -17,7 +17,7 @@ use rand::Rng;
 ///
 /// The theoretical bound `w ≥ 24 (ε/7)^{-2} ln d` exceeds 10⁴ for any
 /// realistic ε and is never used by practical implementations; the paper's
-/// running times are only achievable with `O(log n)` widths (DESIGN.md §5).
+/// running times are only achievable with `O(log n)` widths.
 pub fn practical_width(d: usize, epsilon: f64) -> usize {
     let alpha = (2.0 / epsilon).max(2.0); // width grows as ε shrinks
     let w = (alpha * (d.max(2) as f64).log2()).ceil() as usize;

@@ -2,7 +2,7 @@
 //!
 //! Linear-algebra substrate for the CFCM reproduction, written from scratch
 //! because the target environment has no BLAS/LAPACK binding and no mature
-//! sparse SDD solver crate (see DESIGN.md §4/§6).
+//! sparse SDD solver crate.
 //!
 //! ## The `SddSolver` backend API
 //!
@@ -23,7 +23,10 @@
 //! The iterative backend answers `solve_mat` through **blocked multi-RHS
 //! PCG** ([`cg::pcg_operator_block`]): all active right-hand sides advance
 //! in lockstep, so each SpMV and each preconditioner sweep is shared
-//! across the block, and converged columns deflate out.
+//! across the block, and converged columns deflate out. Every solve with
+//! more than one right-hand side — `diag_inverse`, Hutchinson probes,
+//! ApproxGreedy's sketches — goes through `solve_mat_into` in panels of
+//! [`sdd::RHS_CHUNK`] columns.
 //!
 //! Consumers in `cfcc-core` (ApproxGreedy, the CFCC evaluators, Schur
 //! utilities) dispatch through this seam, so swapping a solver touches no
@@ -49,15 +52,15 @@
 //!   blocks), and as the oracle in estimator tests.
 //! * [`csr`] — compressed-sparse-row grounded Laplacians and the IC(0)
 //!   incomplete-Cholesky preconditioner behind the `sparse-cg` backend.
-//! * [`laplacian`] — Laplacian operators for a [`cfcc_graph::Graph`]: the full
-//!   `L`, and the grounded submatrix `L_{-S}` as a matrix-free operator on
-//!   compacted index space.
-//! * [`cg`] — the shared preconditioned-CG loop ([`cg::pcg_operator`]),
-//!   the Jacobi grounded solver, and a nullspace-projected CG for
-//!   pseudoinverse solves `L† b`. This is the substitute for the Julia
+//! * [`laplacian`] — dense Laplacians of a [`cfcc_graph::Graph`]: the full
+//!   `L` and the grounded submatrix `L_{-S}` on compacted index space.
+//! * [`cg`] — the preconditioned-CG loops: single-RHS
+//!   ([`cg::pcg_operator`], also behind the nullspace-projected
+//!   pseudoinverse solve `L† b`) and blocked multi-RHS
+//!   ([`cg::pcg_operator_block`]). This is the substitute for the Julia
 //!   Kyng–Sachdeva solver used by the paper's ApproxGreedy baseline.
 //! * [`jl`] — Johnson–Lindenstrauss Rademacher sketches (Lemma 3.4).
-//! * [`trace`] — Hutchinson stochastic trace estimation of `Tr(L_{-S}^{-1})`
+//! * [`trace`] — exact and Hutchinson traces of `Tr(L_{-S}^{-1})`
 //!   through any [`sdd::SddFactor`], which the paper uses to evaluate CFCC
 //!   on large graphs.
 //! * [`pinv`] — dense pseudoinverse `L†` via `(L + J/n)^{-1} − J/n`, plus
@@ -79,5 +82,4 @@ pub mod vector;
 pub use cg::{CgConfig, CgStats, StopCause, StopHook};
 pub use dense::DenseMatrix;
 pub use error::LinalgError;
-pub use laplacian::LaplacianSubmatrix;
 pub use sdd::{OwnedFactor, SddBackend, SddFactor, SddOptions, SddSolver, SolveStats};

@@ -19,14 +19,22 @@
 //! columns deflating out — a 16-column `solve_mat` costs one traversal of
 //! the matrix per iteration, not sixteen.
 //!
+//! Every solve with more than one right-hand side goes through
+//! [`SddFactor::solve_mat_into`] in panels of [`RHS_CHUNK`] columns: the
+//! default [`SddFactor::diag_inverse`] (identity panels), the Hutchinson
+//! probes of [`crate::trace`], and ApproxGreedy's sketched solves.
+//! [`SddFactor::solve_vec_into`] stays the path for genuine single
+//! right-hand sides, where a one-column block costs more than plain PCG.
+//!
 //! # Contract
 //!
 //! [`SddSolver::factor`] grounds `S`, does whatever setup the backend
 //! needs (dense factorization, or CSR assembly + incomplete Cholesky),
 //! and returns an [`SddFactor`] over the **compacted** index
 //! space `V ∖ S` (same ordering as
-//! [`crate::laplacian::LaplacianSubmatrix`]). The factor then answers any
-//! number of:
+//! [`crate::laplacian::laplacian_submatrix_dense`]). The factor owns
+//! everything it needs, so it never borrows the graph. It then answers
+//! any number of:
 //!
 //! * [`SddFactor::solve_vec`] / [`SddFactor::solve_mat`] — single and
 //!   multi-RHS solves (`A X = B`, RHS as matrix columns);
@@ -59,6 +67,13 @@ use crate::error::LinalgError;
 use crate::laplacian::laplacian_submatrix_dense;
 use crate::DenseMatrix;
 use cfcc_graph::{Graph, Node};
+
+/// Column width of every multi-RHS panel: ApproxGreedy's sketched
+/// chunks, the identity panels of [`SddFactor::diag_inverse`] and the
+/// Hutchinson probe panels of [`crate::trace`]. It bounds the live solver
+/// workspace at `O(n · RHS_CHUNK)` while still sharing each blocked-PCG
+/// sweep (and each dense triangular pass) over a full panel.
+pub const RHS_CHUNK: usize = 16;
 
 /// Backend family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,34 +196,10 @@ pub trait SddFactor {
     /// guess** (block warm start — the greedy engine seeds it with the
     /// previous iteration's solutions projected onto the new grounding,
     /// cutting the Krylov iteration count of the nearly-identical
-    /// successive systems); direct backends overwrite it. This default is
-    /// the per-column fallback; backends override it with one blocked
-    /// pass (triangular solves or blocked multi-RHS PCG).
-    fn solve_mat_into(&mut self, b: &DenseMatrix, x: &mut DenseMatrix) -> Result<(), LinalgError> {
-        let n = self.dim();
-        if b.rows() != n || x.rows() != n || b.cols() != x.cols() {
-            return Err(LinalgError::DimensionMismatch(format!(
-                "RHS {}×{} / guess {}×{} vs factor dimension {n}",
-                b.rows(),
-                b.cols(),
-                x.rows(),
-                x.cols()
-            )));
-        }
-        let mut col = vec![0.0; n];
-        let mut xc = vec![0.0; n];
-        for j in 0..b.cols() {
-            for i in 0..n {
-                col[i] = b.get(i, j);
-                xc[i] = x.get(i, j);
-            }
-            self.solve_vec_into(&col, &mut xc)?;
-            for (i, &xi) in xc.iter().enumerate() {
-                x.set(i, j, xi);
-            }
-        }
-        Ok(())
-    }
+    /// successive systems); direct backends overwrite it. Backends answer
+    /// it in one blocked pass (triangular solves or blocked multi-RHS
+    /// PCG).
+    fn solve_mat_into(&mut self, b: &DenseMatrix, x: &mut DenseMatrix) -> Result<(), LinalgError>;
 
     /// Multi-RHS solve `L_{-S} X = B` (RHS as the columns of `b`), cold
     /// started. Direct backends amortize the factorization across all
@@ -228,21 +219,27 @@ pub trait SddFactor {
     }
 
     /// `diag(L_{-S}^{-1})` — resistances to the grounded group. Direct
-    /// backends read it off the triangular factor; iterative backends pay
-    /// one solve per basis vector.
+    /// backends read it off the triangular factor; this default solves
+    /// the identity in cold-started [`RHS_CHUNK`]-column panels through
+    /// [`SddFactor::solve_mat_into`].
     fn diag_inverse(&mut self) -> Result<Vec<f64>, LinalgError> {
         let n = self.dim();
-        let mut b = vec![0.0; n];
-        let mut x = vec![0.0; n];
         let mut diag = vec![0.0; n];
-        for i in 0..n {
-            b.fill(0.0);
-            b[i] = 1.0;
-            // `x` deliberately carries the previous basis solution as the
-            // warm start for the next one — adjacent basis columns of
-            // L_{-S}^{-1} are close for well-clustered graphs.
-            self.solve_vec_into(&b, &mut x)?;
-            diag[i] = x[i];
+        let mut b = DenseMatrix::default();
+        let mut x = DenseMatrix::default();
+        for j0 in (0..n).step_by(RHS_CHUNK) {
+            let c = RHS_CHUNK.min(n - j0);
+            b.reshape(n, c);
+            b.fill_zero();
+            x.reshape(n, c);
+            x.fill_zero();
+            for t in 0..c {
+                b.set(j0 + t, t, 1.0);
+            }
+            self.solve_mat_into(&b, &mut x)?;
+            for (t, d) in diag[j0..j0 + c].iter_mut().enumerate() {
+                *d = x.get(j0 + t, t);
+            }
         }
         Ok(diag)
     }
@@ -277,12 +274,12 @@ pub trait SddSolver: Sync {
     fn ops(&self) -> &'static str;
 
     /// Ground `S` (mask `in_s`) and produce a factor for `L_{-S}`.
-    fn factor<'g>(
+    fn factor(
         &self,
-        g: &'g Graph,
+        g: &Graph,
         in_s: &[bool],
         opts: &SddOptions,
-    ) -> Result<Box<dyn SddFactor + Send + 'g>, LinalgError>;
+    ) -> Result<Box<dyn SddFactor + Send>, LinalgError>;
 }
 
 /// Original-node → compact-index map for a kept-node list (`usize::MAX`
@@ -348,12 +345,12 @@ impl SddSolver for DenseCholeskyBackend {
         "solve_vec, solve_mat (blocked), diag_inverse (n^3/2), trace_inverse; exact, O(n^3) factor, n <~ 2k"
     }
 
-    fn factor<'g>(
+    fn factor(
         &self,
-        g: &'g Graph,
+        g: &Graph,
         in_s: &[bool],
         opts: &SddOptions,
-    ) -> Result<Box<dyn SddFactor + Send + 'g>, LinalgError> {
+    ) -> Result<Box<dyn SddFactor + Send>, LinalgError> {
         let (dense, keep) = laplacian_submatrix_dense(g, in_s);
         let n = dense.rows();
         let ch = dense.cholesky_threaded(opts.threads)?;
@@ -533,15 +530,15 @@ impl SddSolver for SparseCgBackend {
     }
 
     fn ops(&self) -> &'static str {
-        "solve_vec (warm-startable), solve_mat (blocked multi-RHS), diag_inverse/trace_inverse (n solves); CSR + IC(0), O(n+m) memory; Manteuffel shift surfaces as SolveStats.precond_shift"
+        "solve_vec (warm-startable), solve_mat (blocked multi-RHS), diag_inverse/trace_inverse (n solves in 16-column panels); CSR + IC(0), O(n+m) memory; Manteuffel shift surfaces as SolveStats.precond_shift"
     }
 
-    fn factor<'g>(
+    fn factor(
         &self,
-        g: &'g Graph,
+        g: &Graph,
         in_s: &[bool],
         opts: &SddOptions,
-    ) -> Result<Box<dyn SddFactor + Send + 'g>, LinalgError> {
+    ) -> Result<Box<dyn SddFactor + Send>, LinalgError> {
         check_grounding(g, in_s)?;
         let (csr, keep, pos) = CsrMatrix::grounded_laplacian(g, in_s);
         let ic = IncompleteCholesky::factor(&csr)?;
@@ -773,34 +770,24 @@ impl std::fmt::Display for SddBackend {
 
 /// Factor `L_{-S}` through the chosen backend (resolving `auto` by the
 /// number of kept nodes) — the one-call front door consumers use.
-pub fn factor<'g>(
-    g: &'g Graph,
+pub fn factor(
+    g: &Graph,
     in_s: &[bool],
     backend: SddBackend,
     opts: &SddOptions,
-) -> Result<Box<dyn SddFactor + Send + 'g>, LinalgError> {
+) -> Result<Box<dyn SddFactor + Send>, LinalgError> {
     let kept = in_s.iter().filter(|&&s| !s).count();
     backend.resolve_for_graph(g, kept).factor(g, in_s, opts)
 }
 
-/// A factor that owns (a reference count on) its graph, so it can outlive
-/// the borrow scope it was created in — the cacheable form a resident
-/// service needs: [`SddSolver::factor`] ties the factor's lifetime to the
-/// graph borrow, which makes `Box<dyn SddFactor + 'g>` impossible to store
-/// in a long-lived cache keyed across requests.
+/// A factor together with the concrete backend that built it — the form
+/// a resident service caches across requests, where cache keys and stats
+/// want the backend `auto` resolved to, not the policy.
 ///
 /// Produced by [`factor_owned`]. Delegates every [`SddFactor`] method to
 /// the wrapped factor.
 pub struct OwnedFactor {
-    /// The factor, with its graph borrow erased to `'static`. Declared
-    /// before `_graph` so it drops first — the only ordering under which
-    /// the erased borrow never dangles.
-    factor: Box<dyn SddFactor + Send + 'static>,
-    /// Keeps the borrowed graph alive (and at a stable address — `Arc`
-    /// contents never move) for as long as the factor exists.
-    _graph: std::sync::Arc<Graph>,
-    /// Resolved backend name (after `auto` routing) — cache keys and
-    /// service stats want the concrete backend, not the policy.
+    factor: Box<dyn SddFactor + Send>,
     backend_name: &'static str,
 }
 
@@ -841,9 +828,9 @@ impl SddFactor for OwnedFactor {
     }
 }
 
-/// Factor `L_{-S}` like [`factor`], but against an `Arc`-owned graph,
-/// yielding an [`OwnedFactor`] free of the graph borrow — the form a
-/// factor cache can hold across requests.
+/// Factor `L_{-S}` like [`factor`] and record which backend `auto`
+/// resolved to, yielding the [`OwnedFactor`] a factor cache holds across
+/// requests.
 pub fn factor_owned(
     g: &std::sync::Arc<Graph>,
     in_s: &[bool],
@@ -852,15 +839,8 @@ pub fn factor_owned(
 ) -> Result<OwnedFactor, LinalgError> {
     let kept = in_s.iter().filter(|&&s| !s).count();
     let solver = backend.resolve_for_graph(g, kept);
-    let raw: Box<dyn SddFactor + Send + '_> = solver.factor(g, in_s, opts)?;
-    // SAFETY: the only borrow the factor may hold is `&Graph` into the
-    // `Arc` allocation. The `Arc` clone stored alongside keeps that
-    // allocation alive (at a fixed address) for the wrapper's whole
-    // lifetime, and field order drops the factor before the graph.
-    let factor: Box<dyn SddFactor + Send + 'static> = unsafe { std::mem::transmute(raw) };
     Ok(OwnedFactor {
-        factor,
-        _graph: std::sync::Arc::clone(g),
+        factor: solver.factor(g, in_s, opts)?,
         backend_name: solver.name(),
     })
 }
@@ -1095,6 +1075,28 @@ mod tests {
                 "{}: warm solutions drifted",
                 backend.name()
             );
+        }
+    }
+
+    /// The default `diag_inverse` solves the identity in panels: on
+    /// `sparse-cg` it must match the dense factor's diagonal entry by
+    /// entry, both for a ragged last panel and for a system narrower than
+    /// one panel, with one recorded solve per column.
+    #[test]
+    fn panel_diag_inverse_matches_dense() {
+        let mut rng = StdRng::seed_from_u64(0xD1A6);
+        for n in [12, 2 * RHS_CHUNK + 8] {
+            let g = generators::barabasi_albert(n, 3, &mut rng);
+            let in_s = mask(n, &[0]);
+            let opts = SddOptions::with_tol(1e-12);
+            let mut dense = DenseCholeskyBackend.factor(&g, &in_s, &opts).unwrap();
+            let expect = dense.diag_inverse().unwrap();
+            let mut f = SparseCgBackend.factor(&g, &in_s, &opts).unwrap();
+            let diag = f.diag_inverse().unwrap();
+            assert_eq!(f.stats().solves, n as u64 - 1);
+            for (i, (a, b)) in diag.iter().zip(&expect).enumerate() {
+                assert!((a - b).abs() <= 1e-9 * b, "n={n} entry {i}: {a} vs {b}");
+            }
         }
     }
 

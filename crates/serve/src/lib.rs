@@ -819,7 +819,8 @@ fn handle_node_centrality(
     ensure_factor(state, &entry, &key, &resident, &mask, backend)?;
     // Deterministic given the factor, so memoized per entry: repeated
     // requests collapse to a cache read. (`diag_inverse` on iterative
-    // backends is n solves — not something to redo per request.)
+    // backends is n solves, in panels — not something to redo per
+    // request.)
     let values = entry.centrality_or_compute(|| {
         let mut slot = entry.factor();
         let factor = slot

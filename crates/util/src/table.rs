@@ -1,7 +1,7 @@
 //! Fixed-width text tables for the benchmark harnesses.
 //!
 //! The table/figure regeneration targets print rows in the same layout the
-//! paper uses, so measured output can be diffed against `EXPERIMENTS.md`.
+//! paper uses, so measured output can be compared with its tables.
 
 /// A simple left-padded text table with a header row.
 #[derive(Debug, Default)]

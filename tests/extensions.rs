@@ -1,4 +1,4 @@
-//! Integration tests for the beyond-the-paper extensions (DESIGN.md §9):
+//! Integration tests for the beyond-the-paper extensions:
 //! edge-addition CFCM and the random-walk cost utilities, exercised
 //! together with the core pipeline on real (Karate) and proxy datasets.
 

@@ -94,6 +94,15 @@ fn group_mask_rejects_duplicates_and_out_of_range() {
     // Evaluation APIs route through the same validation.
     assert!(cfcc::cfcc_group_cg(&g, &[2, 2], 1e-8).is_err());
     assert!(cfcc::cfcc_group_hutchinson(&g, &[9], 4, &CfcmParams::default()).is_err());
+    // A bad query node is rejected like a bad group, not a panic.
+    assert!(matches!(
+        cfcc::resistance_to_group_cg(&g, 0, &[7], 1e-8),
+        Err(CfcmError::InvalidParameter(_))
+    ));
+    assert!(matches!(
+        cfcc::resistance_to_group_cg(&g, 99, &[1], 1e-8),
+        Err(CfcmError::InvalidParameter(_))
+    ));
 }
 
 #[test]

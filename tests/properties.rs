@@ -6,9 +6,9 @@
 //! seeded case ladder instead (same invariants, same case counts).
 
 use cfcc_graph::{generators, Graph, Node};
-use cfcc_linalg::cg::{solve_grounded, CgConfig};
-use cfcc_linalg::laplacian::{laplacian_submatrix_dense, LaplacianSubmatrix};
+use cfcc_linalg::laplacian::laplacian_submatrix_dense;
 use cfcc_linalg::pinv::{pseudoinverse_dense, resistance_distance};
+use cfcc_linalg::sdd::{self, SddBackend, SddOptions};
 use cfcc_linalg::vector::norm2_sq;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -102,7 +102,8 @@ fn trace_monotone_and_supermodular() {
     }
 }
 
-/// PCG agrees with the dense Cholesky solve on L_{-S}.
+/// The `sparse-cg` backend's PCG agrees with the dense Cholesky solve on
+/// L_{-S}.
 #[test]
 fn cg_matches_dense() {
     for case in 0..CASES {
@@ -112,11 +113,15 @@ fn cg_matches_dense() {
         in_s[rng.gen_range(0..n)] = true;
         let (sub, _) = laplacian_submatrix_dense(&g, &in_s);
         let ch = sub.cholesky().unwrap();
-        let op = LaplacianSubmatrix::new(&g, &in_s);
-        let b: Vec<f64> = (0..op.dim()).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let mut x = vec![0.0; op.dim()];
-        let stats = solve_grounded(&op, &b, &mut x, &CgConfig::with_tol(1e-12));
-        assert!(stats.converged);
+        let mut factor = sdd::factor(
+            &g,
+            &in_s,
+            SddBackend::SparseCg,
+            &SddOptions::with_tol(1e-12),
+        )
+        .unwrap();
+        let b: Vec<f64> = (0..n - 1).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let x = factor.solve_vec(&b).unwrap();
         let exact = ch.solve(&b);
         for i in 0..x.len() {
             assert!((x[i] - exact[i]).abs() < 1e-6);
