@@ -1,8 +1,8 @@
 //! `cfcc-audit` — the in-repo soundness toolkit.
 //!
 //! The build environment is offline, so — following the `crates/compat`
-//! rand/criterion precedent — the workspace's static analysis lives
-//! in-repo instead of pulling external tools:
+//! rand precedent — the workspace's static analysis lives in-repo
+//! instead of pulling external tools:
 //!
 //! * [`lint`] — `cfcc-lint`, a source-level workspace invariant linter
 //!   (SAFETY comments, thread-spawn confinement, panic-free request/hot

@@ -32,7 +32,8 @@
 //!   [`SddFactor::solve_mat_into`]. On the iterative backends the blocked
 //!   PCG then starts from a residual that is one rank-one correction away
 //!   from converged, cutting the Krylov iteration count of rounds `3..k`
-//!   sharply (see `BENCH_PR5.json`).
+//!   sharply (`tests/engine.rs` asserts fewer total PCG iterations than
+//!   a cold run).
 //! * **Round scratch.** The chunked RHS/solution buffers and SchurDelta's
 //!   dense round buffers are reused across iterations instead of being
 //!   reallocated.

@@ -79,36 +79,35 @@ impl From<cfcc_linalg::LinalgError> for CfcmError {
     }
 }
 
-/// Validate common preconditions shared by all CFCM entry points.
-pub(crate) fn validate(g: &cfcc_graph::Graph, k: usize) -> Result<(), CfcmError> {
-    let n = g.num_nodes();
-    if k == 0 || k >= n {
-        return Err(CfcmError::InvalidK { k, n });
-    }
-    if !g.is_connected() {
-        return Err(CfcmError::Disconnected);
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SolveContext;
     use cfcc_graph::{generators, Graph};
 
     #[test]
     fn validates_k_range() {
         let g = generators::cycle(5);
-        assert!(validate(&g, 1).is_ok());
-        assert!(validate(&g, 4).is_ok());
-        assert_eq!(validate(&g, 0), Err(CfcmError::InvalidK { k: 0, n: 5 }));
-        assert_eq!(validate(&g, 5), Err(CfcmError::InvalidK { k: 5, n: 5 }));
+        let ctx = SolveContext::default();
+        assert!(ctx.check_problem(&g, 1).is_ok());
+        assert!(ctx.check_problem(&g, 4).is_ok());
+        assert_eq!(
+            ctx.check_problem(&g, 0),
+            Err(CfcmError::InvalidK { k: 0, n: 5 })
+        );
+        assert_eq!(
+            ctx.check_problem(&g, 5),
+            Err(CfcmError::InvalidK { k: 5, n: 5 })
+        );
     }
 
     #[test]
     fn validates_connectivity() {
         let g = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
-        assert_eq!(validate(&g, 1), Err(CfcmError::Disconnected));
+        assert_eq!(
+            SolveContext::default().check_problem(&g, 1),
+            Err(CfcmError::Disconnected)
+        );
     }
 
     #[test]

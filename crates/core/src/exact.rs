@@ -15,7 +15,7 @@
 
 use crate::context::SolveContext;
 use crate::result::{IterStats, RunStats, Selection};
-use crate::solver::{CfcmSolver, SolverKind};
+use crate::solver::{dense_capability, Capability, CfcmSolver, SolverKind};
 use crate::CfcmError;
 use cfcc_graph::{Graph, Node};
 use cfcc_linalg::dense::DenseMatrix;
@@ -128,6 +128,10 @@ impl CfcmSolver for ExactSolver {
 
     fn kind(&self) -> SolverKind {
         SolverKind::Exact
+    }
+
+    fn supports(&self, n: usize, _m: usize, _k: usize) -> Capability {
+        dense_capability(self.name(), n, "'schur' or 'approx'")
     }
 
     fn solve(&self, g: &Graph, k: usize, ctx: &SolveContext) -> Result<Selection, CfcmError> {

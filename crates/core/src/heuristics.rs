@@ -6,7 +6,7 @@
 use crate::context::SolveContext;
 use crate::first_phase::first_phase;
 use crate::result::{IterStats, RunStats, Selection};
-use crate::solver::{Capability, CfcmSolver, SolverKind};
+use crate::solver::{dense_capability, Capability, CfcmSolver, SolverKind};
 use crate::{CfcmError, CfcmParams};
 use cfcc_graph::{Graph, Node};
 use cfcc_util::Stopwatch;
@@ -146,11 +146,6 @@ impl CfcmSolver for TopCfccSolver {
 /// Registry entry for exact `Top-CFCC` (dense `L†`; small graphs only).
 pub struct TopCfccExactSolver;
 
-/// Largest node count the dense `Top-CFCC` ranking accepts through the
-/// registry (an `n × n` pseudoinverse beyond this is a mistake — use the
-/// sampled variant).
-pub const TOP_CFCC_EXACT_MAX_NODES: usize = 10_000;
-
 impl CfcmSolver for TopCfccExactSolver {
     fn name(&self) -> &'static str {
         "top-cfcc-exact"
@@ -161,14 +156,7 @@ impl CfcmSolver for TopCfccExactSolver {
     }
 
     fn supports(&self, n: usize, _m: usize, _k: usize) -> Capability {
-        if n > TOP_CFCC_EXACT_MAX_NODES {
-            Capability::Unsupported(format!(
-                "top-cfcc-exact inverts a dense n x n matrix; limited to \
-                 n <= {TOP_CFCC_EXACT_MAX_NODES} (got n={n}) — use 'top-cfcc'"
-            ))
-        } else {
-            Capability::Supported
-        }
+        dense_capability(self.name(), n, "'top-cfcc'")
     }
 
     fn solve(&self, g: &Graph, k: usize, ctx: &SolveContext) -> Result<Selection, CfcmError> {

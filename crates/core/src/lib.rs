@@ -96,7 +96,6 @@ pub mod adaptive;
 pub mod approx_greedy;
 pub mod cfcc;
 pub mod context;
-pub mod edge_addition;
 pub mod engine;
 pub mod error;
 pub mod exact;

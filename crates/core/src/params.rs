@@ -42,8 +42,8 @@ pub struct CfcmParams {
     /// Warm-start the greedy iterations' sketched solves from the
     /// previous iteration's solutions (the systems differ by one grounded
     /// node; see `cfcc_core::engine`). On by default — turning it off
-    /// forces every round to cold-start, which only the warm-vs-cold
-    /// benchmarks and regression tests want.
+    /// forces every round to cold-start, which only warm-vs-cold
+    /// comparisons want (`tests/engine.rs` runs one).
     pub warm_start: bool,
     /// Use the paper's worst-case Hoeffding sample bounds instead of the
     /// practical ceiling (matches the theory, explodes the runtime).

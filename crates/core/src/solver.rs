@@ -66,6 +66,24 @@ impl Capability {
     }
 }
 
+/// Largest node count accepted by the solvers built on dense `n × n`
+/// algebra (`exact`, `top-cfcc-exact`): one such matrix takes 800 MB at
+/// this size, and the cost grows quadratically beyond it.
+pub const DENSE_MAX_NODES: usize = 10_000;
+
+/// The [`CfcmSolver::supports`] answer of the dense `n × n` solver `name`:
+/// unsupported above [`DENSE_MAX_NODES`], with a reason naming `instead`.
+pub(crate) fn dense_capability(name: &str, n: usize, instead: &str) -> Capability {
+    if n > DENSE_MAX_NODES {
+        Capability::Unsupported(format!(
+            "{name} inverts a dense n x n matrix; limited to \
+             n <= {DENSE_MAX_NODES} (got n={n}) — use {instead}"
+        ))
+    } else {
+        Capability::Supported
+    }
+}
+
 /// A CFCM algorithm with a stable name, runtime-selectable through
 /// [`crate::registry`].
 pub trait CfcmSolver: Send + Sync {

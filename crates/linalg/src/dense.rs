@@ -5,8 +5,8 @@
 //! All `O(n³)` work routes through the packed kernels in [`crate::kernel`]
 //! (tiled GEMM, SYRK, blocked triangular solves); see that module for block
 //! sizes and packing layout. The seed's scalar loops survive only as the
-//! `*_naive` reference kernels that the property tests and the
-//! `benches/linalg.rs` before/after microbenchmarks compare against.
+//! `*_naive` reference kernels that the property tests
+//! (`tests/blocked_vs_naive.rs`) compare against.
 //!
 //! **Factor vs inverse.** Callers should *factor once and solve many*:
 //!
@@ -18,9 +18,8 @@
 //!
 //! Form an explicit [`Cholesky::inverse`] only when the algorithm truly
 //! consumes arbitrary inverse *entries* — the greedy baselines' rank-one
-//! maintained `M = L_{-S}^{-1}` (`remove_index`, Sherman–Morrison edge
-//! updates) and the `Σ̃^{-1}` whose entries SchurDelta's quadratic forms
-//! read. Even then the inverse is built from blocked kernels
+//! maintained `M = L_{-S}^{-1}` (`remove_index`) and the `Σ̃^{-1}` whose
+//! entries SchurDelta's quadratic forms read. Even then the inverse is built from blocked kernels
 //! (`L⁻¹` by a blocked forward solve of `I`, then `L⁻ᵀL⁻¹` by SYRK).
 
 use crate::error::LinalgError;
@@ -222,7 +221,7 @@ impl DenseMatrix {
     }
 
     /// Pre-rebuild reference product (`ikj` scalar loops with the zero
-    /// branch) — retained as the property-test and benchmark baseline.
+    /// branch) — retained as the property-test baseline.
     pub fn matmul_naive(&self, b: &DenseMatrix) -> DenseMatrix {
         assert_eq!(self.cols, b.rows, "inner dimensions must agree");
         let mut out = DenseMatrix::zeros(self.rows, b.cols);
@@ -379,8 +378,8 @@ impl DenseMatrix {
         Ok(Cholesky { n, l })
     }
 
-    /// Pre-rebuild scalar Cholesky — retained as the property-test and
-    /// benchmark baseline.
+    /// Pre-rebuild scalar Cholesky — retained as the property-test
+    /// baseline.
     pub fn cholesky_naive(&self) -> Result<Cholesky, LinalgError> {
         assert_eq!(self.rows, self.cols, "cholesky requires a square matrix");
         let n = self.rows;
@@ -775,8 +774,8 @@ impl Cholesky {
         inv
     }
 
-    /// Pre-rebuild scalar inverse — retained as the property-test and
-    /// benchmark baseline.
+    /// Pre-rebuild scalar inverse — retained as the property-test
+    /// baseline.
     pub fn inverse_naive(&self) -> DenseMatrix {
         let n = self.n;
         // T = L^{-1} (lower triangular), column by column.
@@ -861,9 +860,8 @@ impl Lu {
         x
     }
 
-    /// Full inverse (kept for the estimated-Schur path's test oracles and
-    /// the pre-rebuild benchmark baseline; hot paths use
-    /// [`Lu::solve_mat`]).
+    /// Full inverse (kept for the estimated-Schur path's test oracles;
+    /// hot paths use [`Lu::solve_mat`]).
     pub fn inverse(&self) -> DenseMatrix {
         self.solve_mat(&DenseMatrix::identity(self.n))
     }

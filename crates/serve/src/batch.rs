@@ -11,8 +11,9 @@
 //! lockstep, sharing each operator and preconditioner sweep across the
 //! block — so 8 concurrent 8-column requests fused into one 64-column
 //! solve traverse the matrix once per iteration instead of eight times.
-//! Batching off degenerates to per-job solves against the same factor
-//! mutex, which is exactly the baseline the `serve` bench measures.
+//! Batching off (`--no-batching`) degenerates to per-job solves against
+//! the same factor mutex, the baseline `tests/daemon.rs` checks batched
+//! answers against.
 //!
 //! Deadlines are enforced twice. At the batch boundary, a job whose
 //! deadline already passed is answered with a `deadline` error instead of

@@ -1,10 +1,11 @@
 //! Integration tests for the `cfcc-serve` daemon over real TCP
 //! connections: batching correctness (fused solves match sequential ones),
-//! cache/epoch semantics over the wire, client-disconnect cancellation,
-//! and deadline enforcement.
+//! cache counts and epoch semantics over the wire, client-disconnect
+//! cancellation, capability refusals, and deadline enforcement.
 
 use std::time::{Duration, Instant};
 
+use cfcc_core::solver::DENSE_MAX_NODES;
 use cfcc_graph::generators;
 use cfcc_serve::client::Client;
 use cfcc_serve::protocol::fields;
@@ -34,6 +35,8 @@ fn parity_requests(backend: &str) -> Vec<String> {
         .collect()
 }
 
+/// A server holding `g` (the test graph) and `big`, a cycle one node past
+/// the dense solvers' size limit.
 fn spawn_server(
     batching: bool,
     window: Duration,
@@ -47,6 +50,10 @@ fn spawn_server(
     })
     .unwrap();
     server.registry().insert("g", test_graph()).unwrap();
+    server
+        .registry()
+        .insert("big", generators::cycle(DENSE_MAX_NODES + 1))
+        .unwrap();
     let addr = server.local_addr().unwrap();
     (server.spawn(), addr)
 }
@@ -57,10 +64,17 @@ fn cfcc_of(terminal: &str) -> f64 {
     f["cfcc"].parse::<f64>().unwrap()
 }
 
+/// The JSON document of a `stats` reply.
+fn stats_of(c: &mut Client) -> String {
+    fields(&c.request_terminal("stats").unwrap())["stats"].to_string()
+}
+
 /// Concurrent batched requests must produce the same answers as the same
 /// requests solved one-by-one with batching off. Solves run at 1e-12
 /// residual so the blocked-vs-solo iterate paths agree far below the
-/// 1e-10 comparison tolerance.
+/// 1e-10 comparison tolerance. Either way each grounding's factor is
+/// built once: a concurrent request for the same key finds the slot the
+/// first one inserted under the map lock, so it counts as a hit.
 #[test]
 fn batched_eval_group_matches_sequential() {
     for backend in ["dense-cholesky", "sparse-cg"] {
@@ -73,6 +87,7 @@ fn batched_eval_group_matches_sequential() {
             .iter()
             .map(|r| cfcc_of(&c.request_terminal(r).unwrap()))
             .collect();
+        let seq_stats = stats_of(&mut c);
         seq_handle.shutdown();
 
         // Batched run: every request on its own connection, all in flight
@@ -95,7 +110,16 @@ fn batched_eval_group_matches_sequential() {
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
+        let bat_stats = stats_of(&mut Client::connect(bat_addr).unwrap());
         bat_handle.shutdown();
+
+        // 12 requests over 3 groundings: 3 factor builds, 9 cache hits.
+        for stats in [&seq_stats, &bat_stats] {
+            assert!(
+                stats.contains(r#""hits":9,"misses":3,"#),
+                "{backend}: {stats}"
+            );
+        }
 
         for (i, (&expect, &(got, _))) in baseline.iter().zip(fused.iter()).enumerate() {
             let rel = (got - expect).abs() / expect.abs().max(1.0);
@@ -155,7 +179,9 @@ fn cache_hits_and_epoch_invalidation() {
 
 /// A client that disconnects mid-`topk_greedy` must cancel the run (the
 /// progress write fails, the sink cancels the token) and free the slot —
-/// the daemon keeps serving other clients.
+/// the daemon keeps serving other clients. A run the solver refuses up
+/// front (`exact` past its dense size limit) is a `bad_request`, and the
+/// connection keeps serving.
 #[test]
 fn client_disconnect_cancels_topk_greedy() {
     let (mut handle, addr) = spawn_server(true, Duration::from_millis(1), 1e-8);
@@ -179,6 +205,15 @@ fn client_disconnect_cancels_topk_greedy() {
         std::thread::sleep(Duration::from_millis(20));
     }
     let mut c2 = Client::connect(addr).unwrap();
+    assert!(c2.request_terminal("ping").unwrap().starts_with("ok "));
+
+    let t = c2
+        .request_terminal("topk_greedy graph=big k=2 algo=exact")
+        .unwrap();
+    assert!(
+        t.starts_with("err code=bad_request") && t.contains("dense n x n"),
+        "{t}"
+    );
     assert!(c2.request_terminal("ping").unwrap().starts_with("ok "));
     handle.shutdown();
 }

@@ -7,7 +7,7 @@
 //!   integer keys that dominate this workspace (node ids, edge ids).
 //! * [`stats`] — a Welford online mean/variance accumulator for streamed
 //!   real-valued samples.
-//! * [`timing`] — a tiny stopwatch for benchmark harnesses.
+//! * [`timing`] — a tiny wall-clock stopwatch.
 //! * [`table`] — fixed-width text tables matching the paper's row formats.
 //! * [`json`] — minimal JSON emission for machine-consumable reports.
 

@@ -1,7 +1,8 @@
-//! Fixed-width text tables for the benchmark harnesses.
+//! Fixed-width text tables for the CLI and the examples.
 //!
-//! The table/figure regeneration targets print rows in the same layout the
-//! paper uses, so measured output can be compared with its tables.
+//! The paper-experiment examples (`examples/table2.rs`, `examples/fig1.rs`)
+//! print rows in the same layout the paper uses, so measured output can be
+//! compared with its tables.
 
 /// A simple left-padded text table with a header row.
 #[derive(Debug, Default)]

@@ -1,4 +1,5 @@
-//! Wall-clock stopwatch used by the benchmark harnesses.
+//! Wall-clock stopwatch for the solvers' per-iteration timings and the
+//! example harnesses.
 
 use std::time::{Duration, Instant};
 

@@ -1,11 +1,12 @@
-//! Regenerates **Fig. 1**: CFCC `C(S)` of the groups chosen by Optimum,
-//! Exact, Approx, Forest and Schur for `k = 1..5` on the four tiny graphs
-//! (Zebra, Karate, Cont. USA, Dolphins).
+//! Regenerates the paper's **Fig. 1**: `C(S)` of the groups chosen by
+//! Optimum, Exact, Approx, Forest and Schur for `k = 1..5` on the four
+//! tiny graphs (Zebra, Karate, Cont. USA, Dolphins). Seeds are fixed, so
+//! the tables are reproducible.
 //!
-//! Run: `cargo bench -p cfcc-bench --bench fig1`
+//! Run: `cargo run --release --example fig1`
 
-use cfcc_bench::{banner, harness_threads, params_for, run_solver, Preset};
 use cfcc_core::cfcc::cfcc_group_exact;
+use cfcc_core::{CfcmParams, SolveSession};
 use cfcc_util::table::Table;
 
 const K_MAX: usize = 5;
@@ -18,14 +19,10 @@ const GREEDY: [(&str, &str); 4] = [
 ];
 
 fn main() {
-    let preset = Preset::from_env();
-    banner(
-        "fig1",
-        "Fig. 1 (tiny graphs vs exhaustive optimum, k=1..5)",
-        preset,
-    );
-    let threads = harness_threads();
-    let params = params_for(0.2, threads);
+    println!("fig1 — regenerates Fig. 1 (tiny graphs vs exhaustive optimum, k=1..5)");
+    let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let mut params = CfcmParams::with_epsilon(0.2).seed(0xBEEF).threads(threads);
+    params.max_forests = 2048;
 
     for name in cfcc_datasets::suites::TINY {
         let g = cfcc_datasets::by_name(name, 1.0).expect("tiny dataset");
@@ -35,16 +32,24 @@ fn main() {
             g.num_edges()
         );
         // Greedy prefixes give all k at once; optimum needs one run per k.
+        let run = |solver: &str, k: usize| {
+            SolveSession::new(&g)
+                .k(k)
+                .solver(solver)
+                .params(params.clone())
+                .run()
+                .unwrap_or_else(|e| panic!("{solver} on {name}: {e}"))
+        };
         let selections: Vec<_> = GREEDY
             .iter()
-            .map(|&(_, solver)| run_solver(solver, &g, K_MAX, &params))
+            .map(|&(_, solver)| run(solver, K_MAX))
             .collect();
 
         let mut header = vec!["k".to_string(), "Optimum".to_string()];
         header.extend(GREEDY.iter().map(|&(label, _)| label.to_string()));
         let mut table = Table::new(header);
         for k in 1..=K_MAX {
-            let opt = run_solver("optimum", &g, k, &params);
+            let opt = run("optimum", k);
             let mut row = vec![
                 k.to_string(),
                 format!("{:.4}", cfcc_group_exact(&g, &opt.nodes)),

@@ -65,7 +65,7 @@ fn end_to_end_on_euroroads_proxy() {
     // per-node CG solves on a large-diameter road network — ~3 minutes of
     // debug-mode test time for the same assertions. Road structure (low
     // max degree, long diameter) is preserved under dataset scaling, and
-    // the release-mode bench harness covers the full-scale graphs.
+    // the release-mode `table2` example covers the full-scale graph.
     let g = cfcc_datasets::by_name("euroroads", 0.5).unwrap();
     let mut params = CfcmParams::with_epsilon(0.3).seed(17);
     // Half the default forest budget: random walks mix slowly on road

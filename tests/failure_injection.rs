@@ -3,9 +3,8 @@
 //! precisely — never hang, never return garbage silently.
 
 use cfcc_core::{
-    approx_greedy::approx_greedy, cfcc, edge_addition::greedy_edge_addition, exact::exact_greedy,
-    forest_cfcm::forest_cfcm, heuristics, kemeny, optimum::optimum_cfcm, schur_cfcm::schur_cfcm,
-    CfcmError, CfcmParams,
+    approx_greedy::approx_greedy, cfcc, exact::exact_greedy, forest_cfcm::forest_cfcm, heuristics,
+    kemeny, optimum::optimum_cfcm, schur_cfcm::schur_cfcm, CfcmError, CfcmParams,
 };
 use cfcc_graph::{generators, Graph, GraphError};
 
@@ -56,10 +55,6 @@ fn all_solvers_reject_disconnected_graphs() {
     assert_eq!(optimum_cfcm(&g, 2).unwrap_err(), CfcmError::Disconnected);
     assert_eq!(
         heuristics::top_cfcc_sampled(&g, 2, &p).unwrap_err(),
-        CfcmError::Disconnected
-    );
-    assert_eq!(
-        greedy_edge_addition(&g, &[0], 1, &p).unwrap_err(),
         CfcmError::Disconnected
     );
 }
@@ -172,18 +167,6 @@ fn tiny_forest_budgets_still_terminate_and_select() {
     // Schur path exercises the ridge fallback with such noisy F̃ estimates.
     let sel2 = schur_cfcm(&g, 4, &p).unwrap();
     assert_eq!(sel2.nodes.len(), 4);
-}
-
-#[test]
-fn edge_addition_saturation_is_graceful() {
-    // Complete graph: no edges can be added; the result must be empty,
-    // not an error or a phantom edge.
-    let g = generators::complete(6);
-    let p = CfcmParams::default();
-    let res = greedy_edge_addition(&g, &[0], 3, &p).unwrap();
-    assert!(res.edges.is_empty());
-    assert_eq!(res.trace_before, res.trace_after);
-    assert!((res.improvement() - 1.0).abs() < 1e-12);
 }
 
 #[test]

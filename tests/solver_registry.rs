@@ -3,6 +3,7 @@
 //! every registered solver, progress reporting, and cooperative
 //! cancellation with partial results.
 
+use cfcc_core::solver::DENSE_MAX_NODES;
 use cfcc_core::{
     registry, CancelToken, CfcmError, CfcmParams, IterStats, SolveContext, SolveSession,
 };
@@ -210,11 +211,19 @@ fn session_reports_unknown_solver_and_capability_limits() {
         SolveSession::new(&g).k(2).solver("bogus").run(),
         Err(CfcmError::UnknownSolver(_))
     ));
-    // Optimum's capability wall (k > 5) surfaces as Unsupported.
-    assert!(matches!(
-        SolveSession::new(&g).k(6).solver("optimum").run(),
-        Err(CfcmError::Unsupported(_))
-    ));
+    // Capability walls surface as Unsupported before any work starts:
+    // optimum's k > 5, and exact's dense n x n limit one node past it.
+    let big = cfcc_graph::generators::cycle(DENSE_MAX_NODES + 1);
+    for (graph, k, solver) in [(&g, 6, "optimum"), (&big, 2, "exact")] {
+        assert!(
+            matches!(
+                SolveSession::new(graph).k(k).solver(solver).run(),
+                Err(CfcmError::Unsupported(_))
+            ),
+            "{solver} on n={}, k={k}",
+            graph.num_nodes()
+        );
+    }
 }
 
 #[test]
