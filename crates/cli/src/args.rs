@@ -106,8 +106,10 @@ OPTIONS:
     --scale <float>    proxy scale for bundled datasets in (0,1] (default: 1.0)
     --timeout <secs>   wall-clock budget; iterative solvers return their
                        partial selection when the budget is exhausted
-                       (checked between greedy iterations, and inside
-                       ApproxGreedy's solves; single-shot heuristics run
+                       (checked between greedy picks, and inside
+                       ApproxGreedy's solves: a pick whose solves are
+                       interrupted is dropped, so an ApproxGreedy run can
+                       end with no selection; single-shot heuristics run
                        to completion)
     --evaluate         also compute C(S) of the selection: exact trace
                        through --backend up to 4096 nodes, 64-probe

@@ -167,9 +167,11 @@ pub fn execute(args: &CliArgs) -> Result<Report, String> {
     let seconds = sw.seconds();
 
     if sel.nodes.is_empty() {
-        // Only possible when a cancel/deadline fired before any complete
-        // group was examined (exhaustive search). Evaluating C(∅) would
-        // mean CG solves on the singular full Laplacian — fail clearly.
+        // Only possible when the deadline fired before the first pick
+        // finished (ApproxGreedy's first-pick solves) or before any
+        // complete group was examined (exhaustive search). Evaluating C(∅)
+        // would mean CG solves on the singular full Laplacian — fail
+        // clearly.
         return Err(format!(
             "'{}' was interrupted before finding any selection; raise --timeout",
             solver.name()

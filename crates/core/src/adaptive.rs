@@ -1,7 +1,8 @@
 //! Shared adaptive-stopping logic for the Monte-Carlo phases.
 //!
 //! Algorithms 2–5 sample in doubling batches and stop once the empirical
-//! Bernstein half-widths (Lemma 3.6) certify the current winner. The rule
+//! Bernstein half-widths (Lemma 3.6) certify the current winner; all of
+//! them run through one loop, `sample_until_certified`. The rule
 //! implemented here is slightly more conservative than the paper's
 //! per-node check and is purely an *early exit*: the hard cap from
 //! [`crate::CfcmParams::forest_cap`] preserves termination and the
@@ -13,6 +14,12 @@
 //! 2. its score moved by at most `ε/4` relatively, and
 //! 3. either the Bernstein interval separates it from the runner-up, or
 //!    both intervals are already below `ε/2` of the leading score.
+
+use crate::CfcmParams;
+use cfcc_forest::bernstein::bernstein_halfwidth;
+use cfcc_forest::estimators::ElectricalAccumulator;
+use cfcc_forest::sampler::{absorb_batch, SamplerConfig};
+use cfcc_graph::{Graph, Node};
 
 /// Doubling batch schedule: total sample targets after each checkpoint.
 pub fn batch_schedule(min_batch: u64, cap: u64) -> Vec<u64> {
@@ -79,6 +86,98 @@ impl StopRule {
         self.prev = Some(best);
         decision
     }
+}
+
+/// Sample forests rooted at `in_root` into `acc` in doubling batches of
+/// the RNG stream `seed`, until the stop rule certifies the best score or
+/// `cap` forests are in. After every batch, `score` rewrites each node's
+/// score from `acc` (bigger is better; `NaN` marks a non-candidate) and
+/// `halfwidth(acc, u, score)` bounds a candidate's error. Returns the last
+/// scores and their argmax; only a failing `score` fails the sampling.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn sample_until_certified<E>(
+    g: &Graph,
+    in_root: &[bool],
+    seed: u64,
+    cap: u64,
+    params: &CfcmParams,
+    acc: &mut ElectricalAccumulator,
+    mut score: impl FnMut(&ElectricalAccumulator, &mut [f64]) -> Result<(), E>,
+    halfwidth: impl Fn(&ElectricalAccumulator, Node, f64) -> f64,
+) -> Result<(Vec<f64>, Node), E> {
+    let cfg = SamplerConfig {
+        seed,
+        threads: params.threads,
+    };
+    let mut rule = StopRule::new();
+    let mut scores = vec![f64::NAN; g.num_nodes()];
+    let mut sampled = 0;
+    for total in batch_schedule(params.min_batch, cap) {
+        absorb_batch(g, in_root, sampled, total - sampled, &cfg, acc);
+        sampled = total;
+        score(acc, &mut scores)?;
+        let (best, second) = top2_max(&scores);
+        let mk = |u: Node| Candidate {
+            node: u,
+            score: scores[u as usize],
+            halfwidth: halfwidth(acc, u, scores[u as usize]),
+        };
+        if rule.check(mk(best), second.map(mk), params.epsilon) {
+            break;
+        }
+    }
+    let best = top2_max(&scores).0;
+    Ok((scores, best))
+}
+
+/// Bernstein half-width of node `u`'s diagonal estimate at `confidence`.
+pub(crate) fn diag_halfwidth(acc: &ElectricalAccumulator, u: Node, confidence: f64) -> f64 {
+    bernstein_halfwidth(
+        acc.num_forests(),
+        acc.diag_variance(u),
+        acc.diag_sup(u).max(1.0),
+        confidence,
+    )
+}
+
+/// The diagonal's half-width propagated to a gain `Δ' = num / z` with
+/// denominator `z = (L_{-S}^{-1})_{uu}`: `|∂(num/z)/∂z| · h_z = Δ'/z · h_z`
+/// (first order), at most `Δ'`.
+pub(crate) fn gain_halfwidth(
+    acc: &ElectricalAccumulator,
+    u: Node,
+    gain: f64,
+    confidence: f64,
+) -> f64 {
+    let z = acc.diag_mean(u).max(f64::MIN_POSITIVE);
+    gain * (diag_halfwidth(acc, u, confidence) / z).min(1.0)
+}
+
+/// Indices of the two largest non-`NaN` values; the first index wins ties.
+pub(crate) fn top2_max(xs: &[f64]) -> (Node, Option<Node>) {
+    let mut best: Option<usize> = None;
+    let mut second: Option<usize> = None;
+    for (i, &x) in xs.iter().enumerate() {
+        if x.is_nan() {
+            continue;
+        }
+        match best {
+            None => best = Some(i),
+            Some(b) if x > xs[b] => {
+                second = best;
+                best = Some(i);
+            }
+            _ => {
+                if second.is_none_or(|s| x > xs[s]) {
+                    second = Some(i);
+                }
+            }
+        }
+    }
+    (
+        best.expect("at least one candidate") as Node,
+        second.map(|s| s as Node),
+    )
 }
 
 #[cfg(test)]

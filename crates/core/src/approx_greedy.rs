@@ -33,47 +33,38 @@
 //! projected onto the new grounding — `L_{-S}` and `L_{-S∪{v}}` differ by
 //! one grounded node, so the projected block is one rank-one correction
 //! from converged. The aggregated solver work lands in
-//! [`RunStats::solve`].
+//! [`crate::RunStats::solve`].
 
 use crate::context::SolveContext;
-use crate::result::{IterStats, RunStats, Selection};
+use crate::engine::GreedyWorkspace;
+use crate::greedy;
+use crate::result::{IterStats, Selection};
 use crate::solver::{CfcmSolver, SolverKind};
 use crate::{CfcmError, CfcmParams};
 use cfcc_graph::{Graph, Node};
 use cfcc_linalg::cg::{solve_pseudoinverse, CgConfig};
-use cfcc_util::Stopwatch;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// ApproxGreedy solver.
-///
-/// Thin wrapper over [`approx_greedy_ctx`] with a plain-parameter context.
+/// ApproxGreedy solver: [`ApproxSolver`] under a plain-parameter context.
 pub fn approx_greedy(g: &Graph, k: usize, params: &CfcmParams) -> Result<Selection, CfcmError> {
-    approx_greedy_ctx(g, k, &SolveContext::from_params(params))
+    ApproxSolver.solve(g, k, &SolveContext::new(params.clone()))
 }
 
-/// Context-aware ApproxGreedy: honors cancellation/deadline (returning the
-/// partial selection accumulated so far) and reports per-iteration progress.
-pub fn approx_greedy_ctx(g: &Graph, k: usize, ctx: &SolveContext) -> Result<Selection, CfcmError> {
-    ctx.check_problem(g, k)?;
-    let params = &ctx.params;
+/// First pick: `argmin L†_uu` via `w` sketched incidence solves. The
+/// pseudoinverse solves poll the context's cancel token and deadline, like
+/// the grounded solves of later rounds; a stopped probe leaves a partial
+/// sum that ranks nothing, so the pick fails with
+/// [`CfcmError::Interrupted`].
+fn first_pick(g: &Graph, w: usize, ctx: &SolveContext) -> Result<IterStats, CfcmError> {
     let n = g.num_nodes();
-    let w = params.width(n);
     let cg = CgConfig {
-        rel_tol: params.cg_tol,
+        rel_tol: ctx.params.cg_tol,
         max_iter: 50_000,
-        threads: params.threads,
-        // First-pick pseudoinverse solves poll the context's cancel
-        // token / deadline, same as the grounded solves below.
+        threads: ctx.params.threads,
         stop: ctx.stop_hook(),
     };
-    let mut rng = StdRng::seed_from_u64(params.seed ^ 0xA99);
-    let mut stats = RunStats::default();
-    let mut sw = Stopwatch::start();
-    let mut ws = ctx.workspace();
-    ws.begin_run();
-
-    // ---- first pick: argmin L†_uu via sketched incidence solves ----
+    let mut rng = StdRng::seed_from_u64(ctx.params.seed ^ 0xA99);
     let mut diag = vec![0.0f64; n];
     let mut rhs = vec![0.0f64; n];
     let mut x = vec![0.0f64; n];
@@ -87,11 +78,8 @@ pub fn approx_greedy_ctx(g: &Graph, k: usize, ctx: &SolveContext) -> Result<Sele
         }
         x.fill(0.0);
         let st = solve_pseudoinverse(g, &rhs, &mut x, &cg);
-        if st.stopped.is_some() {
-            // Interrupted mid-first-pick: fall back to whatever probes
-            // accumulated so far — the run still yields a selection, and
-            // it yields it promptly.
-            break;
+        if let Some(cause) = st.stopped {
+            return Err(CfcmError::Interrupted(cause));
         }
         if !st.converged {
             return Err(CfcmError::Numerical(
@@ -102,81 +90,42 @@ pub fn approx_greedy_ctx(g: &Graph, k: usize, ctx: &SolveContext) -> Result<Sele
             diag[u] += x[u] * x[u];
         }
     }
-    let first = (0..n)
-        .min_by(|&a, &b| diag[a].partial_cmp(&diag[b]).unwrap())
-        .unwrap() as Node;
-    let mut in_s = vec![false; n];
-    in_s[first as usize] = true;
-    let mut nodes = vec![first];
-    let it = IterStats {
-        chosen: first,
-        forests: 0,
-        walk_steps: 0,
-        seconds: sw.lap().as_secs_f64(),
-        gain: f64::NAN,
-    };
-    ctx.emit(&it);
-    stats.iterations.push(it);
+    let (first, _) = greedy::argmax(n, |u| -diag[u]);
+    Ok(IterStats::new(first as Node, f64::NAN))
+}
 
-    // ---- iterations 2..k ----
+/// A later pick: the sketched gains of every node outside `S`.
+fn next_pick(
+    g: &Graph,
+    in_s: &[bool],
+    w: usize,
+    ctx: &SolveContext,
+    ws: &mut GreedyWorkspace,
+) -> Result<IterStats, CfcmError> {
     // The persistent sketches are sampled once over the full node space;
-    // every iteration restricts them to its kept rows, so consecutive
-    // rounds solve for right-hand sides that differ only by one deleted
-    // row — the precondition for the engine's block warm start.
-    ws.ensure_sketch(g, w, params.seed);
-    for _ in 1..k {
-        if ctx.interrupted() {
-            break;
-        }
-        // Factor once per iteration, then push all 2w sketched right-hand
-        // sides through the backend's multi-RHS solve — in column chunks
-        // of `sdd::RHS_CHUNK`, so the live workspace stays O(n · chunk)
-        // (w grows with log n / ε², and explodes under the theoretical
-        // bounds). Chunks amortize the dense factorization; on the
-        // iterative backends each chunk runs as one blocked multi-RHS PCG
-        // (shared SpMV/preconditioner sweeps, converged columns deflated),
-        // seeded with the previous round's solutions when warm starts are
-        // on.
-        // A mid-solve interruption (cancel token, deadline) surfaces as a
-        // typed error from the factor path; it ends the run with the
-        // partial selection, exactly like the round-boundary
-        // `interrupted()` check above. The workspace stays warm-start
-        // consistent: an aborted round never swaps its `prev_*` blocks.
-        let mut factor = match ctx.factor_grounded(g, &in_s) {
-            Err(CfcmError::Interrupted(_)) => break,
-            r => r?,
-        };
-        let d = factor.dim();
-        let (num, den) = match ws.sketched_gains(factor.as_mut(), params.warm_start) {
-            Err(CfcmError::Interrupted(_)) => break,
-            r => r?,
-        };
-        let mut best_c = 0usize;
-        let mut best_gain = f64::NEG_INFINITY;
-        for cix in 0..d {
-            let u = factor.node_of(cix);
-            let floor = 1.0 / g.degree(u) as f64;
-            let gain = num[cix] / den[cix].max(floor);
-            if gain > best_gain {
-                best_gain = gain;
-                best_c = cix;
-            }
-        }
-        let u = factor.node_of(best_c);
-        in_s[u as usize] = true;
-        nodes.push(u);
-        let it = IterStats {
-            chosen: u,
-            forests: 0,
-            walk_steps: 0,
-            seconds: sw.lap().as_secs_f64(),
-            gain: best_gain,
-        };
-        ctx.emit(&it);
-        stats.iterations.push(it);
-    }
-    stats.solve = ws.solve_stats();
-    Ok(Selection { nodes, stats })
+    // every round restricts them to its kept rows, so consecutive rounds
+    // solve for right-hand sides that differ only by one deleted row —
+    // the precondition for the engine's block warm start.
+    ws.ensure_sketch(g, w, ctx.params.seed);
+    // Factor once per round, then push all 2w sketched right-hand sides
+    // through the backend's multi-RHS solve — in column chunks of
+    // `sdd::RHS_CHUNK`, so the live workspace stays O(n · chunk) (w grows
+    // with log n / ε², and explodes under the theoretical bounds). Chunks
+    // amortize the dense factorization; on the iterative backends each
+    // chunk runs as one blocked multi-RHS PCG (shared SpMV/preconditioner
+    // sweeps, converged columns deflated), seeded with the previous
+    // round's solutions when warm starts are on.
+    // A mid-solve interruption (cancel token, deadline) surfaces as
+    // `CfcmError::Interrupted`, and `greedy::run` drops this pick. The
+    // workspace stays warm-start consistent: an aborted round never swaps
+    // its `prev_*` blocks.
+    let mut factor = ctx.factor_grounded(g, in_s)?;
+    let (num, den) = ws.sketched_gains(factor.as_mut(), ctx.params.warm_start)?;
+    let (c, gain) = greedy::argmax(factor.dim(), |c| {
+        let floor = 1.0 / g.degree(factor.node_of(c)) as f64;
+        num[c] / den[c].max(floor)
+    });
+    Ok(IterStats::new(factor.node_of(c), gain))
 }
 
 /// Registry entry for the ApproxGreedy baseline (Li et al., WWW'19).
@@ -192,7 +141,14 @@ impl CfcmSolver for ApproxSolver {
     }
 
     fn solve(&self, g: &Graph, k: usize, ctx: &SolveContext) -> Result<Selection, CfcmError> {
-        approx_greedy_ctx(g, k, ctx)
+        let w = ctx.params.width(g.num_nodes());
+        greedy::run(
+            g,
+            k,
+            ctx,
+            || first_pick(g, w, ctx),
+            |_, in_s, ws| next_pick(g, in_s, w, ctx, ws),
+        )
     }
 }
 

@@ -1,11 +1,11 @@
 //! Execution context shared by every CFCM solver: parameters, cooperative
 //! cancellation, wall-clock deadlines, and per-iteration progress reporting.
 //!
-//! [`SolveContext`] is the single entry point for problem validation — every
-//! solver calls [`SolveContext::check_problem`] before touching the graph,
-//! so invalid `k`, disconnected inputs, and out-of-range parameters are
-//! rejected uniformly (historically `exact_greedy` and the heuristics
-//! skipped the parameter checks the Monte-Carlo solvers performed).
+//! [`SolveContext`] is the single entry point for problem validation —
+//! [`crate::greedy::run`] and [`crate::greedy::ranked`] call
+//! [`SolveContext::check_problem`] before any solver touches the graph, so
+//! invalid `k`, disconnected inputs, and out-of-range parameters are
+//! rejected uniformly.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -20,9 +20,10 @@ use cfcc_linalg::{StopCause, StopHook};
 
 /// Cooperative cancellation flag, cheaply cloneable across threads.
 ///
-/// Solvers poll the token between greedy iterations; once cancelled they
-/// return promptly with the partial [`crate::Selection`] accumulated so far
-/// (fewer than `k` nodes, per-iteration stats intact).
+/// [`crate::greedy::run`] polls the token between picks, and iterative
+/// solves poll it every sweep; once cancelled, a run returns promptly with
+/// the partial [`crate::Selection`] accumulated so far (fewer than `k`
+/// nodes, per-iteration stats intact).
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
@@ -103,12 +104,6 @@ impl SolveContext {
         self.workspace.lock().expect("workspace mutex poisoned")
     }
 
-    /// Convenience: borrow-and-clone construction from existing parameters
-    /// (the path the legacy free functions take).
-    pub fn from_params(params: &CfcmParams) -> Self {
-        Self::new(params.clone())
-    }
-
     /// Seed the context with a recycled [`GreedyWorkspace`] (builder
     /// style). Persisted sketches are revalidated against the graph by
     /// fingerprint inside the engine, so handing a workspace from a
@@ -147,8 +142,8 @@ impl SolveContext {
     }
 
     /// Attach a per-iteration progress callback (builder style). Every
-    /// greedy loop invokes it once per iteration, as the iteration's
-    /// [`IterStats`] is recorded.
+    /// solver invokes it once per pick, as the pick's [`IterStats`] is
+    /// recorded.
     pub fn with_progress<F>(mut self, sink: F) -> Self
     where
         F: Fn(&IterStats) + Send + Sync + 'static,
@@ -228,9 +223,11 @@ impl SolveContext {
         sdd::factor(g, in_s, self.params.backend, &self.sdd_options()).map_err(CfcmError::from)
     }
 
-    /// Should the solver stop early? True once the cancel token fires or
-    /// the deadline passes. Solvers poll this between iterations and return
-    /// the partial selection accumulated so far.
+    /// Should the run stop early? True once the cancel token fires or the
+    /// deadline passes. [`crate::greedy::run`] polls this before every
+    /// pick after the first and then returns the partial selection
+    /// accumulated so far; solves reach the same condition through
+    /// [`SolveContext::stop_hook`].
     pub fn interrupted(&self) -> bool {
         if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
             return true;
@@ -238,19 +235,12 @@ impl SolveContext {
         self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
-    /// Report one completed iteration to the progress sink, if any.
+    /// Report one recorded pick to the progress sink, if any.
+    /// [`crate::greedy::run`] calls it as each pick lands, and
+    /// [`crate::greedy::ranked`] once per node of the finished ranking.
     pub fn emit(&self, iteration: &IterStats) {
         if let Some(sink) = &self.progress {
             sink(iteration);
-        }
-    }
-
-    /// Replay a whole run's iterations to the progress sink — for
-    /// single-shot solvers (heuristics, exhaustive search) that produce
-    /// their per-node stats after the fact rather than iteratively.
-    pub fn emit_all(&self, iterations: &[IterStats]) {
-        for it in iterations {
-            self.emit(it);
         }
     }
 }

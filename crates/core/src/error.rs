@@ -25,9 +25,10 @@ pub enum CfcmError {
     /// size (its `supports` capability hint).
     Unsupported(String),
     /// The run was interrupted mid-solve by its cancel token or deadline
-    /// (see [`crate::SolveContext::stop_hook`]). Greedy loops catch this
-    /// and return the partial selection accumulated so far; it only
-    /// escapes from entry points with nothing partial to return.
+    /// (see [`crate::SolveContext::stop_hook`]). [`crate::greedy::run`]
+    /// catches this, drops the interrupted pick and returns the picks
+    /// before it; it only escapes from entry points with nothing partial
+    /// to return.
     Interrupted(cfcc_linalg::StopCause),
 }
 

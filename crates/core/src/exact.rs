@@ -14,7 +14,8 @@
 //! (Eq. 5), and equals exactly the trace drop of the update above.
 
 use crate::context::SolveContext;
-use crate::result::{IterStats, RunStats, Selection};
+use crate::greedy;
+use crate::result::{IterStats, Selection};
 use crate::solver::{dense_capability, Capability, CfcmSolver, SolverKind};
 use crate::CfcmError;
 use cfcc_graph::{Graph, Node};
@@ -22,100 +23,11 @@ use cfcc_linalg::dense::DenseMatrix;
 use cfcc_linalg::laplacian::laplacian_submatrix_dense;
 use cfcc_linalg::pinv::pseudoinverse_diag;
 use cfcc_linalg::vector::norm2_sq;
-use cfcc_util::Stopwatch;
 
-/// Exact greedy CFCM solver.
-///
-/// Thin wrapper over [`exact_greedy_ctx`] with a default context (the
+/// Exact greedy CFCM solver: [`ExactSolver`] under a default context (the
 /// dense baseline takes no tuning parameters).
 pub fn exact_greedy(g: &Graph, k: usize) -> Result<Selection, CfcmError> {
-    exact_greedy_ctx(g, k, &SolveContext::default())
-}
-
-/// Context-aware exact greedy: honors cancellation/deadline (returning the
-/// partial selection accumulated so far) and reports per-iteration progress.
-pub fn exact_greedy_ctx(g: &Graph, k: usize, ctx: &SolveContext) -> Result<Selection, CfcmError> {
-    ctx.check_problem(g, k)?;
-    let n = g.num_nodes();
-    let mut stats = RunStats::default();
-    let mut sw = Stopwatch::start();
-
-    // Iteration 1: argmin_u L†_uu (Eq. 4: the trace term is shared). Only
-    // the diagonal is consumed, so no full pseudoinverse is formed.
-    let pdiag = pseudoinverse_diag(g);
-    let first = (0..n)
-        .min_by(|&a, &b| pdiag[a].partial_cmp(&pdiag[b]).unwrap())
-        .unwrap() as Node;
-    let mut chosen = vec![first];
-    let it = IterStats {
-        chosen: first,
-        forests: 0,
-        walk_steps: 0,
-        seconds: sw.lap().as_secs_f64(),
-        gain: f64::NAN,
-    };
-    ctx.emit(&it);
-    stats.iterations.push(it);
-    if k == 1 {
-        return Ok(Selection {
-            nodes: chosen,
-            stats,
-        });
-    }
-
-    // Dense inverse of L_{-S1}; `nodes[c]` maps compact index → node id.
-    // Forming M = L_{-S}^{-1} once is the genuine inverse consumer here:
-    // every subsequent iteration reads M's entries and maintains it with
-    // the O(n²) rank-one removal update instead of refactorizing.
-    let mask = crate::cfcc::group_mask(g, &chosen)?;
-    let (sub, keep) = laplacian_submatrix_dense(g, &mask);
-    let mut m = sub
-        .cholesky_threaded(ctx.params.threads)
-        .map_err(|e| CfcmError::Numerical(format!("L_-S not SPD: {e}")))?
-        .inverse_threaded(ctx.params.threads);
-    let mut nodes = keep;
-    // Ping-pong workspace for the rank-one removal updates (no per
-    // iteration allocation beyond the first).
-    let mut scratch = DenseMatrix::zeros(0, 0);
-
-    for _ in 1..k {
-        if ctx.interrupted() {
-            break;
-        }
-        let d = m.rows();
-        // Δ(c) = ‖M e_c‖² / M_cc — symmetric M, so row c is column c.
-        let mut best_c = 0usize;
-        let mut best_gain = f64::NEG_INFINITY;
-        for c in 0..d {
-            let gain = norm2_sq(m.row(c)) / m.get(c, c);
-            if gain > best_gain {
-                best_gain = gain;
-                best_c = c;
-            }
-        }
-        let u = nodes[best_c];
-        chosen.push(u);
-        let it = IterStats {
-            chosen: u,
-            forests: 0,
-            walk_steps: 0,
-            seconds: sw.lap().as_secs_f64(),
-            gain: best_gain,
-        };
-        ctx.emit(&it);
-        stats.iterations.push(it);
-        if chosen.len() == k {
-            break;
-        }
-        scratch.reshape(d - 1, d - 1);
-        remove_index_into(&m, best_c, &mut scratch);
-        std::mem::swap(&mut m, &mut scratch);
-        nodes.remove(best_c);
-    }
-    Ok(Selection {
-        nodes: chosen,
-        stats,
-    })
+    ExactSolver.solve(g, k, &SolveContext::default())
 }
 
 /// Registry entry for the dense exact greedy baseline.
@@ -135,7 +47,54 @@ impl CfcmSolver for ExactSolver {
     }
 
     fn solve(&self, g: &Graph, k: usize, ctx: &SolveContext) -> Result<Selection, CfcmError> {
-        exact_greedy_ctx(g, k, ctx)
+        let threads = ctx.params.threads;
+        // M = L_{-S}^{-1} with `kept[c]` the node of compact index c, the
+        // compact index of the previous round's pick, and a ping-pong
+        // buffer for the rank-one removal updates (no per-round
+        // allocation beyond the first).
+        let (mut m, mut kept, mut last) = (DenseMatrix::zeros(0, 0), Vec::new(), None);
+        let mut scratch = DenseMatrix::zeros(0, 0);
+        greedy::run(
+            g,
+            k,
+            ctx,
+            // Iteration 1: argmin_u L†_uu (Eq. 4: the trace term is
+            // shared). Only the diagonal is consumed, so no full
+            // pseudoinverse is formed.
+            || {
+                let pdiag = pseudoinverse_diag(g);
+                let (first, _) = greedy::argmax(pdiag.len(), |u| -pdiag[u]);
+                Ok(IterStats::new(first as Node, f64::NAN))
+            },
+            |_, in_s, _| {
+                match last {
+                    // Forming M once is the genuine inverse consumer here:
+                    // every later round reads M's entries and maintains it
+                    // with the O(n²) rank-one removal update instead of
+                    // refactorizing.
+                    None => {
+                        let (sub, keep) = laplacian_submatrix_dense(g, in_s);
+                        m = sub
+                            .cholesky_threaded(threads)
+                            .map_err(|e| CfcmError::Numerical(format!("L_-S not SPD: {e}")))?
+                            .inverse_threaded(threads);
+                        kept = keep;
+                    }
+                    // Ground the previous round's pick.
+                    Some(c) => {
+                        let d = m.rows();
+                        scratch.reshape(d - 1, d - 1);
+                        remove_index_into(&m, c, &mut scratch);
+                        std::mem::swap(&mut m, &mut scratch);
+                        kept.remove(c);
+                    }
+                }
+                // Δ(c) = ‖M e_c‖² / M_cc — symmetric M, so row c is column c.
+                let (c, gain) = greedy::argmax(m.rows(), |c| norm2_sq(m.row(c)) / m.get(c, c));
+                last = Some(c);
+                Ok(IterStats::new(kept[c], gain))
+            },
+        )
     }
 }
 

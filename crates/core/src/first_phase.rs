@@ -12,12 +12,11 @@
 //! short). Each sampled forest yields one sample of `x_u` per node; the
 //! adaptive Bernstein rule stops when the argmin is certified.
 
-use crate::adaptive::{batch_schedule, Candidate, StopRule};
+use crate::adaptive::{diag_halfwidth, sample_until_certified};
 use crate::CfcmParams;
-use cfcc_forest::bernstein::bernstein_halfwidth;
 use cfcc_forest::estimators::{DiagMode, ElectricalAccumulator};
-use cfcc_forest::sampler::{absorb_batch, SamplerConfig};
 use cfcc_graph::{Graph, Node};
+use std::convert::Infallible;
 
 /// Outcome of the first phase.
 #[derive(Debug, Clone)]
@@ -40,62 +39,35 @@ pub fn first_phase(g: &Graph, params: &CfcmParams) -> FirstPhase {
     in_root[s as usize] = true;
 
     let mut acc = ElectricalAccumulator::new(g, &in_root, None, DiagMode::FirstPhase, None);
-    let cfg = SamplerConfig {
-        seed: params.seed ^ 0xF157,
-        threads: params.threads,
-    };
-    let cap = params.forest_cap(n, 0, g.max_degree());
-    let mut rule = StopRule::new();
-    let mut sampled = 0u64;
-    for total in batch_schedule(params.min_batch, cap) {
-        absorb_batch(g, &in_root, sampled, total - sampled, &cfg, &mut acc);
-        sampled = total;
-        // Rank by x̂ ascending; s itself scores 0 (Line 11 of Algorithm 3).
-        let xs = acc.diag_means();
-        let (best, second) = top2_min(&xs);
-        let mk = |u: Node| Candidate {
-            node: u,
-            // Negate: the stop rule is phrased for maximization.
-            score: -xs[u as usize],
-            halfwidth: bernstein_halfwidth(
-                acc.num_forests(),
-                acc.diag_variance(u),
-                acc.diag_sup(u).max(1.0),
-                params.delta_confidence,
-            ),
-        };
-        if rule.check(mk(best), second.map(mk), params.epsilon) {
-            break;
-        }
-    }
-    let xs = acc.diag_means();
-    let (best, _) = top2_min(&xs);
+    // Rank by x̂ ascending, negated because the stop rule maximizes; s
+    // itself scores 0 (Line 11 of Algorithm 3).
+    let Ok((_, chosen)) = sample_until_certified::<Infallible>(
+        g,
+        &in_root,
+        params.seed ^ 0xF157,
+        params.forest_cap(n, 0, g.max_degree()),
+        params,
+        &mut acc,
+        |acc, scores| {
+            for (u, x) in scores.iter_mut().enumerate() {
+                *x = -acc.diag_mean(u as Node);
+            }
+            Ok(())
+        },
+        |acc, u, _| diag_halfwidth(acc, u, params.delta_confidence),
+    );
     FirstPhase {
-        chosen: best,
-        estimates: xs,
+        chosen,
+        estimates: acc.diag_means(),
         forests: acc.num_forests(),
         walk_steps: acc.total_walk_steps(),
     }
 }
 
-/// Indices of the two smallest values.
-fn top2_min(xs: &[f64]) -> (Node, Option<Node>) {
-    let mut best = 0usize;
-    let mut second: Option<usize> = None;
-    for i in 1..xs.len() {
-        if xs[i] < xs[best] {
-            second = Some(best);
-            best = i;
-        } else if second.is_none_or(|s| xs[i] < xs[s]) {
-            second = Some(i);
-        }
-    }
-    (best as Node, second.map(|s| s as Node))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::top2_max;
     use cfcc_graph::generators;
     use cfcc_linalg::pinv::pseudoinverse_dense;
     use rand::rngs::StdRng;
@@ -103,6 +75,10 @@ mod tests {
 
     #[test]
     fn top2_min_basic() {
+        // The first phase ranks negated estimates: the smallest estimate
+        // wins, and of two equal ones the first index (its pick relies on
+        // it).
+        let top2_min = |xs: &[f64]| top2_max(&xs.iter().map(|x| -x).collect::<Vec<_>>());
         assert_eq!(top2_min(&[3.0, 1.0, 2.0]), (1, Some(2)));
         assert_eq!(top2_min(&[1.0]), (0, None));
         assert_eq!(top2_min(&[2.0, 2.0]), (0, Some(1)));

@@ -2,13 +2,11 @@
 //! marginal gains — the paper's first contribution.
 
 use crate::context::SolveContext;
-use crate::first_phase::first_phase;
-use crate::forest_delta::forest_delta;
-use crate::result::{IterStats, RunStats, Selection};
+use crate::result::Selection;
+use crate::schur_cfcm::forest_greedy;
 use crate::solver::{CfcmSolver, SolverKind};
 use crate::{CfcmError, CfcmParams};
 use cfcc_graph::Graph;
-use cfcc_util::Stopwatch;
 
 /// Greedy CFCM via rooted spanning-forest sampling.
 ///
@@ -16,56 +14,13 @@ use cfcc_util::Stopwatch;
 /// `1 − 1/n` (paper Theorem 3.11), in nearly-linear expected time for
 /// real-world graphs.
 ///
-/// Thin wrapper over [`forest_cfcm_ctx`] with a plain-parameter context.
+/// [`ForestSolver`] under a plain-parameter context.
 pub fn forest_cfcm(g: &Graph, k: usize, params: &CfcmParams) -> Result<Selection, CfcmError> {
-    forest_cfcm_ctx(g, k, &SolveContext::from_params(params))
+    ForestSolver.solve(g, k, &SolveContext::new(params.clone()))
 }
 
-/// Context-aware ForestCFCM: honors cancellation/deadline (returning the
-/// partial selection accumulated so far) and reports per-iteration progress.
-pub fn forest_cfcm_ctx(g: &Graph, k: usize, ctx: &SolveContext) -> Result<Selection, CfcmError> {
-    ctx.check_problem(g, k)?;
-    let params = &ctx.params;
-    let mut stats = RunStats::default();
-    let mut sw = Stopwatch::start();
-
-    // Iteration 1: argmin L†_uu by sampling (Lines 1–14).
-    let fp = first_phase(g, params);
-    let mut in_s = vec![false; g.num_nodes()];
-    in_s[fp.chosen as usize] = true;
-    let mut nodes = vec![fp.chosen];
-    let it = IterStats {
-        chosen: fp.chosen,
-        forests: fp.forests,
-        walk_steps: fp.walk_steps,
-        seconds: sw.lap().as_secs_f64(),
-        gain: f64::NAN,
-    };
-    ctx.emit(&it);
-    stats.iterations.push(it);
-
-    // Iterations 2..k: greedy argmax of Δ'(u, S) (Lines 15–18).
-    for i in 1..k {
-        if ctx.interrupted() {
-            break;
-        }
-        let est = forest_delta(g, &in_s, params, i as u64);
-        in_s[est.best as usize] = true;
-        nodes.push(est.best);
-        let it = IterStats {
-            chosen: est.best,
-            forests: est.forests,
-            walk_steps: est.walk_steps,
-            seconds: sw.lap().as_secs_f64(),
-            gain: est.deltas[est.best as usize],
-        };
-        ctx.emit(&it);
-        stats.iterations.push(it);
-    }
-    Ok(Selection { nodes, stats })
-}
-
-/// Registry entry for ForestCFCM (paper Algorithm 3).
+/// Registry entry for ForestCFCM (paper Algorithm 3): SchurCFCM's loop
+/// with an empty `T`, so every round roots its forests at `S` alone.
 pub struct ForestSolver;
 
 impl CfcmSolver for ForestSolver {
@@ -78,7 +33,7 @@ impl CfcmSolver for ForestSolver {
     }
 
     fn solve(&self, g: &Graph, k: usize, ctx: &SolveContext) -> Result<Selection, CfcmError> {
-        forest_cfcm_ctx(g, k, ctx)
+        forest_greedy(g, k, ctx, Vec::new)
     }
 }
 

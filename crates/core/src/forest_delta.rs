@@ -9,16 +9,15 @@
 //! the Neumann bound `(L_{-S}^{-1})_{uu} ≥ 1/d_u` used in Lemma 3.9's
 //! proof.
 
-use crate::adaptive::{batch_schedule, Candidate, StopRule};
+use crate::adaptive::{gain_halfwidth, sample_until_certified};
 use crate::CfcmParams;
-use cfcc_forest::bernstein::bernstein_halfwidth;
 use cfcc_forest::estimators::{DiagMode, ElectricalAccumulator};
-use cfcc_forest::sampler::{absorb_batch, SamplerConfig};
 use cfcc_graph::{Graph, Node};
 use cfcc_linalg::jl::JlSketch;
 use cfcc_linalg::vector::norm2_sq;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::convert::Infallible;
 
 /// Output of one delta-estimation round.
 #[derive(Debug, Clone)]
@@ -48,30 +47,19 @@ pub fn forest_delta(
         StdRng::seed_from_u64(params.seed ^ 0xD317A ^ iteration.wrapping_mul(0x9E37));
     let sketch = JlSketch::sample(w, n, &mut sketch_rng);
     let mut acc = ElectricalAccumulator::new(g, in_s, Some(sketch), DiagMode::Diagonal, None);
-    let cfg = SamplerConfig {
-        seed: params.seed ^ 0xDE17A ^ iteration.wrapping_mul(0x85EB),
-        threads: params.threads,
-    };
-    let dmax_s = g.max_degree_excluding(in_s);
-    let cap = params.forest_cap(n, 0, dmax_s);
-    let mut rule = StopRule::new();
-    let mut sampled = 0u64;
-    let mut deltas = vec![f64::NAN; n];
-    for total in batch_schedule(params.min_batch, cap) {
-        absorb_batch(g, in_s, sampled, total - sampled, &cfg, &mut acc);
-        sampled = total;
-        compute_deltas(g, in_s, &acc, &mut deltas);
-        let (best, second) = top2_max(&deltas);
-        let mk = |u: Node| Candidate {
-            node: u,
-            score: deltas[u as usize],
-            halfwidth: delta_halfwidth(&acc, u, deltas[u as usize], params.delta_confidence),
-        };
-        if rule.check(mk(best), second.map(mk), params.epsilon) {
-            break;
-        }
-    }
-    let (best, _) = top2_max(&deltas);
+    let Ok((deltas, best)) = sample_until_certified::<Infallible>(
+        g,
+        in_s,
+        params.seed ^ 0xDE17A ^ iteration.wrapping_mul(0x85EB),
+        params.forest_cap(n, 0, g.max_degree_excluding(in_s)),
+        params,
+        &mut acc,
+        |acc, deltas| {
+            compute_deltas(g, in_s, acc, deltas);
+            Ok(())
+        },
+        |acc, u, delta| gain_halfwidth(acc, u, delta, params.delta_confidence),
+    );
     DeltaEstimates {
         deltas,
         best,
@@ -95,56 +83,17 @@ fn compute_deltas(g: &Graph, in_s: &[bool], acc: &ElectricalAccumulator, out: &m
     }
 }
 
-/// Propagate the denominator's Bernstein half-width to the ratio:
-/// `|∂(num/z)/∂z| · h_z = Δ'/z · h_z` (first-order), with `z` at its floor
-/// if clamped.
-fn delta_halfwidth(acc: &ElectricalAccumulator, u: Node, delta: f64, confidence: f64) -> f64 {
-    let hz = bernstein_halfwidth(
-        acc.num_forests(),
-        acc.diag_variance(u),
-        acc.diag_sup(u).max(1.0),
-        confidence,
-    );
-    let z = acc.diag_mean(u).max(f64::MIN_POSITIVE);
-    delta * (hz / z).min(1.0)
-}
-
-/// Indices of the two largest finite values.
-pub(crate) fn top2_max(xs: &[f64]) -> (Node, Option<Node>) {
-    let mut best: Option<usize> = None;
-    let mut second: Option<usize> = None;
-    for (i, &x) in xs.iter().enumerate() {
-        if x.is_nan() {
-            continue;
-        }
-        match best {
-            None => best = Some(i),
-            Some(b) if x > xs[b] => {
-                second = best;
-                best = Some(i);
-            }
-            _ => {
-                if second.is_none_or(|s| x > xs[s]) {
-                    second = Some(i);
-                }
-            }
-        }
-    }
-    (
-        best.expect("at least one candidate") as Node,
-        second.map(|s| s as Node),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::top2_max;
     use crate::exact::exact_deltas;
     use cfcc_graph::generators;
     use rand::rngs::StdRng;
 
     #[test]
     fn top2_max_skips_nan() {
+        // Grounded nodes score NaN and are never ranked.
         assert_eq!(top2_max(&[f64::NAN, 2.0, 5.0, 1.0]), (2, Some(1)));
         assert_eq!(top2_max(&[f64::NAN, 1.0]), (1, None));
     }

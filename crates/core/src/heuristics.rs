@@ -5,108 +5,41 @@
 
 use crate::context::SolveContext;
 use crate::first_phase::first_phase;
-use crate::result::{IterStats, RunStats, Selection};
+use crate::greedy::ranked;
+use crate::result::Selection;
 use crate::solver::{dense_capability, Capability, CfcmSolver, SolverKind};
 use crate::{CfcmError, CfcmParams};
 use cfcc_graph::{Graph, Node};
-use cfcc_util::Stopwatch;
-
-fn selection_from(nodes: Vec<Node>, seconds: f64) -> Selection {
-    let iterations = nodes
-        .iter()
-        .map(|&u| IterStats {
-            chosen: u,
-            forests: 0,
-            walk_steps: 0,
-            seconds: seconds / nodes.len().max(1) as f64,
-            gain: f64::NAN,
-        })
-        .collect();
-    Selection {
-        nodes,
-        stats: RunStats {
-            iterations,
-            ..RunStats::default()
-        },
-    }
-}
+use cfcc_linalg::pinv::pseudoinverse_diag;
 
 /// `Degree`: the `k` highest-degree nodes.
 pub fn degree_baseline(g: &Graph, k: usize) -> Result<Selection, CfcmError> {
-    degree_baseline_ctx(g, k, &SolveContext::default())
-}
-
-/// Context-aware `Degree` (single-shot ranking; progress fires once per
-/// selected node as the finished ranking is reported).
-pub fn degree_baseline_ctx(
-    g: &Graph,
-    k: usize,
-    ctx: &SolveContext,
-) -> Result<Selection, CfcmError> {
-    ctx.check_problem(g, k)?;
-    let sw = Stopwatch::start();
-    let mut nodes = g.nodes_by_degree_desc();
-    nodes.truncate(k);
-    Ok(emit_all(ctx, selection_from(nodes, sw.seconds())))
+    DegreeSolver.solve(g, k, &SolveContext::default())
 }
 
 /// `Top-CFCC` (exact): the `k` nodes with the largest single-node CFCC,
 /// ranked by the dense `L†` diagonal — `O(n³)`, small graphs.
 pub fn top_cfcc_exact(g: &Graph, k: usize) -> Result<Selection, CfcmError> {
-    top_cfcc_exact_ctx(g, k, &SolveContext::default())
-}
-
-/// Context-aware exact `Top-CFCC`.
-pub fn top_cfcc_exact_ctx(g: &Graph, k: usize, ctx: &SolveContext) -> Result<Selection, CfcmError> {
-    ctx.check_problem(g, k)?;
-    let sw = Stopwatch::start();
-    let pdiag = cfcc_linalg::pinv::pseudoinverse_diag(g);
-    let mut order: Vec<Node> = (0..g.num_nodes() as Node).collect();
-    // C(u) decreasing ⟺ L†_uu increasing.
-    order.sort_by(|&a, &b| {
-        pdiag[a as usize]
-            .partial_cmp(&pdiag[b as usize])
-            .unwrap()
-            .then(a.cmp(&b))
-    });
-    order.truncate(k);
-    Ok(emit_all(ctx, selection_from(order, sw.seconds())))
+    TopCfccExactSolver.solve(g, k, &SolveContext::default())
 }
 
 /// `Top-CFCC` (sampled): same ranking from the forest first-phase
 /// estimates of `L†_uu` — nearly-linear, any graph size.
 pub fn top_cfcc_sampled(g: &Graph, k: usize, params: &CfcmParams) -> Result<Selection, CfcmError> {
-    top_cfcc_sampled_ctx(g, k, &SolveContext::from_params(params))
+    TopCfccSolver.solve(g, k, &SolveContext::new(params.clone()))
 }
 
-/// Context-aware sampled `Top-CFCC`.
-pub fn top_cfcc_sampled_ctx(
-    g: &Graph,
-    k: usize,
-    ctx: &SolveContext,
-) -> Result<Selection, CfcmError> {
-    ctx.check_problem(g, k)?;
-    let sw = Stopwatch::start();
-    let fp = first_phase(g, &ctx.params);
-    let mut order: Vec<Node> = (0..g.num_nodes() as Node).collect();
+/// Nodes by increasing `l_diag` (ties by id): C(u) decreasing ⟺ L†_uu
+/// increasing.
+fn by_cfcc(l_diag: &[f64]) -> Vec<Node> {
+    let mut order: Vec<Node> = (0..l_diag.len() as Node).collect();
     order.sort_by(|&a, &b| {
-        fp.estimates[a as usize]
-            .partial_cmp(&fp.estimates[b as usize])
-            .unwrap()
+        l_diag[a as usize]
+            .partial_cmp(&l_diag[b as usize])
+            .expect("L† diagonal entries are finite")
             .then(a.cmp(&b))
     });
-    order.truncate(k);
-    let mut sel = selection_from(order, sw.seconds());
-    if let Some(first) = sel.stats.iterations.first_mut() {
-        first.forests = fp.forests;
-        first.walk_steps = fp.walk_steps;
-    }
-    Ok(emit_all(ctx, sel))
-}
-
-fn emit_all(ctx: &SolveContext, sel: Selection) -> Selection {
-    ctx.emit_all(&sel.stats.iterations);
-    sel
+    order
 }
 
 /// Registry entry for the `Degree` heuristic.
@@ -122,7 +55,7 @@ impl CfcmSolver for DegreeSolver {
     }
 
     fn solve(&self, g: &Graph, k: usize, ctx: &SolveContext) -> Result<Selection, CfcmError> {
-        degree_baseline_ctx(g, k, ctx)
+        ranked(g, k, ctx, || Ok((g.nodes_by_degree_desc(), 0, 0)))
     }
 }
 
@@ -139,7 +72,10 @@ impl CfcmSolver for TopCfccSolver {
     }
 
     fn solve(&self, g: &Graph, k: usize, ctx: &SolveContext) -> Result<Selection, CfcmError> {
-        top_cfcc_sampled_ctx(g, k, ctx)
+        ranked(g, k, ctx, || {
+            let fp = first_phase(g, &ctx.params);
+            Ok((by_cfcc(&fp.estimates), fp.forests, fp.walk_steps))
+        })
     }
 }
 
@@ -160,7 +96,7 @@ impl CfcmSolver for TopCfccExactSolver {
     }
 
     fn solve(&self, g: &Graph, k: usize, ctx: &SolveContext) -> Result<Selection, CfcmError> {
-        top_cfcc_exact_ctx(g, k, ctx)
+        ranked(g, k, ctx, || Ok((by_cfcc(&pseudoinverse_diag(g)), 0, 0)))
     }
 }
 

@@ -102,6 +102,7 @@ pub mod exact;
 pub mod first_phase;
 pub mod forest_cfcm;
 pub mod forest_delta;
+pub mod greedy;
 pub mod heuristics;
 pub mod kemeny;
 pub mod optimum;

@@ -13,14 +13,14 @@
 //! instances take seconds instead of hours.
 
 use crate::context::SolveContext;
-use crate::result::{IterStats, RunStats, Selection};
+use crate::greedy::ranked;
+use crate::result::Selection;
 use crate::solver::{Capability, CfcmSolver, SolverKind};
 use crate::CfcmError;
 use cfcc_graph::{Graph, Node};
 use cfcc_linalg::dense::DenseMatrix;
 use cfcc_linalg::laplacian::laplacian_submatrix_dense;
 use cfcc_linalg::vector::norm2_sq;
-use cfcc_util::Stopwatch;
 
 /// Result of the exhaustive search.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,8 +97,8 @@ pub fn optimum_cfcm_ctx(g: &Graph, k: usize, ctx: &SolveContext) -> Result<Optim
 }
 
 /// Registry entry for the exhaustive optimum. Its [`CfcmSolver::supports`]
-/// hint encodes the practicality wall (`n ≤ 80`, `k ≤ 5`) that the CLI
-/// used to enforce with an ad-hoc guard.
+/// hint encodes the practicality wall (`n ≤ 80`, `k ≤ 5`); the optimal
+/// group is reported in ascending node order.
 pub struct OptimumSolver;
 
 /// Largest node count the exhaustive search accepts through the registry.
@@ -127,30 +127,7 @@ impl CfcmSolver for OptimumSolver {
     }
 
     fn solve(&self, g: &Graph, k: usize, ctx: &SolveContext) -> Result<Selection, CfcmError> {
-        let sw = Stopwatch::start();
-        let opt = optimum_cfcm_ctx(g, k, ctx)?;
-        let seconds = sw.seconds();
-        let per_node = seconds / opt.nodes.len().max(1) as f64;
-        let iterations: Vec<IterStats> = opt
-            .nodes
-            .iter()
-            .map(|&u| IterStats {
-                chosen: u,
-                forests: 0,
-                walk_steps: 0,
-                seconds: per_node,
-                gain: f64::NAN,
-            })
-            .collect();
-        let sel = Selection {
-            nodes: opt.nodes,
-            stats: RunStats {
-                iterations,
-                ..RunStats::default()
-            },
-        };
-        ctx.emit_all(&sel.stats.iterations);
-        Ok(sel)
+        ranked(g, k, ctx, || Ok((optimum_cfcm_ctx(g, k, ctx)?.nodes, 0, 0)))
     }
 }
 

@@ -1,7 +1,7 @@
 //! Runtime solver registry: every [`CfcmSolver`] in the crate under its
-//! canonical name plus the historical aliases the CLI used to parse by
-//! hand. Consumers (CLI, benches, serving layers) resolve solvers here
-//! instead of hard-coding per-algorithm dispatch.
+//! canonical name plus its aliases. Consumers (CLI, benches, serving
+//! layers) resolve solvers here instead of hard-coding per-algorithm
+//! dispatch.
 
 use crate::approx_greedy::ApproxSolver;
 use crate::exact::ExactSolver;

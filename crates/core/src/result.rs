@@ -25,6 +25,18 @@ pub struct IterStats {
 }
 
 impl IterStats {
+    /// An iteration that chose `chosen` at estimated gain `gain` and
+    /// sampled no forests; [`crate::greedy::run`] fills in `seconds`.
+    pub fn new(chosen: Node, gain: f64) -> Self {
+        Self {
+            chosen,
+            forests: 0,
+            walk_steps: 0,
+            seconds: 0.0,
+            gain,
+        }
+    }
+
     /// JSON object (`gain` is `null` in the first iteration, where it is
     /// NaN by construction).
     pub fn to_json(&self) -> String {

@@ -2,17 +2,19 @@
 //! `T` — the paper's flagship algorithm, faster and more accurate than
 //! ForestCFCM because (i) Wilson walks absorb sooner on `S ∪ T` and
 //! (ii) `L_{-S∪T}^{-1}` is more diagonally dominant than `L_{-S}^{-1}`.
+//! Algorithms 3 and 5 differ only in `T`, so ForestCFCM runs this
+//! module's loop with an empty `T`.
 
 use crate::context::SolveContext;
 use crate::first_phase::first_phase;
 use crate::forest_delta::forest_delta;
+use crate::greedy;
 use crate::params::{t_star, top_degree_nodes};
-use crate::result::{IterStats, RunStats, Selection};
+use crate::result::{IterStats, Selection};
 use crate::schur_delta::schur_delta_ws;
 use crate::solver::{CfcmSolver, SolverKind};
 use crate::{CfcmError, CfcmParams};
 use cfcc_graph::{Graph, Node};
-use cfcc_util::Stopwatch;
 
 /// Greedy CFCM via forest sampling plus Schur complement.
 ///
@@ -21,81 +23,58 @@ use cfcc_util::Stopwatch;
 /// the auxiliary root set. Falls back to plain ForestDelta if `T ∖ S_i`
 /// ever empties (only possible for tiny `c`).
 ///
-/// Thin wrapper over [`schur_cfcm_ctx`] with a plain-parameter context.
+/// [`SchurSolver`] under a plain-parameter context.
 pub fn schur_cfcm(g: &Graph, k: usize, params: &CfcmParams) -> Result<Selection, CfcmError> {
-    schur_cfcm_ctx(g, k, &SolveContext::from_params(params))
+    SchurSolver.solve(g, k, &SolveContext::new(params.clone()))
 }
 
-/// Context-aware SchurCFCM: honors cancellation/deadline (returning the
-/// partial selection accumulated so far) and reports per-iteration progress.
-pub fn schur_cfcm_ctx(g: &Graph, k: usize, ctx: &SolveContext) -> Result<Selection, CfcmError> {
-    ctx.check_problem(g, k)?;
+/// The greedy loop of Algorithms 3 and 5 over the pool `T = t_pool()`,
+/// built once the problem is validated. The first pick is the sampled
+/// first phase (Lines 2–15; the paper omits the Schur machinery there
+/// for ease of implementation). Each later round estimates the gains with
+/// SchurDelta rooted at `S ∪ (T ∖ S)`, or with ForestDelta rooted at `S`
+/// once `T ∖ S` is empty.
+pub(crate) fn forest_greedy(
+    g: &Graph,
+    k: usize,
+    ctx: &SolveContext,
+    t_pool: impl Fn() -> Vec<Node>,
+) -> Result<Selection, CfcmError> {
     let params = &ctx.params;
-    let mut stats = RunStats::default();
-    let mut sw = Stopwatch::start();
-
-    let c = params.schur_c.unwrap_or_else(|| t_star(g)).max(1);
-    let t_pool = top_degree_nodes(g, c.min(g.num_nodes() - 1));
-    // The run's persistent workspace: SchurDelta's |T| × w round buffers
-    // are reused across every greedy iteration below.
-    let mut ws = ctx.workspace();
-    ws.begin_run();
-
-    // First iteration: identical to ForestCFCM (Lines 2–15; the paper omits
-    // the Schur machinery here for ease of implementation).
-    let fp = first_phase(g, params);
-    let mut in_s = vec![false; g.num_nodes()];
-    in_s[fp.chosen as usize] = true;
-    let mut nodes = vec![fp.chosen];
-    let it = IterStats {
-        chosen: fp.chosen,
-        forests: fp.forests,
-        walk_steps: fp.walk_steps,
-        seconds: sw.lap().as_secs_f64(),
-        gain: f64::NAN,
-    };
-    ctx.emit(&it);
-    stats.iterations.push(it);
-
-    for i in 1..k {
-        if ctx.interrupted() {
-            break;
-        }
-        let t_nodes: Vec<Node> = t_pool
-            .iter()
-            .copied()
-            .filter(|&t| !in_s[t as usize])
-            .collect();
-        let (best, forests, walk_steps, gain) = if t_nodes.is_empty() {
-            let est = forest_delta(g, &in_s, params, i as u64);
-            (
-                est.best,
-                est.forests,
-                est.walk_steps,
-                est.deltas[est.best as usize],
-            )
-        } else {
-            let est = schur_delta_ws(g, &in_s, &t_nodes, params, i as u64, &mut ws)?;
-            (
-                est.best,
-                est.forests,
-                est.walk_steps,
-                est.deltas[est.best as usize],
-            )
-        };
-        in_s[best as usize] = true;
-        nodes.push(best);
-        let it = IterStats {
-            chosen: best,
-            forests,
-            walk_steps,
-            seconds: sw.lap().as_secs_f64(),
-            gain,
-        };
-        ctx.emit(&it);
-        stats.iterations.push(it);
-    }
-    Ok(Selection { nodes, stats })
+    let mut pool = None;
+    greedy::run(
+        g,
+        k,
+        ctx,
+        || {
+            let fp = first_phase(g, params);
+            Ok(IterStats {
+                forests: fp.forests,
+                walk_steps: fp.walk_steps,
+                ..IterStats::new(fp.chosen, f64::NAN)
+            })
+        },
+        |i, in_s, ws| {
+            let pool = pool.get_or_insert_with(&t_pool);
+            let t_nodes: Vec<Node> = pool
+                .iter()
+                .copied()
+                .filter(|&t| !in_s[t as usize])
+                .collect();
+            let (best, deltas, forests, walk_steps) = if t_nodes.is_empty() {
+                let est = forest_delta(g, in_s, params, i as u64);
+                (est.best, est.deltas, est.forests, est.walk_steps)
+            } else {
+                let est = schur_delta_ws(g, in_s, &t_nodes, params, i as u64, ws)?;
+                (est.best, est.deltas, est.forests, est.walk_steps)
+            };
+            Ok(IterStats {
+                forests,
+                walk_steps,
+                ..IterStats::new(best, deltas[best as usize])
+            })
+        },
+    )
 }
 
 /// Registry entry for SchurCFCM (paper Algorithm 5, the flagship).
@@ -111,7 +90,10 @@ impl CfcmSolver for SchurSolver {
     }
 
     fn solve(&self, g: &Graph, k: usize, ctx: &SolveContext) -> Result<Selection, CfcmError> {
-        schur_cfcm_ctx(g, k, ctx)
+        forest_greedy(g, k, ctx, || {
+            let c = ctx.params.schur_c.unwrap_or_else(|| t_star(g)).max(1);
+            top_degree_nodes(g, c.min(g.num_nodes() - 1))
+        })
     }
 }
 
@@ -219,19 +201,11 @@ mod tests {
             crate::result::assert_same_run(&a, &run(threads), &format!("threads={threads}"));
         }
         // The dense exact path takes its thread count through the context.
-        use crate::context::SolveContext;
-        let e1 = crate::exact::exact_greedy_ctx(
-            &g,
-            4,
-            &SolveContext::new(CfcmParams::default().threads(1)),
-        )
-        .unwrap();
-        let e4 = crate::exact::exact_greedy_ctx(
-            &g,
-            4,
-            &SolveContext::new(CfcmParams::default().threads(4)),
-        )
-        .unwrap();
+        let exact = |threads| {
+            let ctx = SolveContext::new(CfcmParams::default().threads(threads));
+            crate::exact::ExactSolver.solve(&g, 4, &ctx).unwrap()
+        };
+        let (e1, e4) = (exact(1), exact(4));
         assert_eq!(e1.nodes, e4.nodes);
         for (ia, ib) in e1.stats.iterations.iter().zip(&e4.stats.iterations) {
             assert!(

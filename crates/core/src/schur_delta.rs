@@ -14,15 +14,12 @@
 //! the rooted probabilities `F̃`, and, through Eq. (15), the estimated
 //! `Σ̃` — inverted densely since `|T| ≪ n`.
 
-use crate::adaptive::{batch_schedule, Candidate, StopRule};
+use crate::adaptive::{gain_halfwidth, sample_until_certified};
 use crate::engine::{GreedyWorkspace, SchurScratch};
-use crate::forest_delta::top2_max;
 use crate::schur::{estimated_schur, invert_estimated_schur};
 use crate::{CfcmError, CfcmParams};
-use cfcc_forest::bernstein::bernstein_halfwidth;
 use cfcc_forest::estimators::{DiagMode, ElectricalAccumulator};
 use cfcc_forest::rooted::RootIndex;
-use cfcc_forest::sampler::{absorb_batch, SamplerConfig};
 use cfcc_graph::{Graph, Node};
 use cfcc_linalg::jl::JlSketch;
 use cfcc_linalg::vector::{dot, norm2_sq};
@@ -97,59 +94,43 @@ pub fn schur_delta_ws(
     let index = Arc::new(RootIndex::new(n, t_nodes));
     let mut acc =
         ElectricalAccumulator::new(g, &in_root, Some(sketch_w), DiagMode::Diagonal, Some(index));
-    let cfg = SamplerConfig {
-        seed: params.seed ^ 0x5DE17 ^ iteration.wrapping_mul(0x85EB),
-        threads: params.threads,
-    };
-    let dmax = g.max_degree_excluding(&in_root);
-    let cap = params.forest_cap(n, 0, dmax);
-    let mut rule = StopRule::new();
-    let mut sampled = 0u64;
-    let mut deltas = vec![f64::NAN; n];
-    let mut last_ridge = 0.0f64;
-    for total in batch_schedule(params.min_batch, cap) {
-        absorb_batch(g, &in_root, sampled, total - sampled, &cfg, &mut acc);
-        sampled = total;
-        last_ridge = compute_schur_deltas(
-            g,
-            in_s,
-            t_nodes,
-            &acc,
-            &sketch_q,
-            params.threads,
-            &mut ws.schur,
-            &mut deltas,
-        )?;
-        let (best, second) = top2_max(&deltas);
-        let mk = |u: Node| Candidate {
-            node: u,
-            score: deltas[u as usize],
-            halfwidth: if in_root[u as usize] {
-                // t ∈ T: denominator comes from Σ̃^{-1}, treated via the
-                // stability criterion only.
+    let mut ridge = 0.0f64;
+    let (deltas, best) = sample_until_certified::<CfcmError>(
+        g,
+        &in_root,
+        params.seed ^ 0x5DE17 ^ iteration.wrapping_mul(0x85EB),
+        params.forest_cap(n, 0, g.max_degree_excluding(&in_root)),
+        params,
+        &mut acc,
+        |acc, deltas| {
+            ridge = compute_schur_deltas(
+                g,
+                in_s,
+                t_nodes,
+                acc,
+                &sketch_q,
+                params.threads,
+                &mut ws.schur,
+                deltas,
+            )?;
+            Ok(())
+        },
+        // t ∈ T: the denominator comes from Σ̃^{-1}, treated via the
+        // stability criterion only.
+        |acc, u, delta| {
+            if in_root[u as usize] {
                 0.0
             } else {
-                let hz = bernstein_halfwidth(
-                    acc.num_forests(),
-                    acc.diag_variance(u),
-                    acc.diag_sup(u).max(1.0),
-                    params.delta_confidence,
-                );
-                let z = acc.diag_mean(u).max(f64::MIN_POSITIVE);
-                deltas[u as usize] * (hz / z).min(1.0)
-            },
-        };
-        if rule.check(mk(best), second.map(mk), params.epsilon) {
-            break;
-        }
-    }
-    let (best, _) = top2_max(&deltas);
+                gain_halfwidth(acc, u, delta, params.delta_confidence)
+            }
+        },
+    )?;
     Ok(SchurDeltaEstimates {
         deltas,
         best,
         forests: acc.num_forests(),
         walk_steps: acc.total_walk_steps(),
-        ridge: last_ridge,
+        ridge,
     })
 }
 

@@ -6,17 +6,16 @@
 //!
 //! # Adding a new solver
 //!
-//! 1. Implement the algorithm as a context-aware function
-//!    `fn my_algo_ctx(g: &Graph, k: usize, ctx: &SolveContext) ->
-//!    Result<Selection, CfcmError>` in its own module. Call
-//!    [`SolveContext::check_problem`] first, poll
-//!    [`SolveContext::interrupted`] between greedy iterations (returning the
-//!    partial selection when it fires), and report each iteration through
-//!    [`SolveContext::emit`].
-//! 2. Add a unit struct in the same module and implement [`CfcmSolver`] for
+//! 1. Add a unit struct in its own module and implement [`CfcmSolver`] for
 //!    it: a stable [`CfcmSolver::name`], its [`SolverKind`], and — when the
 //!    algorithm has hard practicality limits — a [`CfcmSolver::supports`]
 //!    override returning [`Capability::Unsupported`] with a reason.
+//! 2. Write [`CfcmSolver::solve`] as a call of [`crate::greedy::run`] with
+//!    two picks: the first, and a round that picks given the mask of `S`.
+//!    `run` validates the problem, times and reports every pick,
+//!    stops between picks on a cancel or deadline, and drops a pick that
+//!    fails with [`CfcmError::Interrupted`]. A solver that ranks all nodes
+//!    at once calls [`crate::greedy::ranked`] instead.
 //! 3. Register the struct in [`crate::registry`]'s `SOLVERS` table (plus
 //!    any aliases). Registry tests assert that every registered solver
 //!    resolves and solves; nothing else is required.
@@ -101,9 +100,11 @@ pub trait CfcmSolver: Send + Sync {
         Capability::Supported
     }
 
-    /// Solve the CFCM instance under the given context: validate through
-    /// [`SolveContext::check_problem`], honor cancellation/deadline, and
-    /// report per-iteration progress.
+    /// Solve the CFCM instance under the given context. Implementations
+    /// run through [`crate::greedy::run`] or [`crate::greedy::ranked`],
+    /// which validate through [`SolveContext::check_problem`] and report
+    /// every pick through [`SolveContext::emit`]; `run` also returns the
+    /// partial selection when the run is cancelled or its deadline passes.
     fn solve(&self, g: &Graph, k: usize, ctx: &SolveContext) -> Result<Selection, CfcmError>;
 }
 

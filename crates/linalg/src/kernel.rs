@@ -32,7 +32,7 @@
 //!   never on scheduling. Workers are spawned once and parked between
 //!   calls — there is **no per-call thread spawn** anywhere in the GEMM /
 //!   SYRK hot path.
-//! * **Small-case bypass**: problems under [`SMALL_FLOPS`] flops skip the
+//! * **Small-case bypass**: problems under `SMALL_FLOPS` flops skip the
 //!   packing machinery entirely — tests and `|T| × |T|` Schur blocks stay
 //!   allocation-free.
 //!

@@ -80,8 +80,8 @@ fn uniform_validation_rejects_bad_inputs_for_every_solver() {
             "{} must reject k=0",
             solver.name()
         );
-        // Historically only the Monte-Carlo solvers validated parameters;
-        // the SolveContext entry point now rejects them uniformly.
+        // `greedy::run` and `greedy::ranked` validate parameters for
+        // every solver.
         assert!(
             matches!(
                 solver.solve(&g, 2, &bad_eps),
@@ -190,18 +190,22 @@ fn cancellation_stops_a_long_forest_run_early_with_stats_intact() {
 #[test]
 fn deadline_yields_partial_selection() {
     let g = karate();
-    // An already-elapsed deadline: the first iteration still completes
-    // (cooperative checks sit at iteration boundaries), the rest are
-    // skipped.
-    let sel = SolveSession::new(&g)
-        .k(5)
-        .solver("schur")
-        .epsilon(0.3)
-        .deadline(Instant::now() - Duration::from_millis(1))
-        .run()
-        .unwrap();
-    assert_eq!(sel.nodes.len(), 1);
-    assert_eq!(sel.stats.iterations.len(), 1);
+    // An already-elapsed deadline: the first pick still completes
+    // (cooperative checks sit at pick boundaries), the rest are skipped.
+    // ApproxGreedy's first pick runs stoppable solves, which stop at
+    // once; `greedy::run` drops that pick instead of ranking by whatever
+    // probes finished, so the run ends with no selection.
+    for (solver, picks) in [("schur", 1), ("forest", 1), ("exact", 1), ("approx", 0)] {
+        let sel = SolveSession::new(&g)
+            .k(5)
+            .solver(solver)
+            .epsilon(0.3)
+            .deadline(Instant::now() - Duration::from_millis(1))
+            .run()
+            .unwrap();
+        assert_eq!(sel.nodes.len(), picks, "{solver}");
+        assert_eq!(sel.stats.iterations.len(), picks, "{solver}");
+    }
 }
 
 #[test]
