@@ -94,6 +94,11 @@ impl StopRule {
 /// score from `acc` (bigger is better; `NaN` marks a non-candidate) and
 /// `halfwidth(acc, u, score)` bounds a candidate's error. Returns the last
 /// scores and their argmax; only a failing `score` fails the sampling.
+///
+/// An `acc` that already holds forests (SchurDelta's pool, see
+/// [`crate::schur_delta`]) is scored at its current count first; the
+/// schedule and the stream's global forest index continue from there, so
+/// a pool already at `cap` samples nothing.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sample_until_certified<E>(
     g: &Graph,
@@ -111,8 +116,12 @@ pub(crate) fn sample_until_certified<E>(
     };
     let mut rule = StopRule::new();
     let mut scores = vec![f64::NAN; g.num_nodes()];
-    let mut sampled = 0;
-    for total in batch_schedule(params.min_batch, cap) {
+    let start = acc.num_forests();
+    let schedule = batch_schedule(params.min_batch, cap)
+        .into_iter()
+        .filter(|&total| total > start);
+    let mut sampled = start;
+    for total in (start > 0).then_some(start).into_iter().chain(schedule) {
         absorb_batch(g, in_root, sampled, total - sampled, &cfg, acc);
         sampled = total;
         score(acc, &mut scores)?;

@@ -8,7 +8,7 @@
 //! *sequence* of nearly identical iterations: `L_{-S}` and `L_{-S∪{v}}`
 //! differ by one grounded node. Treating every round as a cold universe
 //! throws that structure away. [`GreedyWorkspace`] — owned by
-//! [`crate::SolveContext`], one per run — keeps three things alive across
+//! [`crate::SolveContext`], one per run — keeps four things alive across
 //! iterations:
 //!
 //! * **Persistent sketches.** The JL sketch `W` and the sketched
@@ -34,6 +34,20 @@
 //!   from converged, cutting the Krylov iteration count of rounds `3..k`
 //!   sharply (`tests/engine.rs` asserts fewer total PCG iterations than
 //!   a cold run).
+//! * **SchurDelta's forest pool.** When a SchurCFCM round picks a node
+//!   of `T`, the next round's root set `S ∪ T` is the same set, and the
+//!   forests sampled for it stay valid (Lemma 4.2, Eq. 11): the `L_UU^{-1}`
+//!   estimators and `F̃` do not change, and the new `Σ` is the old one
+//!   without the picked root's row and column. The workspace keeps one
+//!   pool of forests per root set (see [`crate::schur_delta`]); the next
+//!   round drops the picked root's column and keeps sampling the same
+//!   stream instead of starting over. As with the persistent sketches,
+//!   rounds that share a pool are not statistically independent: later
+//!   rounds read the samples that chose the earlier picks, so one unlucky
+//!   batch of forests can steer several picks rather than one. A pool
+//!   holds at most [`CfcmParams::forest_cap`] forests, only one pool
+//!   exists at a time, and it never outlives the run: `begin_run` and the
+//!   end of [`crate::greedy::run`] drop it.
 //! * **Round scratch.** The chunked RHS/solution buffers and SchurDelta's
 //!   dense round buffers are reused across iterations instead of being
 //!   reallocated.
@@ -43,6 +57,7 @@
 //! [`crate::RunStats::solve`] carries the totals into reports and the
 //! regression tests.
 
+use crate::schur_delta::ForestPool;
 use crate::{CfcmError, CfcmParams};
 use cfcc_graph::{Graph, Node};
 use cfcc_linalg::jl::JlSketch;
@@ -139,6 +154,8 @@ pub struct GreedyWorkspace {
     x_chunk: DenseMatrix,
     /// SchurDelta round buffers.
     pub(crate) schur: SchurScratch,
+    /// SchurDelta's forests for the current root set `S ∪ T`, if any.
+    pub(crate) forest_pool: Option<ForestPool>,
     /// Aggregated solver work across every factor this run touched.
     solve: SolveStats,
 }
@@ -149,15 +166,23 @@ impl GreedyWorkspace {
         Self::default()
     }
 
-    /// Start a new run: drop warm-start state from any previous run and
-    /// reset the aggregated solver stats. Sketches are **kept** — they are
-    /// validated against the graph by fingerprint in
-    /// [`GreedyWorkspace::ensure_sketch`], so a workspace recycled across
-    /// requests (see [`crate::SolveSession::run_reusing`]) skips the
-    /// per-run resample instead of re-sketching every time.
+    /// Start a new run: drop warm-start state and SchurDelta's forest pool
+    /// from any previous run and reset the aggregated solver stats.
+    /// Sketches are **kept** — they are validated against the graph by
+    /// fingerprint in [`GreedyWorkspace::ensure_sketch`], so a workspace
+    /// recycled across requests (see [`crate::SolveSession::run_reusing`])
+    /// skips the per-run resample instead of re-sketching every time.
     pub fn begin_run(&mut self) {
         self.prev_kept.clear();
+        self.forest_pool = None;
         self.solve = SolveStats::default();
+    }
+
+    /// Forests in SchurDelta's pool (0 when there is none, as after every
+    /// run) — lets reuse tests observe that a recycled workspace carries
+    /// no forests from one run into the next.
+    pub fn pooled_forests(&self) -> u64 {
+        self.forest_pool.as_ref().map_or(0, ForestPool::forests)
     }
 
     /// Times the sketches have been (re)sampled over this workspace's

@@ -40,10 +40,11 @@ pub fn run(
     let mut stats = RunStats::default();
     let mut sw = Stopwatch::start();
     let mut pick = first();
-    loop {
+    let done = loop {
         let mut it = match pick {
-            Err(CfcmError::Interrupted(_)) => break,
-            p => p?,
+            Ok(it) => it,
+            Err(CfcmError::Interrupted(_)) => break Ok(()),
+            Err(e) => break Err(e),
         };
         it.seconds = sw.lap().as_secs_f64();
         in_s[it.chosen as usize] = true;
@@ -51,10 +52,14 @@ pub fn run(
         ctx.emit(&it);
         stats.iterations.push(it);
         if nodes.len() == k || ctx.interrupted() {
-            break;
+            break Ok(());
         }
         pick = round(nodes.len(), &in_s, &mut ws);
-    }
+    };
+    // SchurDelta's forests belong to this run: a recycled workspace must
+    // neither hold them nor feed them to the next run.
+    ws.forest_pool = None;
+    done?;
     stats.solve = ws.solve_stats();
     Ok(Selection { nodes, stats })
 }

@@ -26,7 +26,9 @@ pub struct CfcmParams {
     pub jl_width: Option<usize>,
     /// First batch size of the doubling schedule.
     pub min_batch: u64,
-    /// Practical ceiling on forests per greedy iteration.
+    /// Practical ceiling on the forests behind one greedy iteration's
+    /// estimates. SchurCFCM rounds that share a root set `S ∪ T` share one
+    /// pool of forests, and the ceiling bounds the pool.
     pub max_forests: u64,
     /// Confidence δ for the empirical-Bernstein stop.
     pub delta_confidence: f64,
@@ -115,7 +117,9 @@ impl CfcmParams {
         }
     }
 
-    /// Effective forest cap for one greedy iteration.
+    /// Effective forest cap for one greedy iteration's estimates: the
+    /// forests one phase samples, or SchurDelta's pool for one root set
+    /// `S ∪ T`, which the rounds sharing that root set fill together.
     ///
     /// `tau` and `dmax_s` feed the Lemma 3.9 bound in theoretical mode.
     pub fn forest_cap(&self, n: usize, tau: u32, dmax_s: usize) -> u64 {

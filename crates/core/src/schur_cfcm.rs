@@ -4,6 +4,14 @@
 //! (ii) `L_{-S∪T}^{-1}` is more diagonally dominant than `L_{-S}^{-1}`.
 //! Algorithms 3 and 5 differ only in `T`, so ForestCFCM runs this
 //! module's loop with an empty `T`.
+//!
+//! A round that picks a node of `T` leaves the next round's root set
+//! `S ∪ (T ∖ S)` unchanged, so that round continues the forests already
+//! sampled for it (SchurDelta's forest pool in the run's workspace, see
+//! [`crate::schur_delta`]) instead of sampling from scratch. On the hep-th
+//! proxy most rounds pick from `T`, and this cuts the forests a run
+//! samples by about a third. A run in which no pick lands in `T` samples
+//! exactly what it would without the pool.
 
 use crate::context::SolveContext;
 use crate::first_phase::first_phase;
@@ -34,6 +42,12 @@ pub fn schur_cfcm(g: &Graph, k: usize, params: &CfcmParams) -> Result<Selection,
 /// for ease of implementation). Each later round estimates the gains with
 /// SchurDelta rooted at `S ∪ (T ∖ S)`, or with ForestDelta rooted at `S`
 /// once `T ∖ S` is empty.
+///
+/// A round that picks from `T` leaves the root set `S ∪ (T ∖ S)` as it
+/// was, so the next round continues SchurDelta's forest pool in the
+/// workspace instead of sampling from scratch (see
+/// [`crate::schur_delta`]). Each round reports the forests it sampled,
+/// which is 0 when the pool was already at the cap.
 pub(crate) fn forest_greedy(
     g: &Graph,
     k: usize,
@@ -62,11 +76,13 @@ pub(crate) fn forest_greedy(
                 .filter(|&t| !in_s[t as usize])
                 .collect();
             let (best, deltas, forests, walk_steps) = if t_nodes.is_empty() {
+                // No later round has a `T` again: the forest pool is dead.
+                ws.forest_pool = None;
                 let est = forest_delta(g, in_s, params, i as u64);
                 (est.best, est.deltas, est.forests, est.walk_steps)
             } else {
                 let est = schur_delta_ws(g, in_s, &t_nodes, params, i as u64, ws)?;
-                (est.best, est.deltas, est.forests, est.walk_steps)
+                (est.best, est.deltas, est.sampled, est.walk_steps)
             };
             Ok(IterStats {
                 forests,
@@ -105,6 +121,14 @@ mod tests {
     use cfcc_graph::generators;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Whether some SchurDelta round `i` picked from `T` and round `i + 1`
+    /// still had a `T ∖ S`, i.e. continued round `i`'s forest pool.
+    fn reuses_forest_pool(g: &Graph, sel: &Selection) -> bool {
+        let t = top_degree_nodes(g, t_star(g).max(1));
+        let s = &sel.nodes;
+        (1..s.len() - 1).any(|i| t.contains(&s[i]) && t.iter().any(|u| !s[..=i].contains(u)))
+    }
 
     #[test]
     fn validates_inputs() {
@@ -184,6 +208,29 @@ mod tests {
     }
 
     #[test]
+    fn recycled_workspace_neither_keeps_nor_reuses_forests() {
+        // The same case as the thread-count test: a round continues the
+        // forest pool. Two runs on one recycled workspace each match a
+        // fresh run, and neither leaves forests behind.
+        let mut rng = StdRng::seed_from_u64(33);
+        let g = generators::barabasi_albert(60, 3, &mut rng);
+        let p = CfcmParams::with_epsilon(0.25).seed(11);
+        let fresh = schur_cfcm(&g, 4, &p).unwrap();
+        assert!(reuses_forest_pool(&g, &fresh));
+        let mut ws = crate::engine::GreedyWorkspace::new();
+        for run in 0..2 {
+            let sel = crate::SolveSession::new(&g)
+                .k(4)
+                .solver("schur")
+                .params(p.clone())
+                .run_reusing(&mut ws)
+                .unwrap();
+            crate::result::assert_same_run(&fresh, &sel, &format!("recycled run {run}"));
+            assert_eq!(ws.pooled_forests(), 0, "run {run} left forests behind");
+        }
+    }
+
+    #[test]
     fn selections_bit_identical_across_thread_counts() {
         // Thread count must never change what a run computes. The sampler
         // merges exact integer sums and the dense kernels' row-panel split
@@ -197,6 +244,10 @@ mod tests {
             schur_cfcm(&g, 4, &p).unwrap()
         };
         let a = run(1);
+        assert!(
+            reuses_forest_pool(&g, &a),
+            "the case must continue a forest pool"
+        );
         for threads in [2, 4] {
             crate::result::assert_same_run(&a, &run(threads), &format!("threads={threads}"));
         }

@@ -13,6 +13,21 @@
 //! as ForestDelta, but with much shorter walks — the paper's speed-up),
 //! the rooted probabilities `F̃`, and, through Eq. (15), the estimated
 //! `Σ̃` — inverted densely since `|T| ≪ n`.
+//!
+//! # Forest pool
+//!
+//! The forests depend on the root set `S ∪ T` only. When a SchurCFCM round
+//! picks `t ∈ T`, the next round has `S' = S ∪ {t}` and `T' = T ∖ {t}`, so
+//! `S' ∪ T'` is the same set and the old forests stay valid for it: the
+//! `L_UU^{-1}` estimators and `F̃` do not change, and `Σ'` is `Σ` without
+//! `t`'s row and column. [`schur_delta_ws`] therefore keeps its forests in
+//! the run's [`GreedyWorkspace`], one pool per root set: the accumulator
+//! (with its sketch `W` and rooted counts), the sketch `Q`, and the
+//! sampler seed of the round that started the pool. A round with the same
+//! root set drops the picked roots' columns from the rooted counts and
+//! from `Q`, scores the pool as it is, and continues the doubling schedule
+//! and the sampler's forest stream from there, up to the same cap. A new
+//! root set starts a new pool, exactly as a round without a pool would.
 
 use crate::adaptive::{gain_halfwidth, sample_until_certified};
 use crate::engine::{GreedyWorkspace, SchurScratch};
@@ -34,19 +49,116 @@ pub struct SchurDeltaEstimates {
     pub deltas: Vec<f64>,
     /// Argmax node.
     pub best: Node,
-    /// Forests sampled.
+    /// Forests the estimates average over: the pool's size, never 0.
     pub forests: u64,
-    /// Random-walk steps performed.
+    /// Forests this call sampled into the pool (0 when the pool was
+    /// already at the cap).
+    pub sampled: u64,
+    /// Random-walk steps of the forests this call sampled.
     pub walk_steps: u64,
     /// Ridge added to the estimated Schur complement (0 in the common case).
     pub ridge: f64,
 }
 
+/// SchurDelta's forests for one root set `S ∪ T`, held by the run's
+/// [`GreedyWorkspace`] and continued by every round that shares the root
+/// set (see the module docs).
+pub(crate) struct ForestPool {
+    /// `CfcmParams::seed` of the round that started the pool.
+    params_seed: u64,
+    /// The sampler seed of the pool's forest stream.
+    seed: u64,
+    /// The forests, with the sketch `W` and the rooted counts of the
+    /// current `T`.
+    acc: ElectricalAccumulator,
+    /// The sketch `Q` over the current `T`.
+    sketch_q: JlSketch,
+}
+
+impl ForestPool {
+    /// An empty pool for the round `iteration`: the sketches and the
+    /// sampler seed are the ones a round without a pool would draw.
+    fn new(
+        g: &Graph,
+        in_root: &[bool],
+        t_nodes: &[Node],
+        params: &CfcmParams,
+        iteration: u64,
+    ) -> Self {
+        let (n, w) = (g.num_nodes(), params.width(g.num_nodes()));
+        let mut sketch_rng =
+            StdRng::seed_from_u64(params.seed ^ 0x5C47A ^ iteration.wrapping_mul(0x9E37));
+        let sketch_w = JlSketch::sample(w, n, &mut sketch_rng);
+        let sketch_q = JlSketch::sample(w, t_nodes.len(), &mut sketch_rng);
+        let index = Arc::new(RootIndex::new(n, t_nodes));
+        Self {
+            params_seed: params.seed,
+            seed: params.seed ^ 0x5DE17 ^ iteration.wrapping_mul(0x85EB),
+            acc: ElectricalAccumulator::new(
+                g,
+                in_root,
+                Some(sketch_w),
+                DiagMode::Diagonal,
+                Some(index),
+            ),
+            sketch_q,
+        }
+    }
+
+    /// Forests in the pool.
+    pub(crate) fn forests(&self) -> u64 {
+        self.acc.num_forests()
+    }
+
+    /// The roots whose columns the pool tracks, in column order.
+    fn tracked(&self) -> &[Node] {
+        self.acc
+            .rooted()
+            .expect("rooted tracking enabled")
+            .index()
+            .nodes()
+    }
+
+    /// Whether a round rooted at `in_root = S ∪ T` can continue this pool:
+    /// the same root set, seed and width, and a `T` that is the tracked
+    /// roots outside `S`, in order.
+    fn continues(
+        &self,
+        in_s: &[bool],
+        t_nodes: &[Node],
+        in_root: &[bool],
+        params: &CfcmParams,
+    ) -> bool {
+        self.params_seed == params.seed
+            && self.acc.width() == params.width(in_root.len())
+            && self.acc.in_root() == in_root
+            && self
+                .tracked()
+                .iter()
+                .filter(|&&t| !in_s[t as usize])
+                .eq(t_nodes)
+    }
+
+    /// Drop the tracked roots that joined `S` from the rooted counts and
+    /// from `Q`.
+    fn untrack_picked(&mut self, in_s: &[bool]) {
+        let tracked = self.tracked();
+        let (picked, keep): (Vec<usize>, Vec<usize>) =
+            (0..tracked.len()).partition(|&i| in_s[tracked[i] as usize]);
+        if picked.is_empty() {
+            return;
+        }
+        let picked: Vec<Node> = picked.iter().map(|&i| tracked[i]).collect();
+        self.sketch_q = self.sketch_q.columns(&keep);
+        self.acc.untrack_roots(&picked);
+    }
+}
+
 /// Estimate marginal gains with the auxiliary root set `T` (Algorithm 4),
 /// with a fresh (throwaway) workspace. Greedy loops should prefer
 /// [`schur_delta_ws`] with the run's persistent
-/// [`crate::engine::GreedyWorkspace`] so the dense round buffers are
-/// reused across iterations instead of reallocated.
+/// [`crate::engine::GreedyWorkspace`], which reuses the dense round
+/// buffers and continues the forest pool across iterations.
 pub fn schur_delta(
     g: &Graph,
     in_s: &[bool],
@@ -60,7 +172,13 @@ pub fn schur_delta(
 
 /// [`schur_delta`] against the run's persistent workspace: the
 /// `|T| × w` round buffers live in `ws` and are re-shaped (never
-/// reallocated while shrinking) across greedy iterations.
+/// reallocated while shrinking) across greedy iterations, and the forests
+/// live in `ws`'s pool. A call whose root set `S ∪ T`, seed and sketch
+/// width match the pool's continues it (see the module docs); any other
+/// call drops the pool and starts a new one from this `iteration`'s
+/// seeds, so it computes what [`schur_delta`] computes. A pool is meant
+/// for one run on one graph: call [`GreedyWorkspace::begin_run`] before
+/// reusing `ws` elsewhere.
 ///
 /// `in_s` marks `S`; `t_nodes` must be disjoint from `S` and non-empty.
 pub fn schur_delta_ws(
@@ -82,33 +200,39 @@ pub fn schur_delta_ws(
         in_root[t as usize] = true;
     }
 
-    let w = params.width(n);
-    let mut sketch_rng =
-        StdRng::seed_from_u64(params.seed ^ 0x5C47A ^ iteration.wrapping_mul(0x9E37));
-    let sketch_w = JlSketch::sample(w, n, &mut sketch_rng);
-    let sketch_q = JlSketch::sample(w, t_nodes.len(), &mut sketch_rng);
+    if !ws
+        .forest_pool
+        .as_ref()
+        .is_some_and(|pool| pool.continues(in_s, t_nodes, &in_root, params))
+    {
+        // Drop the old pool before building the next: only one is alive.
+        ws.forest_pool = None;
+    }
+    let pool = ws
+        .forest_pool
+        .get_or_insert_with(|| ForestPool::new(g, &in_root, t_nodes, params, iteration));
+    pool.untrack_picked(in_s);
+    let (forests_before, steps_before) = (pool.acc.num_forests(), pool.acc.total_walk_steps());
     // Dense round buffers live in the run's persistent workspace: each
     // adaptive round — and each greedy iteration — re-fills the same
     // allocations instead of creating new ones.
-    ws.schur.begin_round(&sketch_w, t_nodes.len());
-    let index = Arc::new(RootIndex::new(n, t_nodes));
-    let mut acc =
-        ElectricalAccumulator::new(g, &in_root, Some(sketch_w), DiagMode::Diagonal, Some(index));
+    let sketch_w = pool.acc.sketch().expect("the pool sketches");
+    ws.schur.begin_round(sketch_w, t_nodes.len());
     let mut ridge = 0.0f64;
     let (deltas, best) = sample_until_certified::<CfcmError>(
         g,
         &in_root,
-        params.seed ^ 0x5DE17 ^ iteration.wrapping_mul(0x85EB),
+        pool.seed,
         params.forest_cap(n, 0, g.max_degree_excluding(&in_root)),
         params,
-        &mut acc,
+        &mut pool.acc,
         |acc, deltas| {
             ridge = compute_schur_deltas(
                 g,
                 in_s,
                 t_nodes,
                 acc,
-                &sketch_q,
+                &pool.sketch_q,
                 params.threads,
                 &mut ws.schur,
                 deltas,
@@ -128,8 +252,9 @@ pub fn schur_delta_ws(
     Ok(SchurDeltaEstimates {
         deltas,
         best,
-        forests: acc.num_forests(),
-        walk_steps: acc.total_walk_steps(),
+        forests: pool.acc.num_forests(),
+        sampled: pool.acc.num_forests() - forests_before,
+        walk_steps: pool.acc.total_walk_steps() - steps_before,
         ridge,
     })
 }
@@ -281,6 +406,60 @@ mod tests {
                 est.deltas[t as usize].is_finite(),
                 "T node {t} must be scored"
             );
+        }
+    }
+
+    /// A BA graph with `S = {s}` and `T` the next four top-degree nodes.
+    fn pool_case() -> (Graph, Vec<bool>, Vec<Node>) {
+        let mut rng = StdRng::seed_from_u64(34);
+        let g = generators::barabasi_albert(50, 2, &mut rng);
+        let top = top_degree_nodes(&g, 5);
+        let mut in_s = vec![false; 50];
+        in_s[top[0] as usize] = true;
+        (g, in_s, top[1..].to_vec())
+    }
+
+    #[test]
+    fn a_pick_in_t_continues_a_full_pool_without_sampling() {
+        let (g, mut in_s, t_nodes) = pool_case();
+        let mut params = CfcmParams::with_epsilon(0.3).seed(3);
+        params.max_forests = params.min_batch;
+        let mut ws = GreedyWorkspace::new();
+        let first = schur_delta_ws(&g, &in_s, &t_nodes, &params, 1, &mut ws).unwrap();
+        assert_eq!((first.forests, first.sampled), (64, 64));
+        // Picking t ∈ T leaves S ∪ T as it was; the pool is at the cap.
+        let t = t_nodes[1];
+        in_s[t as usize] = true;
+        let rest: Vec<Node> = t_nodes.iter().copied().filter(|&u| u != t).collect();
+        let second = schur_delta_ws(&g, &in_s, &rest, &params, 2, &mut ws).unwrap();
+        assert_eq!((second.forests, second.sampled), (64, 0));
+        assert_eq!(second.walk_steps, 0);
+        assert!(second.deltas[second.best as usize].is_finite());
+        assert!(second.deltas[t as usize].is_nan());
+        assert!(rest.iter().all(|&u| second.deltas[u as usize].is_finite()));
+        // The pool never outlives a run.
+        assert_eq!(ws.pooled_forests(), 64);
+        ws.begin_run();
+        assert_eq!(ws.pooled_forests(), 0);
+    }
+
+    #[test]
+    fn a_pick_outside_t_starts_a_new_pool() {
+        let (g, mut in_s, t_nodes) = pool_case();
+        let params = CfcmParams::with_epsilon(0.3).seed(4);
+        let mut ws = GreedyWorkspace::new();
+        schur_delta_ws(&g, &in_s, &t_nodes, &params, 1, &mut ws).unwrap();
+        let u = (0..50).find(|&u| !in_s[u] && !t_nodes.contains(&(u as Node)));
+        in_s[u.unwrap()] = true;
+        let pooled = schur_delta_ws(&g, &in_s, &t_nodes, &params, 2, &mut ws).unwrap();
+        assert_eq!(pooled.forests, pooled.sampled);
+        assert_eq!(ws.pooled_forests(), pooled.forests);
+        // A new pool is exactly a call without one.
+        let fresh = schur_delta(&g, &in_s, &t_nodes, &params, 2).unwrap();
+        assert_eq!((pooled.best, pooled.forests), (fresh.best, fresh.forests));
+        assert_eq!(pooled.walk_steps, fresh.walk_steps);
+        for (a, b) in pooled.deltas.iter().zip(&fresh.deltas) {
+            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 

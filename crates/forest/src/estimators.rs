@@ -63,7 +63,6 @@ struct Ctx {
     /// Integer samples are this multiple of the estimates (`n` in the
     /// first phase, 1 otherwise).
     sample_unit: f64,
-    root_index: Option<Arc<RootIndex>>,
 }
 
 /// Streaming estimator state; implements [`ForestAccumulator`].
@@ -134,18 +133,13 @@ impl ElectricalAccumulator {
                 DiagMode::Diagonal => 1.0,
                 DiagMode::FirstPhase => n as f64,
             },
-            root_index,
         });
-        Self::from_ctx(ctx)
+        Self::from_ctx(ctx, root_index.map(|idx| RootedCounts::new(n, idx)))
     }
 
-    fn from_ctx(ctx: Arc<Ctx>) -> Self {
+    fn from_ctx(ctx: Arc<Ctx>, rooted: Option<RootedCounts>) -> Self {
         let n = ctx.n;
         let w = ctx.w;
-        let rooted = ctx
-            .root_index
-            .as_ref()
-            .map(|idx| RootedCounts::new(n, idx.clone()));
         let first_phase = ctx.mode == DiagMode::FirstPhase;
         Self {
             num_forests: 0,
@@ -222,9 +216,30 @@ impl ElectricalAccumulator {
         self.ctx.bfs_depth[u as usize]
     }
 
+    /// The root set the forests are rooted at.
+    pub fn in_root(&self) -> &[bool] {
+        &self.ctx.in_root
+    }
+
+    /// The JL sketch `W`, if sketching.
+    pub fn sketch(&self) -> Option<&JlSketch> {
+        self.ctx.sketch.as_ref()
+    }
+
     /// Rooted counts (SchurDelta), if tracked.
     pub fn rooted(&self) -> Option<&RootedCounts> {
         self.rooted.as_ref()
+    }
+
+    /// Stop tracking `roots` in the rooted counts (see
+    /// [`RootedCounts::untrack`]). The root set is unchanged, so every
+    /// other estimate, and every later forest, is what it would be had
+    /// `roots` never been tracked.
+    pub fn untrack_roots(&mut self, roots: &[Node]) {
+        self.rooted
+            .as_mut()
+            .expect("rooted tracking enabled")
+            .untrack(roots);
     }
 
     /// The sketched voltage matrix `Y ≈ W L_{-S}^{-1}`, written into `y`
@@ -423,7 +438,10 @@ impl ForestAccumulator for ElectricalAccumulator {
     }
 
     fn fresh(&self) -> Self {
-        Self::from_ctx(self.ctx.clone())
+        Self::from_ctx(
+            self.ctx.clone(),
+            self.rooted.as_ref().map(RootedCounts::fresh),
+        )
     }
 
     fn count(&self) -> u64 {
@@ -586,6 +604,49 @@ mod tests {
             }
             let total = rooted.row(u).iter().sum::<u32>() as f64 / acc.num_forests() as f64;
             assert!((0.0..=1.0 + 1e-9).contains(&total), "u={u} total {total}");
+        }
+    }
+
+    #[test]
+    fn untracking_a_root_equals_never_tracking_it() {
+        // Forests rooted at S ∪ T = {0} ∪ {5, 9, 17}: absorb N tracking T,
+        // drop t = 9, absorb M more. Tracking a root only adds its column,
+        // so this must be bit for bit the N + M forests tracked without 9.
+        let mut rng = SmallRng::seed_from_u64(59);
+        let g = generators::barabasi_albert(60, 2, &mut rng);
+        let in_root = mask(60, &[0, 5, 9, 17]);
+        let sketch = JlSketch::sample(16, 60, &mut rng);
+        let (n_first, m_more) = (96, 160);
+        for threads in [1, 2] {
+            let cfg = SamplerConfig { seed: 8, threads };
+            let acc = |t_nodes: &[Node]| {
+                let idx = Arc::new(RootIndex::new(60, t_nodes));
+                let sk = Some(sketch.clone());
+                ElectricalAccumulator::new(&g, &in_root, sk, DiagMode::Diagonal, Some(idx))
+            };
+            let mut dropped = acc(&[5, 9, 17]);
+            absorb_batch(&g, &in_root, 0, n_first, &cfg, &mut dropped);
+            dropped.untrack_roots(&[9]);
+            absorb_batch(&g, &in_root, n_first, m_more, &cfg, &mut dropped);
+            let mut never = acc(&[5, 17]);
+            absorb_batch(&g, &in_root, 0, n_first + m_more, &cfg, &mut never);
+
+            let at = format!("{threads} threads");
+            assert_eq!(dropped.num_forests(), never.num_forests(), "{at}");
+            assert_eq!(dropped.total_walk_steps(), never.total_walk_steps(), "{at}");
+            assert_eq!(dropped.y_matrix(), never.y_matrix(), "{at}");
+            let (rd, rn) = (dropped.rooted().unwrap(), never.rooted().unwrap());
+            assert_eq!(rd.index().nodes(), rn.index().nodes(), "{at}");
+            for u in 0..60 {
+                assert_eq!(dropped.diag_mean(u), never.diag_mean(u), "{at}, node {u}");
+                assert_eq!(
+                    dropped.diag_variance(u),
+                    never.diag_variance(u),
+                    "{at}, node {u}"
+                );
+                assert_eq!(dropped.diag_sup(u), never.diag_sup(u), "{at}, node {u}");
+                assert_eq!(rd.row(u), rn.row(u), "{at}, node {u}");
+            }
         }
     }
 

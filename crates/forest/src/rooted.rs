@@ -80,9 +80,35 @@ impl RootedCounts {
         }
     }
 
+    /// Zero counts over the same roots.
+    pub fn fresh(&self) -> Self {
+        Self::new(self.index.map.len(), self.index.clone())
+    }
+
     /// The root index in use.
     pub fn index(&self) -> &RootIndex {
         &self.index
+    }
+
+    /// Stop tracking the roots in `roots`: their columns leave the counts,
+    /// the other columns keep their order and counts, and later records
+    /// at a dropped root are ignored, as for roots in `S`.
+    pub fn untrack(&mut self, roots: &[Node]) {
+        let (n, t) = (self.index.map.len(), self.index.len());
+        let keep: Vec<usize> = (0..t)
+            .filter(|&i| !roots.contains(&self.index.nodes[i]))
+            .collect();
+        let k = keep.len();
+        // In-place compaction: entry (u, j) moves down from (u, keep[j]),
+        // never past an entry still to be read.
+        for u in 0..n {
+            for (j, &i) in keep.iter().enumerate() {
+                self.counts[u * k + j] = self.counts[u * t + i];
+            }
+        }
+        self.counts.truncate(n * k);
+        let nodes: Vec<Node> = keep.iter().map(|&i| self.index.nodes[i]).collect();
+        self.index = Arc::new(RootIndex::new(n, &nodes));
     }
 
     /// Record that `u` was rooted at `root` in one sampled forest.

@@ -81,6 +81,18 @@ impl JlSketch {
         &self.signs[u * self.w..(u + 1) * self.w]
     }
 
+    /// The columns `keep`, in that order: a `w × keep.len()` sketch with
+    /// the same signs and scale. A column subset of a Rademacher sketch is
+    /// a Rademacher sketch of the kept coordinates.
+    pub fn columns(&self, keep: &[usize]) -> Self {
+        Self {
+            w: self.w,
+            d: keep.len(),
+            scale: self.scale,
+            signs: keep.iter().flat_map(|&u| self.signs(u)).copied().collect(),
+        }
+    }
+
     /// Row `j` of the sketch as a dense vector (strided gather).
     pub fn row(&self, j: usize) -> Vec<f64> {
         assert!(j < self.w);
@@ -144,6 +156,18 @@ mod tests {
                 assert_eq!(s == 1, rng.gen::<bool>());
             }
         }
+    }
+
+    #[test]
+    fn column_subset_keeps_signs_and_scale() {
+        let q = JlSketch::sample(8, 6, &mut StdRng::seed_from_u64(5));
+        let sub = q.columns(&[4, 0, 5]);
+        assert_eq!((sub.width(), sub.dim()), (8, 3));
+        assert_eq!(sub.scale(), q.scale());
+        for (i, &u) in [4, 0, 5].iter().enumerate() {
+            assert_eq!(sub.signs(i), q.signs(u), "column {u}");
+        }
+        assert_eq!(q.columns(&[]).dim(), 0);
     }
 
     #[test]
