@@ -1,12 +1,14 @@
 //! Shared adaptive-stopping logic for the Monte-Carlo phases.
 //!
 //! Algorithms 2–5 sample in doubling batches and stop once the empirical
-//! Bernstein half-widths (Lemma 3.6) certify the current winner; all of
-//! them run through one loop, `sample_until_certified`. The rule
-//! implemented here is slightly more conservative than the paper's
-//! per-node check and is purely an *early exit*: the hard cap from
-//! [`crate::CfcmParams::forest_cap`] preserves termination and the
-//! worst-case sample bound.
+//! Bernstein half-widths (Lemma 3.6, at confidence `δ = 0.01`) certify the
+//! current winner; all of them run through one loop,
+//! `sample_until_certified`. The rule implemented here is slightly more
+//! conservative than the paper's per-node check and is purely an *early
+//! exit*: the practical cap [`crate::CfcmParams::forest_cap`] (the
+//! `max_forests` field) preserves termination. The paper's worst-case
+//! sample bound (Lemma 3.9) is not implemented; it is astronomically
+//! larger than any cap a run can afford.
 //!
 //! A candidate is accepted when, across two consecutive batch checkpoints:
 //!
@@ -20,6 +22,9 @@ use cfcc_forest::bernstein::bernstein_halfwidth;
 use cfcc_forest::estimators::ElectricalAccumulator;
 use cfcc_forest::sampler::{absorb_batch, SamplerConfig};
 use cfcc_graph::{Graph, Node};
+
+/// Confidence `δ` of the empirical-Bernstein half-widths.
+const DELTA_CONFIDENCE: f64 = 0.01;
 
 /// Doubling batch schedule: total sample targets after each checkpoint.
 pub fn batch_schedule(min_batch: u64, cap: u64) -> Vec<u64> {
@@ -90,21 +95,20 @@ impl StopRule {
 
 /// Sample forests rooted at `in_root` into `acc` in doubling batches of
 /// the RNG stream `seed`, until the stop rule certifies the best score or
-/// `cap` forests are in. After every batch, `score` rewrites each node's
-/// score from `acc` (bigger is better; `NaN` marks a non-candidate) and
-/// `halfwidth(acc, u, score)` bounds a candidate's error. Returns the last
-/// scores and their argmax; only a failing `score` fails the sampling.
+/// [`CfcmParams::forest_cap`] forests are in. After every batch, `score`
+/// rewrites each node's score from `acc` (bigger is better; `NaN` marks a
+/// non-candidate) and `halfwidth(acc, u, score)` bounds a candidate's
+/// error. Returns the last scores and their argmax; only a failing
+/// `score` fails the sampling.
 ///
 /// An `acc` that already holds forests (SchurDelta's pool, see
 /// [`crate::schur_delta`]) is scored at its current count first; the
 /// schedule and the stream's global forest index continue from there, so
-/// a pool already at `cap` samples nothing.
-#[allow(clippy::too_many_arguments)]
+/// a pool already at the cap samples nothing.
 pub(crate) fn sample_until_certified<E>(
     g: &Graph,
     in_root: &[bool],
     seed: u64,
-    cap: u64,
     params: &CfcmParams,
     acc: &mut ElectricalAccumulator,
     mut score: impl FnMut(&ElectricalAccumulator, &mut [f64]) -> Result<(), E>,
@@ -117,7 +121,7 @@ pub(crate) fn sample_until_certified<E>(
     let mut rule = StopRule::new();
     let mut scores = vec![f64::NAN; g.num_nodes()];
     let start = acc.num_forests();
-    let schedule = batch_schedule(params.min_batch, cap)
+    let schedule = batch_schedule(params.min_batch, params.forest_cap())
         .into_iter()
         .filter(|&total| total > start);
     let mut sampled = start;
@@ -139,27 +143,22 @@ pub(crate) fn sample_until_certified<E>(
     Ok((scores, best))
 }
 
-/// Bernstein half-width of node `u`'s diagonal estimate at `confidence`.
-pub(crate) fn diag_halfwidth(acc: &ElectricalAccumulator, u: Node, confidence: f64) -> f64 {
+/// Bernstein half-width of node `u`'s diagonal estimate.
+pub(crate) fn diag_halfwidth(acc: &ElectricalAccumulator, u: Node) -> f64 {
     bernstein_halfwidth(
         acc.num_forests(),
         acc.diag_variance(u),
         acc.diag_sup(u).max(1.0),
-        confidence,
+        DELTA_CONFIDENCE,
     )
 }
 
 /// The diagonal's half-width propagated to a gain `Δ' = num / z` with
 /// denominator `z = (L_{-S}^{-1})_{uu}`: `|∂(num/z)/∂z| · h_z = Δ'/z · h_z`
 /// (first order), at most `Δ'`.
-pub(crate) fn gain_halfwidth(
-    acc: &ElectricalAccumulator,
-    u: Node,
-    gain: f64,
-    confidence: f64,
-) -> f64 {
+pub(crate) fn gain_halfwidth(acc: &ElectricalAccumulator, u: Node, gain: f64) -> f64 {
     let z = acc.diag_mean(u).max(f64::MIN_POSITIVE);
-    gain * (diag_halfwidth(acc, u, confidence) / z).min(1.0)
+    gain * (diag_halfwidth(acc, u) / z).min(1.0)
 }
 
 /// Indices of the two largest non-`NaN` values; the first index wins ties.

@@ -14,7 +14,7 @@ use crate::engine;
 use crate::{CfcmError, CfcmParams};
 use cfcc_graph::{Graph, Node};
 use cfcc_linalg::laplacian::laplacian_submatrix_dense;
-use cfcc_linalg::pinv::{pseudoinverse_dense, pseudoinverse_diag};
+use cfcc_linalg::pinv::pseudoinverse_diag;
 use cfcc_linalg::sdd::{self, SddBackend, SddOptions};
 use cfcc_linalg::trace::{trace_inverse_exact_factor, trace_inverse_hutchinson_factor};
 use rand::rngs::StdRng;
@@ -185,12 +185,6 @@ pub fn node_centrality_from_factor(
     Ok(c)
 }
 
-/// Resistance distance `R(u, v)` (dense, small graphs).
-pub fn resistance_exact(g: &Graph, u: Node, v: Node) -> f64 {
-    let pinv = pseudoinverse_dense(g);
-    cfcc_linalg::pinv::resistance_distance(&pinv, u as usize, v as usize)
-}
-
 /// Resistance `R(u, S) = (L_{-S}^{-1})_{uu}` between a node and a grounded
 /// group, via one solve through the `sparse-cg` backend — a single RHS
 /// never justifies a dense `O(n³)` factorization. A node or group member
@@ -222,6 +216,7 @@ pub fn resistance_to_group_cg(
 mod tests {
     use super::*;
     use cfcc_graph::generators;
+    use cfcc_linalg::pinv::pseudoinverse_dense;
     use rand::Rng;
 
     #[test]

@@ -41,10 +41,13 @@
 //!   without the picked root's row and column. The workspace keeps one
 //!   pool of forests per root set (see [`crate::schur_delta`]); the next
 //!   round drops the picked root's column and keeps sampling the same
-//!   stream instead of starting over. As with the persistent sketches,
-//!   rounds that share a pool are not statistically independent: later
-//!   rounds read the samples that chose the earlier picks, so one unlucky
-//!   batch of forests can steer several picks rather than one. A pool
+//!   stream instead of starting over. The rule has no exception: after a
+//!   pick of the last node of `T ∖ S` the next round's `T` is empty (a
+//!   ForestDelta round) and it continues the pool like any other. As with
+//!   the persistent sketches, rounds that share a pool are not
+//!   statistically independent: later rounds read the samples that chose
+//!   the earlier picks, so one unlucky batch of forests can steer several
+//!   picks rather than one. A pool
 //!   holds at most [`CfcmParams::forest_cap`] forests, only one pool
 //!   exists at a time, and it never outlives the run: `begin_run` and the
 //!   end of [`crate::greedy::run`] drop it.

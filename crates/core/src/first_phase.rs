@@ -45,7 +45,6 @@ pub fn first_phase(g: &Graph, params: &CfcmParams) -> FirstPhase {
         g,
         &in_root,
         params.seed ^ 0xF157,
-        params.forest_cap(n, 0, g.max_degree()),
         params,
         &mut acc,
         |acc, scores| {
@@ -54,7 +53,7 @@ pub fn first_phase(g: &Graph, params: &CfcmParams) -> FirstPhase {
             }
             Ok(())
         },
-        |acc, u, _| diag_halfwidth(acc, u, params.delta_confidence),
+        |acc, u, _| diag_halfwidth(acc, u),
     );
     FirstPhase {
         chosen,

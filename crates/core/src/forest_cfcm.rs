@@ -111,6 +111,21 @@ mod tests {
     }
 
     #[test]
+    fn forest_stream_is_pinned() {
+        // ForestDelta's seed salts and scoring, through SchurDelta with an
+        // empty T: picks, per-round forests and walk steps of a run whose
+        // rounds stop before the cap.
+        let g = generators::barbell(8, 4);
+        let sel = forest_cfcm(&g, 4, &CfcmParams::with_epsilon(0.3).seed(7)).unwrap();
+        assert_eq!(sel.nodes, [9, 18, 4, 11]);
+        let forests: Vec<u64> = sel.stats.iterations.iter().map(|it| it.forests).collect();
+        assert_eq!(forests, [1024, 512, 512, 4096]);
+        assert_eq!(sel.stats.total_forests(), 6144);
+        let steps: u64 = sel.stats.iterations.iter().map(|it| it.walk_steps).sum();
+        assert_eq!(steps, 675_230);
+    }
+
+    #[test]
     fn star_selects_hub_first() {
         let g = generators::star(40);
         let sel = forest_cfcm(&g, 2, &CfcmParams::with_epsilon(0.3)).unwrap();

@@ -2,37 +2,17 @@
 //! `Δ(u, S) = (L_{-S}^{-2})_{uu} / (L_{-S}^{-1})_{uu}` for all `u ∉ S` by
 //! sampling spanning forests rooted at `S`.
 //!
-//! The numerator is sketched: `(L_{-S}^{-2})_{uu} = ‖L_{-S}^{-1} e_u‖² ≈
-//! ‖(W L_{-S}^{-1}) e_u‖²` with a JL sketch `W` (Lemma 3.4), and the rows
-//! `W L_{-S}^{-1}` come from the forest estimator's BFS prefix sums. The
-//! denominator uses the per-node diagonal samples, clamped from below by
-//! the Neumann bound `(L_{-S}^{-1})_{uu} ≥ 1/d_u` used in Lemma 3.9's
-//! proof.
+//! Algorithm 2 is SchurDelta (Algorithm 4) with an empty auxiliary root
+//! set `T`, and [`crate::schur_delta`] computes it that way: the greedy
+//! solvers call [`crate::schur_delta::schur_delta_ws`] with `T = ∅`. This
+//! function remains only as the entry point of perfbench's traced replay.
 
-use crate::adaptive::{gain_halfwidth, sample_until_certified};
+use crate::schur_delta::{schur_delta, SchurDeltaEstimates};
 use crate::CfcmParams;
-use cfcc_forest::estimators::{DiagMode, ElectricalAccumulator};
-use cfcc_graph::{Graph, Node};
-use cfcc_linalg::jl::JlSketch;
-use cfcc_linalg::vector::norm2_sq;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::convert::Infallible;
+use cfcc_graph::Graph;
 
-/// Output of one delta-estimation round.
-#[derive(Debug, Clone)]
-pub struct DeltaEstimates {
-    /// `Δ'(u, S)` per node (`NaN` for `u ∈ S`).
-    pub deltas: Vec<f64>,
-    /// Argmax node.
-    pub best: Node,
-    /// Forests sampled.
-    pub forests: u64,
-    /// Random-walk steps performed.
-    pub walk_steps: u64,
-}
-
-/// Estimate marginal gains for all non-grounded nodes (Algorithm 2).
+/// Estimate marginal gains for all non-grounded nodes (Algorithm 2):
+/// [`schur_delta`] with an empty `T`, on a fresh workspace.
 ///
 /// `iteration` diversifies the RNG stream across greedy iterations.
 pub fn forest_delta(
@@ -40,47 +20,9 @@ pub fn forest_delta(
     in_s: &[bool],
     params: &CfcmParams,
     iteration: u64,
-) -> DeltaEstimates {
-    let n = g.num_nodes();
-    let w = params.width(n);
-    let mut sketch_rng =
-        StdRng::seed_from_u64(params.seed ^ 0xD317A ^ iteration.wrapping_mul(0x9E37));
-    let sketch = JlSketch::sample(w, n, &mut sketch_rng);
-    let mut acc = ElectricalAccumulator::new(g, in_s, Some(sketch), DiagMode::Diagonal, None);
-    let Ok((deltas, best)) = sample_until_certified::<Infallible>(
-        g,
-        in_s,
-        params.seed ^ 0xDE17A ^ iteration.wrapping_mul(0x85EB),
-        params.forest_cap(n, 0, g.max_degree_excluding(in_s)),
-        params,
-        &mut acc,
-        |acc, deltas| {
-            compute_deltas(g, in_s, acc, deltas);
-            Ok(())
-        },
-        |acc, u, delta| gain_halfwidth(acc, u, delta, params.delta_confidence),
-    );
-    DeltaEstimates {
-        deltas,
-        best,
-        forests: acc.num_forests(),
-        walk_steps: acc.total_walk_steps(),
-    }
-}
-
-/// `Δ' = ‖Y e_u‖² / ẑ_u` with the Neumann floor on the denominator.
-fn compute_deltas(g: &Graph, in_s: &[bool], acc: &ElectricalAccumulator, out: &mut [f64]) {
-    let y = acc.y_matrix();
-    let z = acc.diag_means();
-    for u in 0..g.num_nodes() {
-        if in_s[u] {
-            out[u] = f64::NAN;
-            continue;
-        }
-        let floor = 1.0 / g.degree(u as Node) as f64;
-        let zu = z[u].max(floor);
-        out[u] = norm2_sq(y.row(u)) / zu;
-    }
+) -> SchurDeltaEstimates {
+    schur_delta(g, in_s, &[], params, iteration)
+        .expect("an empty estimated Schur complement always inverts")
 }
 
 #[cfg(test)]
@@ -88,8 +30,9 @@ mod tests {
     use super::*;
     use crate::adaptive::top2_max;
     use crate::exact::exact_deltas;
-    use cfcc_graph::generators;
+    use cfcc_graph::{generators, Node};
     use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn top2_max_skips_nan() {

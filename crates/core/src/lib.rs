@@ -11,7 +11,9 @@
 //! * the paper's two Monte-Carlo greedy algorithms —
 //!   [`forest_cfcm::forest_cfcm`] (spanning-forest sampling) and
 //!   [`schur_cfcm::schur_cfcm`] (forest sampling + Schur complement), both
-//!   with the `1 − (k/(k−1))·(1/e) − ε` approximation profile;
+//!   with the `1 − (k/(k−1))·(1/e) − ε` approximation profile. They share
+//!   one gain estimator, [`schur_delta::schur_delta_ws`]: ForestDelta
+//!   (Algorithm 2) is SchurDelta (Algorithm 4) with an empty `T`;
 //! * every baseline from the paper's evaluation:
 //!   [`exact::exact_greedy`] (dense algebra with incremental rank-one
 //!   updates), [`optimum::optimum_cfcm`] (exhaustive search for tiny

@@ -8,10 +8,10 @@ use cfcc_linalg::sdd::SddBackend;
 /// Parameters for the Monte-Carlo CFCM solvers.
 ///
 /// Defaults follow the paper's experimental setup (`ε = 0.2`) with
-/// *practical-mode* constants: sketch widths of `O(log n)` and a bounded
-/// forest budget, both of which the adaptive Bernstein stop usually
-/// undercuts. Set [`CfcmParams::use_theoretical_bounds`] to reproduce the
-/// (astronomically conservative) Lemma 3.9 / Lemma 4.5 sample sizes.
+/// practical constants: sketch widths of `O(log n)` and a bounded forest
+/// budget (`max_forests`), which the adaptive Bernstein stop usually
+/// undercuts. The paper's worst-case sample sizes (Lemmas 3.9 and 4.5)
+/// are astronomically conservative and not implemented.
 #[derive(Debug, Clone)]
 pub struct CfcmParams {
     /// Error parameter `ε ∈ (0, 1)` of the approximation guarantee.
@@ -30,8 +30,6 @@ pub struct CfcmParams {
     /// estimates. SchurCFCM rounds that share a root set `S ∪ T` share one
     /// pool of forests, and the ceiling bounds the pool.
     pub max_forests: u64,
-    /// Confidence δ for the empirical-Bernstein stop.
-    pub delta_confidence: f64,
     /// Relative tolerance of the CG Laplacian solves (ApproxGreedy, CFCC
     /// evaluation).
     pub cg_tol: f64,
@@ -47,9 +45,6 @@ pub struct CfcmParams {
     /// forces every round to cold-start, which only warm-vs-cold
     /// comparisons want (`tests/engine.rs` runs one).
     pub warm_start: bool,
-    /// Use the paper's worst-case Hoeffding sample bounds instead of the
-    /// practical ceiling (matches the theory, explodes the runtime).
-    pub use_theoretical_bounds: bool,
 }
 
 impl Default for CfcmParams {
@@ -61,12 +56,10 @@ impl Default for CfcmParams {
             jl_width: None,
             min_batch: 64,
             max_forests: 4096,
-            delta_confidence: 0.01,
             cg_tol: 1e-6,
             backend: SddBackend::Auto,
             schur_c: None,
             warm_start: true,
-            use_theoretical_bounds: false,
         }
     }
 }
@@ -107,34 +100,17 @@ impl CfcmParams {
 
     /// Effective JL width for an `n`-node problem.
     pub fn width(&self, n: usize) -> usize {
-        if let Some(w) = self.jl_width {
-            return w.max(1);
-        }
-        if self.use_theoretical_bounds {
-            jl::theoretical_width(n, self.epsilon)
-        } else {
-            jl::practical_width(n, self.epsilon)
+        match self.jl_width {
+            Some(w) => w.max(1),
+            None => jl::practical_width(n, self.epsilon),
         }
     }
 
     /// Effective forest cap for one greedy iteration's estimates: the
     /// forests one phase samples, or SchurDelta's pool for one root set
     /// `S ∪ T`, which the rounds sharing that root set fill together.
-    ///
-    /// `tau` and `dmax_s` feed the Lemma 3.9 bound in theoretical mode.
-    pub fn forest_cap(&self, n: usize, tau: u32, dmax_s: usize) -> u64 {
-        if self.use_theoretical_bounds {
-            cfcc_forest::bernstein::hoeffding_cap(
-                n,
-                tau,
-                dmax_s,
-                self.epsilon,
-                self.min_batch,
-                u64::MAX / 2,
-            )
-        } else {
-            self.max_forests.max(self.min_batch)
-        }
+    pub fn forest_cap(&self) -> u64 {
+        self.max_forests.max(self.min_batch)
     }
 
     /// Validate ranges.
@@ -148,11 +124,6 @@ impl CfcmParams {
         if self.min_batch == 0 {
             return Err(crate::CfcmError::InvalidParameter(
                 "min_batch must be >= 1".into(),
-            ));
-        }
-        if !(0.0 < self.delta_confidence && self.delta_confidence < 1.0) {
-            return Err(crate::CfcmError::InvalidParameter(
-                "delta_confidence must be in (0,1)".into(),
             ));
         }
         Ok(())
@@ -237,17 +208,12 @@ mod tests {
         assert!(p.width(10_000) >= 8);
         p.jl_width = Some(4);
         assert_eq!(p.width(10_000), 4);
-        p.jl_width = None;
-        p.use_theoretical_bounds = true;
-        assert!(p.width(10_000) > 10_000);
     }
 
     #[test]
     fn forest_cap_modes() {
-        let mut p = CfcmParams::default();
-        assert_eq!(p.forest_cap(1000, 10, 50), 4096);
-        p.use_theoretical_bounds = true;
-        assert!(p.forest_cap(1000, 10, 50) > 4096);
+        let p = CfcmParams::default();
+        assert_eq!(p.forest_cap(), 4096);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Schur complement machinery (paper §IV-A).
 //!
-//! * exact dense Schur complements for test oracles (Definition 4.1,
+//! * the exact dense Schur complement, a test oracle (Definition 4.1,
 //!   Lemma 4.3);
 //! * the estimated Schur complement `S̃_T(L_{-S})` assembled from empirical
 //!   rooted probabilities via Eq. (15);
@@ -12,31 +12,21 @@ use crate::CfcmError;
 use cfcc_forest::rooted::RootedCounts;
 use cfcc_graph::{Graph, Node};
 use cfcc_linalg::dense::DenseMatrix;
-use cfcc_linalg::sdd::{self, SddBackend, SddOptions};
 
 /// Exact Schur complement `S_T(M) = M_TT − M_TU · M_UU^{-1} · M_UT` of a
-/// dense matrix over index sets `t_idx` (kept) and `u_idx` (eliminated).
+/// dense matrix over index sets `t_idx` (kept) and `u_idx` (eliminated) —
+/// the test oracle for the estimated complement.
 ///
-/// Factor-once/solve-many: `M_UU` is LU-factorized and applied to the
-/// `|T|`-column block `M_UT` by two blocked triangular solves, then a
-/// single GEMM accumulates `−M_TU · X` — no explicit `M_UU^{-1}` and no
-/// `|U| × |U|` intermediate products. Degenerate inputs (singular `M_UU`)
-/// surface as [`CfcmError::Numerical`] instead of panicking.
+/// `M_UU` must be symmetric positive definite, as every block of a
+/// grounded Laplacian of a connected graph is. It is Cholesky-factorized
+/// and applied to the `|T|`-column block `M_UT` by two blocked triangular
+/// solves, then a single GEMM accumulates `−M_TU · X`; no explicit
+/// `M_UU^{-1}` is formed. An `M_UU` that is not positive definite
+/// surfaces as [`CfcmError::Numerical`] instead of panicking.
 pub fn schur_complement_dense(
     m: &DenseMatrix,
     t_idx: &[usize],
     u_idx: &[usize],
-) -> Result<DenseMatrix, CfcmError> {
-    schur_complement_dense_threaded(m, t_idx, u_idx, 1)
-}
-
-/// [`schur_complement_dense`] with `threads` scoped row panels in the
-/// blocked solves and the final GEMM.
-pub fn schur_complement_dense_threaded(
-    m: &DenseMatrix,
-    t_idx: &[usize],
-    u_idx: &[usize],
-    threads: usize,
 ) -> Result<DenseMatrix, CfcmError> {
     let t = t_idx.len();
     let u = u_idx.len();
@@ -63,99 +53,13 @@ pub fn schur_complement_dense_threaded(
     if u == 0 {
         return Ok(mtt);
     }
-    let lu = muu
-        .lu()
-        .map_err(|e| CfcmError::Numerical(format!("M_UU not invertible: {e}")))?;
-    // X = M_UU^{-1} M_UT, then S = M_TT − M_TU · X.
-    let x = lu.solve_mat_threaded(&mut_, threads);
-    mtt.gemm_acc(&mtu, &x, -1.0, threads);
+    let ch = muu
+        .cholesky()
+        .map_err(|e| CfcmError::Numerical(format!("M_UU not positive definite: {e}")))?;
+    // X = M_UU^{-1} M_UT (in place of M_UT), then S = M_TT − M_TU · X.
+    ch.solve_mat_in_place(&mut mut_, 1);
+    mtt.gemm_acc(&mtu, &mut_, -1.0, 1);
     Ok(mtt)
-}
-
-/// Exact Schur complement `S_T(L_{-S})` of the *grounded Laplacian*
-/// straight from the graph, through the pluggable SDD backend — never
-/// densifying `L_{-S}` itself.
-///
-/// By Lemma 4.3, `L_UU` (with `U = V ∖ (S ∪ T)`) is itself the grounded
-/// Laplacian `L_{-(S∪T)}`, so the correction term `L_TU · L_UU^{-1} · L_UT`
-/// is one backend factorization plus a `|T|`-column `solve_mat` against
-/// the sparse incidence columns `L_UT`. Peak memory on the iterative
-/// backends is `O(n·|T| + m)` — the seam a sketched or combinatorially
-/// preconditioned Schur pipeline plugs into.
-pub fn schur_complement_grounded(
-    g: &Graph,
-    in_s: &[bool],
-    t_nodes: &[Node],
-    backend: SddBackend,
-    opts: &SddOptions,
-) -> Result<DenseMatrix, CfcmError> {
-    let n = g.num_nodes();
-    if in_s.len() != n {
-        return Err(CfcmError::InvalidParameter(format!(
-            "grounded mask has length {}, graph has {n} nodes",
-            in_s.len()
-        )));
-    }
-    let t = t_nodes.len();
-    let mut tpos = vec![usize::MAX; n];
-    let mut in_st = in_s.to_vec();
-    for (j, &tj) in t_nodes.iter().enumerate() {
-        if tj as usize >= n {
-            return Err(CfcmError::InvalidParameter(format!(
-                "node {tj} in T out of range"
-            )));
-        }
-        if in_s[tj as usize] {
-            return Err(CfcmError::InvalidParameter(format!(
-                "node {tj} is in both S and T"
-            )));
-        }
-        if tpos[tj as usize] != usize::MAX {
-            return Err(CfcmError::InvalidParameter(format!(
-                "duplicate node {tj} in T"
-            )));
-        }
-        tpos[tj as usize] = j;
-        in_st[tj as usize] = true;
-    }
-    // L_TT of the grounded system: full degrees on the diagonal, −1 for
-    // intra-T edges (S-columns are removed by grounding).
-    let mut sc = DenseMatrix::zeros(t, t);
-    for (i, &ti) in t_nodes.iter().enumerate() {
-        sc.set(i, i, g.degree(ti) as f64);
-        for &v in g.neighbors(ti) {
-            let j = tpos[v as usize];
-            if j != usize::MAX {
-                sc.add_to(i, j, -1.0);
-            }
-        }
-    }
-    let u_count = in_st.iter().filter(|&&s| !s).count();
-    if u_count == 0 {
-        return Ok(sc);
-    }
-    let mut factor = sdd::factor(g, &in_st, backend, opts)?;
-    // L_UT: one sparse incidence column per t (−1 at each U-neighbor).
-    let mut rhs = DenseMatrix::zeros(u_count, t);
-    for (j, &tj) in t_nodes.iter().enumerate() {
-        for &v in g.neighbors(tj) {
-            if let Some(cv) = factor.compact_of(v) {
-                rhs.set(cv, j, -1.0);
-            }
-        }
-    }
-    let x = factor.solve_mat(&rhs)?; // L_UU^{-1} L_UT
-                                     // S −= L_TU · X; the row L_TU[i] is −1 at each U-neighbor of t_i.
-    for (i, &ti) in t_nodes.iter().enumerate() {
-        for &v in g.neighbors(ti) {
-            if let Some(cv) = factor.compact_of(v) {
-                for j in 0..t {
-                    sc.add_to(i, j, x.get(cv, j));
-                }
-            }
-        }
-    }
-    Ok(sc)
 }
 
 /// Estimated Schur complement `S̃_T(L_{-S})` from rooted counts (Eq. 15):
@@ -330,110 +234,6 @@ mod tests {
             "diff {} too large",
             est.max_abs_diff(&exact)
         );
-    }
-
-    /// The graph-level Schur complement (through every SDD backend)
-    /// matches the dense index-set oracle.
-    #[test]
-    fn grounded_schur_matches_dense_oracle_on_every_backend() {
-        let mut rng = StdRng::seed_from_u64(25);
-        let g = generators::barabasi_albert(40, 2, &mut rng);
-        let n = g.num_nodes();
-        let mut in_s = vec![false; n];
-        in_s[0] = true;
-        in_s[9] = true;
-        let t_nodes = vec![2u32, 5, 11, 30];
-        // Dense oracle: index T and U inside L_{-S}.
-        let (l_minus_s, keep) = laplacian_submatrix_dense(&g, &in_s);
-        let pos = |node: u32| keep.iter().position(|&x| x == node).unwrap();
-        let t_idx: Vec<usize> = t_nodes.iter().map(|&x| pos(x)).collect();
-        let u_idx: Vec<usize> = (0..keep.len()).filter(|i| !t_idx.contains(i)).collect();
-        let oracle = schur_complement_dense(&l_minus_s, &t_idx, &u_idx).unwrap();
-        for backend in [
-            cfcc_linalg::SddBackend::DenseCholesky,
-            cfcc_linalg::SddBackend::SparseCg,
-        ] {
-            let got = schur_complement_grounded(
-                &g,
-                &in_s,
-                &t_nodes,
-                backend,
-                &SddOptions::with_tol(1e-12),
-            )
-            .unwrap();
-            assert!(
-                got.max_abs_diff(&oracle) < 1e-8,
-                "{backend}: diff {}",
-                got.max_abs_diff(&oracle)
-            );
-        }
-    }
-
-    /// Invalid T sets surface as errors, not panics.
-    #[test]
-    fn grounded_schur_rejects_bad_t_sets() {
-        let g = generators::cycle(8);
-        let mut in_s = vec![false; 8];
-        in_s[0] = true;
-        let opts = SddOptions::default();
-        let auto = cfcc_linalg::SddBackend::Auto;
-        // overlap with S
-        assert!(matches!(
-            schur_complement_grounded(&g, &in_s, &[0], auto, &opts),
-            Err(CfcmError::InvalidParameter(_))
-        ));
-        // duplicate in T
-        assert!(matches!(
-            schur_complement_grounded(&g, &in_s, &[2, 2], auto, &opts),
-            Err(CfcmError::InvalidParameter(_))
-        ));
-        // out of range
-        assert!(matches!(
-            schur_complement_grounded(&g, &in_s, &[99], auto, &opts),
-            Err(CfcmError::InvalidParameter(_))
-        ));
-        // wrong mask length
-        assert!(matches!(
-            schur_complement_grounded(&g, &in_s[..7], &[2], auto, &opts),
-            Err(CfcmError::InvalidParameter(_))
-        ));
-    }
-
-    /// Degenerate split: T = V ∖ S leaves no U to eliminate — the Schur
-    /// complement is L_{-S} itself.
-    #[test]
-    fn grounded_schur_with_empty_u_is_the_grounded_laplacian() {
-        let g = generators::cycle(8);
-        let mut in_s = vec![false; 8];
-        in_s[0] = true;
-        let t_nodes: Vec<u32> = (1..8).collect();
-        let got = schur_complement_grounded(
-            &g,
-            &in_s,
-            &t_nodes,
-            cfcc_linalg::SddBackend::Auto,
-            &SddOptions::default(),
-        )
-        .unwrap();
-        let (expect, _) = laplacian_submatrix_dense(&g, &in_s);
-        assert!(got.max_abs_diff(&expect) < 1e-12);
-    }
-
-    #[test]
-    fn threaded_schur_complement_is_bit_identical() {
-        let mut rng = StdRng::seed_from_u64(24);
-        let g = generators::barabasi_albert(160, 3, &mut rng);
-        let mut in_s = vec![false; g.num_nodes()];
-        in_s[0] = true;
-        let (l_minus_s, _) = laplacian_submatrix_dense(&g, &in_s);
-        let d = l_minus_s.rows();
-        let t_idx: Vec<usize> = (0..d / 8).collect();
-        let u_idx: Vec<usize> = (d / 8..d).collect();
-        let serial = schur_complement_dense(&l_minus_s, &t_idx, &u_idx).unwrap();
-        for threads in [2, 4] {
-            let par = schur_complement_dense_threaded(&l_minus_s, &t_idx, &u_idx, threads).unwrap();
-            assert_eq!(par, serial, "threads={threads}");
-        }
     }
 
     #[test]

@@ -8,14 +8,15 @@
 //! A round that picks a node of `T` leaves the next round's root set
 //! `S ∪ (T ∖ S)` unchanged, so that round continues the forests already
 //! sampled for it (SchurDelta's forest pool in the run's workspace, see
-//! [`crate::schur_delta`]) instead of sampling from scratch. On the hep-th
-//! proxy most rounds pick from `T`, and this cuts the forests a run
-//! samples by about a third. A run in which no pick lands in `T` samples
-//! exactly what it would without the pool.
+//! [`crate::schur_delta`]) instead of sampling from scratch. That holds for
+//! the pick of the last node of `T ∖ S` too: the round after it has an
+//! empty `T` and still continues the pool. On the hep-th proxy most rounds
+//! pick from `T`, and this cuts the forests a run samples by about a
+//! third. A run in which no pick lands in `T` samples exactly what it
+//! would without the pool.
 
 use crate::context::SolveContext;
 use crate::first_phase::first_phase;
-use crate::forest_delta::forest_delta;
 use crate::greedy;
 use crate::params::{t_star, top_degree_nodes};
 use crate::result::{IterStats, Selection};
@@ -28,8 +29,7 @@ use cfcc_graph::{Graph, Node};
 ///
 /// `T` holds the `c` highest-degree nodes (`c = params.schur_c`, defaulting
 /// to the balance point `|T*|` of §V-A); each iteration uses `T ∖ S_i` as
-/// the auxiliary root set. Falls back to plain ForestDelta if `T ∖ S_i`
-/// ever empties (only possible for tiny `c`).
+/// the auxiliary root set.
 ///
 /// [`SchurSolver`] under a plain-parameter context.
 pub fn schur_cfcm(g: &Graph, k: usize, params: &CfcmParams) -> Result<Selection, CfcmError> {
@@ -40,8 +40,8 @@ pub fn schur_cfcm(g: &Graph, k: usize, params: &CfcmParams) -> Result<Selection,
 /// built once the problem is validated. The first pick is the sampled
 /// first phase (Lines 2–15; the paper omits the Schur machinery there
 /// for ease of implementation). Each later round estimates the gains with
-/// SchurDelta rooted at `S ∪ (T ∖ S)`, or with ForestDelta rooted at `S`
-/// once `T ∖ S` is empty.
+/// SchurDelta rooted at `S ∪ (T ∖ S)`, which is ForestDelta rooted at `S`
+/// when `T ∖ S` is empty.
 ///
 /// A round that picks from `T` leaves the root set `S ∪ (T ∖ S)` as it
 /// was, so the next round continues SchurDelta's forest pool in the
@@ -75,19 +75,11 @@ pub(crate) fn forest_greedy(
                 .copied()
                 .filter(|&t| !in_s[t as usize])
                 .collect();
-            let (best, deltas, forests, walk_steps) = if t_nodes.is_empty() {
-                // No later round has a `T` again: the forest pool is dead.
-                ws.forest_pool = None;
-                let est = forest_delta(g, in_s, params, i as u64);
-                (est.best, est.deltas, est.forests, est.walk_steps)
-            } else {
-                let est = schur_delta_ws(g, in_s, &t_nodes, params, i as u64, ws)?;
-                (est.best, est.deltas, est.sampled, est.walk_steps)
-            };
+            let est = schur_delta_ws(g, in_s, &t_nodes, params, i as u64, ws)?;
             Ok(IterStats {
-                forests,
-                walk_steps,
-                ..IterStats::new(best, deltas[best as usize])
+                forests: est.sampled,
+                walk_steps: est.walk_steps,
+                ..IterStats::new(est.best, est.deltas[est.best as usize])
             })
         },
     )

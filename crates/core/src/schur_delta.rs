@@ -28,6 +28,19 @@
 //! from `Q`, scores the pool as it is, and continues the doubling schedule
 //! and the sampler's forest stream from there, up to the same cap. A new
 //! root set starts a new pool, exactly as a round without a pool would.
+//!
+//! # Empty `T`: ForestDelta
+//!
+//! ForestDelta (Algorithm 2) is this estimator with `T = ∅`: the forests
+//! are rooted at `S` alone, `Σ̃` is `0 × 0`, every correction below has an
+//! empty inner dimension, and each gain is `‖Y_u‖² / max(ẑ_u, 1/d_u)`,
+//! the sketched numerator over the diagonal samples clamped from below by
+//! the Neumann bound `(L_{-S}^{-1})_{uu} ≥ 1/d_u` of Lemma 3.9's proof.
+//! ForestCFCM's rounds, and SchurCFCM's once `T ∖ S` is empty, all run
+//! through [`schur_delta_ws`]. The one branch on an empty `T` picks the
+//! seed salts of a new pool: SchurDelta's (`0x5C47A` for the sketches,
+//! `0x5DE17` for the sampler) or ForestDelta's (`0xD317A` and `0xDE17A`),
+//! so both algorithms keep the streams they always drew.
 
 use crate::adaptive::{gain_halfwidth, sample_until_certified};
 use crate::engine::{GreedyWorkspace, SchurScratch};
@@ -77,7 +90,8 @@ pub(crate) struct ForestPool {
 
 impl ForestPool {
     /// An empty pool for the round `iteration`: the sketches and the
-    /// sampler seed are the ones a round without a pool would draw.
+    /// sampler seed are the ones a round without a pool would draw, with
+    /// ForestDelta's salts when `T` is empty (see the module docs).
     fn new(
         g: &Graph,
         in_root: &[bool],
@@ -86,14 +100,19 @@ impl ForestPool {
         iteration: u64,
     ) -> Self {
         let (n, w) = (g.num_nodes(), params.width(g.num_nodes()));
+        let (sketch_salt, sampler_salt) = if t_nodes.is_empty() {
+            (0xD317A, 0xDE17A)
+        } else {
+            (0x5C47A, 0x5DE17)
+        };
         let mut sketch_rng =
-            StdRng::seed_from_u64(params.seed ^ 0x5C47A ^ iteration.wrapping_mul(0x9E37));
+            StdRng::seed_from_u64(params.seed ^ sketch_salt ^ iteration.wrapping_mul(0x9E37));
         let sketch_w = JlSketch::sample(w, n, &mut sketch_rng);
         let sketch_q = JlSketch::sample(w, t_nodes.len(), &mut sketch_rng);
         let index = Arc::new(RootIndex::new(n, t_nodes));
         Self {
             params_seed: params.seed,
-            seed: params.seed ^ 0x5DE17 ^ iteration.wrapping_mul(0x85EB),
+            seed: params.seed ^ sampler_salt ^ iteration.wrapping_mul(0x85EB),
             acc: ElectricalAccumulator::new(
                 g,
                 in_root,
@@ -154,9 +173,9 @@ impl ForestPool {
     }
 }
 
-/// Estimate marginal gains with the auxiliary root set `T` (Algorithm 4),
-/// with a fresh (throwaway) workspace. Greedy loops should prefer
-/// [`schur_delta_ws`] with the run's persistent
+/// Estimate marginal gains with the auxiliary root set `T` (Algorithm 4,
+/// or Algorithm 2 when `T` is empty), with a fresh (throwaway) workspace.
+/// Greedy loops should prefer [`schur_delta_ws`] with the run's persistent
 /// [`crate::engine::GreedyWorkspace`], which reuses the dense round
 /// buffers and continues the forest pool across iterations.
 pub fn schur_delta(
@@ -180,7 +199,10 @@ pub fn schur_delta(
 /// for one run on one graph: call [`GreedyWorkspace::begin_run`] before
 /// reusing `ws` elsewhere.
 ///
-/// `in_s` marks `S`; `t_nodes` must be disjoint from `S` and non-empty.
+/// `in_s` marks `S`; `t_nodes` must be disjoint from `S` and may be
+/// empty, which makes the round ForestDelta's (see the module docs). The
+/// round after a pick of the last node of `T ∖ S` has an empty `T` and
+/// the same root set, so it continues the pool like any other.
 pub fn schur_delta_ws(
     g: &Graph,
     in_s: &[bool],
@@ -189,8 +211,6 @@ pub fn schur_delta_ws(
     iteration: u64,
     ws: &mut GreedyWorkspace,
 ) -> Result<SchurDeltaEstimates, CfcmError> {
-    let n = g.num_nodes();
-    assert!(!t_nodes.is_empty());
     debug_assert!(
         t_nodes.iter().all(|&t| !in_s[t as usize]),
         "T must be disjoint from S"
@@ -223,7 +243,6 @@ pub fn schur_delta_ws(
         g,
         &in_root,
         pool.seed,
-        params.forest_cap(n, 0, g.max_degree_excluding(&in_root)),
         params,
         &mut pool.acc,
         |acc, deltas| {
@@ -245,7 +264,7 @@ pub fn schur_delta_ws(
             if in_root[u as usize] {
                 0.0
             } else {
-                gain_halfwidth(acc, u, delta, params.delta_confidence)
+                gain_halfwidth(acc, u, delta)
             }
         },
     )?;
@@ -441,6 +460,24 @@ mod tests {
         assert_eq!(ws.pooled_forests(), 64);
         ws.begin_run();
         assert_eq!(ws.pooled_forests(), 0);
+    }
+
+    #[test]
+    fn a_pick_of_the_last_node_of_t_continues_the_pool_with_an_empty_t() {
+        let (g, mut in_s, t_nodes) = pool_case();
+        let mut params = CfcmParams::with_epsilon(0.3).seed(5);
+        params.max_forests = params.min_batch;
+        let mut ws = GreedyWorkspace::new();
+        let t = t_nodes[0];
+        schur_delta_ws(&g, &in_s, &[t], &params, 1, &mut ws).unwrap();
+        // Picking the only node of T leaves the root set S ∪ T as it was:
+        // the round with an empty T scores the full pool as ForestDelta.
+        in_s[t as usize] = true;
+        let next = schur_delta_ws(&g, &in_s, &[], &params, 2, &mut ws).unwrap();
+        assert_eq!((next.forests, next.sampled), (64, 0));
+        assert_eq!(next.walk_steps, 0);
+        assert!(next.deltas[t as usize].is_nan());
+        assert!(next.deltas[next.best as usize].is_finite());
     }
 
     #[test]

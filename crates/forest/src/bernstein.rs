@@ -7,10 +7,11 @@
 //! |X̄ − E X̄| ≤ sqrt(2·X_var·ln(3/δ)/n) + 3·X_sup·ln(3/δ)/n
 //! ```
 //!
-//! The adaptive sampling loops compare this half-width against the relative
-//! error target (Line 17 of Algorithm 2 / Line 13 of Algorithm 3) and stop
-//! early when it is met, while the Hoeffding-style cap `r` preserves the
-//! worst-case guarantee.
+//! The adaptive sampling loop (`cfcc_core::adaptive`) compares this
+//! half-width against the relative error target (Line 17 of Algorithm 2 /
+//! Line 13 of Algorithm 3) and stops early when it is met. Its forest cap
+//! is a practical budget (`CfcmParams::max_forests`); the paper's
+//! Hoeffding-style worst-case bound `r` (Lemma 3.9) is not implemented.
 
 /// Bernstein half-width `f(n, X_var, X_sup, δ)` from Lemma 3.6.
 #[inline]
@@ -21,41 +22,6 @@ pub fn bernstein_halfwidth(n: u64, variance: f64, sup: f64, delta: f64) -> f64 {
     let log_term = (3.0 / delta).ln();
     let nf = n as f64;
     (2.0 * variance.max(0.0) * log_term / nf).sqrt() + 3.0 * sup * log_term / nf
-}
-
-/// Relative-error acceptance test of the paper's adaptive loops:
-/// `ε'_u ≤ ε (x̂_u − ε'_u)`, i.e. the estimate is an ε-approximation even in
-/// the worst case of the confidence interval.
-#[inline]
-pub fn relative_error_ok(estimate: f64, halfwidth: f64, epsilon: f64) -> bool {
-    halfwidth.is_finite() && halfwidth <= epsilon * (estimate - halfwidth)
-}
-
-/// The Hoeffding-style worst-case sample bound of Lemma 3.9 (Eq. 8):
-/// `r ≥ 2 (ε/15)^{-2} τ² d_max^{2τ+2}(S) log(2n)`, clamped to
-/// `[min_cap, max_cap]` — the raw value overflows anything realistic, which
-/// is exactly why the paper adds the Bernstein early stop.
-pub fn hoeffding_cap(
-    n: usize,
-    tau: u32,
-    dmax_s: usize,
-    epsilon: f64,
-    min_cap: u64,
-    max_cap: u64,
-) -> u64 {
-    let tau = tau.max(1) as f64;
-    let d = dmax_s.max(1) as f64;
-    let raw = 2.0
-        * (epsilon / 15.0).powi(-2)
-        * tau
-        * tau
-        * d.powf((2.0 * tau + 2.0).min(64.0))
-        * (2.0 * n.max(2) as f64).ln();
-    if !raw.is_finite() || raw >= max_cap as f64 {
-        max_cap
-    } else {
-        (raw as u64).clamp(min_cap, max_cap)
-    }
 }
 
 #[cfg(test)]
@@ -83,16 +49,6 @@ mod tests {
     }
 
     #[test]
-    fn relative_test_behaviour() {
-        // Tight interval around a positive estimate passes.
-        assert!(relative_error_ok(10.0, 0.5, 0.2));
-        // Interval as large as the estimate fails.
-        assert!(!relative_error_ok(10.0, 9.0, 0.2));
-        // Infinite half-width fails.
-        assert!(!relative_error_ok(10.0, f64::INFINITY, 0.2));
-    }
-
-    #[test]
     fn bernstein_covers_true_mean_empirically() {
         // Uniform[0,1] samples: the bound must cover the true mean 0.5 in
         // the vast majority of repetitions.
@@ -112,16 +68,5 @@ mod tests {
             }
         }
         assert!(covered >= reps * 95 / 100, "covered {covered}/{reps}");
-    }
-
-    #[test]
-    fn hoeffding_cap_clamps() {
-        // Realistic parameters explode; the cap must clamp.
-        assert_eq!(hoeffding_cap(10_000, 10, 50, 0.2, 64, 1 << 20), 1 << 20);
-        // Tiny parameters respect the floor.
-        assert_eq!(hoeffding_cap(4, 1, 1, 0.9, 2000, 1 << 20), 2000);
-        // In between, the raw bound itself is returned.
-        let mid = hoeffding_cap(4, 1, 1, 0.9, 64, 1 << 20);
-        assert!((64..(1 << 20)).contains(&mid));
     }
 }

@@ -1,4 +1,4 @@
-//! Row-major dense matrices with blocked Cholesky and LU factorizations.
+//! Row-major dense matrices with a blocked Cholesky factorization.
 //!
 //! # DESIGN — the dense layer after the blocked-kernel rebuild
 //!
@@ -10,9 +10,9 @@
 //!
 //! **Factor vs inverse.** Callers should *factor once and solve many*:
 //!
-//! * `A⁻¹ B` → [`Cholesky::solve_mat`] / [`Lu::solve_mat`] (two blocked
-//!   triangular solves; never forms `A⁻¹`);
-//! * `A⁻¹ b` → [`Cholesky::solve_vec`] / [`Lu::solve`];
+//! * `A⁻¹ B` → [`Cholesky::solve_mat`] (two blocked triangular solves;
+//!   never forms `A⁻¹`);
+//! * `A⁻¹ b` → [`Cholesky::solve_vec`];
 //! * `diag(A⁻¹)` → [`Cholesky::diag_inverse`] (`n³/2` via the triangular
 //!   factor only); `Tr(A⁻¹)` → [`Cholesky::trace_inverse`].
 //!
@@ -400,54 +400,11 @@ impl DenseMatrix {
         }
         Ok(Cholesky { n, l })
     }
-
-    /// LU factorization with partial pivoting (for possibly-indefinite
-    /// matrices such as estimated Schur complements before regularization).
-    pub fn lu(&self) -> Result<Lu, LinalgError> {
-        assert_eq!(self.rows, self.cols, "lu requires a square matrix");
-        let n = self.rows;
-        let mut a = self.data.clone();
-        let mut piv: Vec<usize> = (0..n).collect();
-        for k in 0..n {
-            // pivot search
-            let mut p = k;
-            let mut best = a[k * n + k].abs();
-            for i in (k + 1)..n {
-                let v = a[i * n + k].abs();
-                if v > best {
-                    best = v;
-                    p = i;
-                }
-            }
-            if best == 0.0 || !best.is_finite() {
-                return Err(LinalgError::Singular { column: k });
-            }
-            if p != k {
-                for j in 0..n {
-                    a.swap(k * n + j, p * n + j);
-                }
-                piv.swap(k, p);
-            }
-            let pivot = a[k * n + k];
-            for i in (k + 1)..n {
-                let factor = a[i * n + k] / pivot;
-                a[i * n + k] = factor;
-                if factor != 0.0 {
-                    // Split the borrow: copy row k's tail is avoided by raw indexing.
-                    for j in (k + 1)..n {
-                        a[i * n + j] -= factor * a[k * n + j];
-                    }
-                }
-            }
-        }
-        Ok(Lu { n, lu: a, piv })
-    }
 }
 
 /// Blocked forward substitution `L Y = B` on a row-major multi-RHS buffer
-/// (`b` is `n × r`). `l` holds the lower-triangular factor row-major;
-/// `unit` treats the diagonal as ones (LU's L factor).
-fn forward_solve_mat(l: &[f64], n: usize, unit: bool, b: &mut [f64], r: usize, threads: usize) {
+/// (`b` is `n × r`). `l` holds the lower-triangular factor row-major.
+fn forward_solve_mat(l: &[f64], n: usize, b: &mut [f64], r: usize, threads: usize) {
     let mut block = Vec::new();
     for k0 in (0..n).step_by(NB) {
         let k1 = (k0 + NB).min(n);
@@ -463,11 +420,9 @@ fn forward_solve_mat(l: &[f64], n: usize, unit: bool, b: &mut [f64], r: usize, t
                     }
                 }
             }
-            if !unit {
-                let inv = 1.0 / l[i * n + i];
-                for x in bi.iter_mut() {
-                    *x *= inv;
-                }
+            let inv = 1.0 / l[i * n + i];
+            for x in bi.iter_mut() {
+                *x *= inv;
             }
         }
         if k1 == n {
@@ -591,52 +546,6 @@ fn backward_solve_lt_mat(l: &[f64], n: usize, b: &mut [f64], r: usize, threads: 
     }
 }
 
-/// Blocked backward substitution `U X = Y` for a full (non-unit) upper
-/// factor stored row-major in `lu` (the LU path).
-fn backward_solve_u_mat(lu: &[f64], n: usize, b: &mut [f64], r: usize, threads: usize) {
-    let mut block = Vec::new();
-    let nblocks = n.div_ceil(NB);
-    for bi in (0..nblocks).rev() {
-        let k0 = bi * NB;
-        let k1 = (k0 + NB).min(n);
-        for i in (k0..k1).rev() {
-            let (head, tail) = b.split_at_mut((i + 1) * r);
-            let bi_row = &mut head[i * r..];
-            for t in (i + 1)..k1 {
-                let c = lu[i * n + t];
-                if c != 0.0 {
-                    let yt = &tail[(t - i - 1) * r..(t - i) * r];
-                    for (x, &y) in bi_row.iter_mut().zip(yt) {
-                        *x -= c * y;
-                    }
-                }
-            }
-            let inv = 1.0 / lu[i * n + i];
-            for x in bi_row.iter_mut() {
-                *x *= inv;
-            }
-        }
-        if k0 == 0 {
-            break;
-        }
-        // B[..k0, :] −= U[..k0, k0..k1] · X[k0..k1, :].
-        block.clear();
-        block.extend_from_slice(&b[k0 * r..k1 * r]);
-        kernel::gemm_acc(
-            b,
-            0,
-            r,
-            View::new(lu, k0, n),
-            View::new(&block, 0, r),
-            k0,
-            r,
-            k1 - k0,
-            -1.0,
-            threads,
-        );
-    }
-}
-
 /// Cholesky factor `L` with `A = L Lᵀ`.
 #[derive(Debug, Clone)]
 pub struct Cholesky {
@@ -694,7 +603,7 @@ impl Cholesky {
     /// many, never forming `A⁻¹`.
     pub fn solve_mat_in_place(&self, b: &mut DenseMatrix, threads: usize) {
         assert_eq!(b.rows, self.n, "RHS row count must match the factor");
-        forward_solve_mat(&self.l, self.n, false, &mut b.data, b.cols, threads);
+        forward_solve_mat(&self.l, self.n, &mut b.data, b.cols, threads);
         backward_solve_lt_mat(&self.l, self.n, &mut b.data, b.cols, threads);
     }
 
@@ -703,14 +612,6 @@ impl Cholesky {
         let mut x = b.clone();
         self.solve_mat_in_place(&mut x, 1);
         x
-    }
-
-    /// `log det A = 2 Σ log L_ii` (used by matrix-forest-theorem tests).
-    pub fn log_det(&self) -> f64 {
-        (0..self.n)
-            .map(|i| self.l[i * self.n + i].ln())
-            .sum::<f64>()
-            * 2.0
     }
 
     /// `Tr(A^{-1}) = ‖L^{-1}‖_F²` via triangular inversion only — roughly
@@ -804,66 +705,6 @@ impl Cholesky {
             }
         }
         inv
-    }
-}
-
-/// LU factorization with partial pivoting; `P A = L U`.
-#[derive(Debug, Clone)]
-pub struct Lu {
-    n: usize,
-    lu: Vec<f64>,
-    piv: Vec<usize>,
-}
-
-impl Lu {
-    /// Dimension.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Solve `A x = b`.
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        assert_eq!(b.len(), self.n);
-        let n = self.n;
-        let mut x: Vec<f64> = self.piv.iter().map(|&p| b[p]).collect();
-        // forward: L y = Pb (unit diagonal)
-        for i in 0..n {
-            let s = vector::dot(&self.lu[i * n..i * n + i], &x[..i]);
-            x[i] -= s;
-        }
-        // backward: U x = y
-        for i in (0..n).rev() {
-            let s = x[i] - vector::dot(&self.lu[i * n + i + 1..(i + 1) * n], &x[i + 1..n]);
-            x[i] = s / self.lu[i * n + i];
-        }
-        x
-    }
-
-    /// Multi-RHS solve `A X = B` via blocked unit-lower and upper
-    /// triangular substitution (factor once, solve many).
-    pub fn solve_mat(&self, b: &DenseMatrix) -> DenseMatrix {
-        self.solve_mat_threaded(b, 1)
-    }
-
-    /// [`Lu::solve_mat`] with `threads` scoped row panels in the blocked
-    /// updates.
-    pub fn solve_mat_threaded(&self, b: &DenseMatrix, threads: usize) -> DenseMatrix {
-        assert_eq!(b.rows, self.n, "RHS row count must match the factor");
-        let r = b.cols;
-        // Apply the row permutation while copying.
-        let mut x = DenseMatrix::zeros(self.n, r);
-        for (i, &p) in self.piv.iter().enumerate() {
-            x.row_mut(i).copy_from_slice(b.row(p));
-        }
-        forward_solve_mat(&self.lu, self.n, true, &mut x.data, r, threads);
-        backward_solve_u_mat(&self.lu, self.n, &mut x.data, r, threads);
-        x
-    }
-
-    /// Full inverse (kept for the estimated-Schur path's test oracles;
-    /// hot paths use [`Lu::solve_mat`]).
-    pub fn inverse(&self) -> DenseMatrix {
-        self.solve_mat(&DenseMatrix::identity(self.n))
     }
 }
 
@@ -961,50 +802,6 @@ mod tests {
     }
 
     #[test]
-    fn lu_solves_unsymmetric() {
-        let a = DenseMatrix::from_rows(&[&[0.0, 2.0, 1.0], &[1.0, -1.0, 0.0], &[3.0, 0.0, 4.0]]);
-        let lu = a.lu().unwrap();
-        let b = [5.0, -1.0, 7.0];
-        let x = lu.solve(&b);
-        let mut ax = vec![0.0; 3];
-        a.matvec(&x, &mut ax);
-        for i in 0..3 {
-            assert!((ax[i] - b[i]).abs() < 1e-10);
-        }
-        let inv = lu.inverse();
-        assert!(a.matmul(&inv).max_abs_diff(&DenseMatrix::identity(3)) < 1e-10);
-    }
-
-    #[test]
-    fn lu_solve_mat_matches_vector_solves() {
-        let a = DenseMatrix::from_rows(&[&[0.0, 2.0, 1.0], &[1.0, -1.0, 0.0], &[3.0, 0.0, 4.0]]);
-        let lu = a.lu().unwrap();
-        let b = DenseMatrix::from_rows(&[&[5.0, 1.0], &[-1.0, 2.0], &[7.0, 0.0]]);
-        let x = lu.solve_mat(&b);
-        for j in 0..2 {
-            let col: Vec<f64> = (0..3).map(|i| b.get(i, j)).collect();
-            let want = lu.solve(&col);
-            for (i, &w) in want.iter().enumerate() {
-                assert!((x.get(i, j) - w).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn lu_detects_singular() {
-        let a = DenseMatrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
-        assert!(matches!(a.lu(), Err(LinalgError::Singular { .. })));
-    }
-
-    #[test]
-    fn log_det_matches_known() {
-        // det(diag(4,9)) = 36
-        let a = DenseMatrix::from_rows(&[&[4.0, 0.0], &[0.0, 9.0]]);
-        let ch = a.cholesky().unwrap();
-        assert!((ch.log_det() - 36.0f64.ln()).abs() < 1e-12);
-    }
-
-    #[test]
     fn symmetrize_and_ridge() {
         let mut a = DenseMatrix::from_rows(&[&[1.0, 2.0], &[4.0, 1.0]]);
         a.symmetrize();
@@ -1023,13 +820,5 @@ mod tests {
         for (i, d) in ch.diag_inverse().iter().enumerate() {
             assert!((d - inv.get(i, i)).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn lu_and_cholesky_agree_on_spd() {
-        let a = spd3();
-        let i1 = a.cholesky().unwrap().inverse();
-        let i2 = a.lu().unwrap().inverse();
-        assert!(i1.max_abs_diff(&i2) < 1e-10);
     }
 }

@@ -13,11 +13,6 @@ pub enum LinalgError {
         /// Offending pivot value.
         pivot: f64,
     },
-    /// LU found no usable pivot: matrix is singular to working precision.
-    Singular {
-        /// Column where elimination failed.
-        column: usize,
-    },
     /// Iterative solver did not reach the requested tolerance.
     DidNotConverge {
         /// Iterations performed.
@@ -74,9 +69,6 @@ impl fmt::Display for LinalgError {
                     "matrix not positive definite at row {row} (pivot {pivot:e})"
                 )
             }
-            LinalgError::Singular { column } => {
-                write!(f, "matrix singular at column {column}")
-            }
             LinalgError::DidNotConverge {
                 iterations,
                 residual,
@@ -116,9 +108,6 @@ mod tests {
             pivot: -1e-9,
         };
         assert!(e.to_string().contains("row 3"));
-        assert!(LinalgError::Singular { column: 2 }
-            .to_string()
-            .contains("column 2"));
         let c = LinalgError::DidNotConverge {
             iterations: 100,
             residual: 0.5,

@@ -24,11 +24,6 @@ pub fn practical_width(d: usize, epsilon: f64) -> usize {
     w.clamp(8, 64)
 }
 
-/// Theoretical width from Lemma 3.4 with the paper's `ε/7` split.
-pub fn theoretical_width(d: usize, epsilon: f64) -> usize {
-    (24.0 * (epsilon / 7.0).powi(-2) * (d.max(2) as f64).ln()).ceil() as usize
-}
-
 /// A `w × d` Rademacher JL sketch, stored node-major as signs.
 #[derive(Debug, Clone)]
 pub struct JlSketch {
@@ -129,8 +124,6 @@ mod tests {
         assert!(practical_width(1000, 0.2) >= 8);
         assert!(practical_width(1000, 0.2) <= 64);
         assert!(practical_width(1000, 0.1) >= practical_width(1000, 0.3));
-        // Theoretical width is enormous — the reason practical mode exists.
-        assert!(theoretical_width(1000, 0.2) > 10_000);
     }
 
     #[test]

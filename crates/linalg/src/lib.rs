@@ -43,8 +43,8 @@
 //!   symmetric updates (including the triangular depth-clipped variant
 //!   behind `Cholesky::inverse`), and pool-backed row-panel parallelism
 //!   (block sizes and packing layout documented there).
-//! * [`dense`] — row-major dense matrices with *blocked* Cholesky and
-//!   partially-pivoted LU factorizations, multi-RHS triangular solves
+//! * [`dense`] — row-major dense matrices with a *blocked* Cholesky
+//!   factorization, multi-RHS triangular solves
 //!   (`solve_mat`/`solve_vec`: factor once, solve many), diagonal-only
 //!   inverse extraction, and — where an algorithm genuinely consumes
 //!   inverse entries — blocked inverses. Used by the `Exact` baseline, the

@@ -127,32 +127,23 @@ fn blocked_inverse_matches_naive_inverse() {
 }
 
 #[test]
-fn lu_solve_mat_matches_inverse_product() {
-    let mut rng = StdRng::seed_from_u64(0x10F5);
-    for &n in SIZES {
-        let a = {
-            let mut m = random_matrix(&mut rng, n, n);
-            m.add_ridge(2.0 * n as f64); // diagonally dominant ⇒ invertible
-            m
-        };
-        let b = random_matrix(&mut rng, n, (n / 3).max(1));
-        let lu = a.lu().unwrap();
-        let x = lu.solve_mat(&b);
-        let ax = a.matmul(&x);
-        assert!(rel_diff(&ax, &b) < 1e-9, "lu solve_mat residual n={n}");
-    }
-}
-
-#[test]
 fn kernels_are_bit_identical_across_thread_counts() {
     let mut rng = StdRng::seed_from_u64(0xDE7E);
     let n = 140;
     let a = random_matrix(&mut rng, n, n);
     let b = random_matrix(&mut rng, n, n);
     let spd = random_spd(&mut rng, n);
+    let rhs = random_matrix(&mut rng, n, 40);
     let serial_mm = a.matmul_threaded(&b, 1);
     let serial_ch = spd.cholesky_threaded(1).unwrap();
     let serial_inv = serial_ch.inverse_threaded(1);
+    // The blocked forward and backward triangular solves.
+    let solve = |threads| {
+        let mut x = rhs.clone();
+        serial_ch.solve_mat_in_place(&mut x, threads);
+        x
+    };
+    let serial_solve = solve(1);
     for threads in [2, 4] {
         assert_eq!(
             a.matmul_threaded(&b, threads).data(),
@@ -174,26 +165,10 @@ fn kernels_are_bit_identical_across_thread_counts() {
             serial_inv.data(),
             "inverse threads={threads}"
         );
-    }
-}
-
-#[test]
-fn lu_solve_mat_bit_identical_across_thread_counts() {
-    let mut rng = StdRng::seed_from_u64(0x10AD);
-    let n = 150;
-    let a = {
-        let mut m = random_matrix(&mut rng, n, n);
-        m.add_ridge(2.0 * n as f64);
-        m
-    };
-    let b = random_matrix(&mut rng, n, 40);
-    let lu = a.lu().unwrap();
-    let serial = lu.solve_mat_threaded(&b, 1);
-    for threads in [2, 4] {
         assert_eq!(
-            lu.solve_mat_threaded(&b, threads).data(),
-            serial.data(),
-            "lu solve_mat threads={threads}"
+            solve(threads).data(),
+            serial_solve.data(),
+            "solve_mat_in_place threads={threads}"
         );
     }
 }
