@@ -19,9 +19,11 @@ pub struct Report {
     /// Solver family label (exact / monte-carlo / heuristic).
     pub kind: String,
     /// SDD backend selection the run's solves went through (`auto` shows
-    /// the name it resolves to for this graph size). `None` when nothing
-    /// ran through a backend: the solver did no SDD solve and C(S) was
-    /// not evaluated.
+    /// the name it resolves to for this graph size): ApproxGreedy's
+    /// sketched solves, the forest solvers' exact-decision panels, and the
+    /// C(S) evaluation. `None` when nothing ran through a backend: the
+    /// solver did no SDD solve (the heuristics, the dense exact solvers)
+    /// and C(S) was not evaluated.
     pub backend: Option<String>,
     /// Graph statistics after LCC extraction: (nodes, edges).
     pub graph_stats: (usize, usize),
@@ -522,30 +524,50 @@ mod tests {
 
     #[test]
     fn backend_is_reported_only_when_something_solved_through_it() {
-        // SchurCFCM samples forests and does no SDD solve: no label in
-        // text, `null` in JSON.
-        let schur = ["--dataset", "karate", "--algo", "schur", "--k", "2"];
-        let r = execute(&args(&schur)).unwrap();
+        // Degree ranks by degree and does no SDD solve: no label in text,
+        // `null` in JSON.
+        let degree = ["--dataset", "karate", "--algo", "degree", "--k", "2"];
+        let r = execute(&args(&degree)).unwrap();
         assert_eq!(r.stats.solve.solves, 0);
         assert_eq!(r.backend, None);
         assert!(!r.render().contains("backend"), "{}", r.render());
         assert!(r.to_json().contains(r#""backend":null"#));
         // Evaluating C(S) solves through the backend, so it is named.
-        let r = execute(&args(&[&schur[..], &["--evaluate"]].concat())).unwrap();
+        let r = execute(&args(&[&degree[..], &["--evaluate"]].concat())).unwrap();
         assert_eq!(r.backend.as_deref(), Some("auto (dense-cholesky)"));
-        // ApproxGreedy solves through the backend on its own.
+        // ApproxGreedy solves through the backend on its own, and so does
+        // SchurCFCM: its forest phases decide through exact panels.
+        for algo in ["approx", "schur"] {
+            let r = execute(&args(&[
+                "--dataset",
+                "karate",
+                "--algo",
+                algo,
+                "--k",
+                "2",
+                "--json",
+            ]))
+            .unwrap();
+            assert!(r.stats.solve.solves > 0, "{algo}");
+            assert!(r.to_json().contains(r#""backend":"auto (dense-cholesky)""#));
+        }
+    }
+
+    #[test]
+    fn schur_json_reports_each_rounds_ridge() {
         let r = execute(&args(&[
             "--dataset",
             "karate",
             "--algo",
-            "approx",
+            "schur",
             "--k",
-            "2",
+            "3",
             "--json",
         ]))
         .unwrap();
-        assert!(r.stats.solve.solves > 0);
-        assert!(r.to_json().contains(r#""backend":"auto (dense-cholesky)""#));
+        let j = r.to_json();
+        assert_eq!(j.matches(r#""ridge":"#).count(), 3, "{j}");
+        assert!(j.contains(r#""ridge":0}"#), "{j}");
     }
 
     #[test]

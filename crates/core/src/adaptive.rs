@@ -1,30 +1,32 @@
-//! Shared adaptive-stopping logic for the Monte-Carlo phases.
+//! The one sampling loop of the Monte-Carlo phases: forests screen the
+//! candidates, exact solves decide.
 //!
-//! Algorithms 2–5 sample in doubling batches and stop once the empirical
-//! Bernstein half-widths (Lemma 3.6, at confidence `δ = 0.01`) certify the
-//! current winner; all of them run through one loop,
-//! `sample_until_certified`. The rule implemented here is slightly more
-//! conservative than the paper's per-node check and is purely an *early
-//! exit*: the practical cap [`crate::CfcmParams::forest_cap`] (the
+//! Both forest phases (the first pick of Algorithms 3 and 5, and every
+//! SchurDelta round) sample in doubling batches through
+//! `sample_until_certified`. After each checkpoint the forests' estimates
+//! only choose which candidates to evaluate exactly: the 16 highest
+//! estimates that have no exact value yet are solved as one
+//! [`RHS_CHUNK`]-column panel through a factor of the grounded Laplacian,
+//! and the pick is the best exact value. Sampling stops once no
+//! unsolved candidate's estimate exceeds that value by more than the slack
+//! `(ε/2)·|best|`.
+//!
+//! One checkpoint is enough to stop, because the pick itself is exact:
+//! the estimates no longer have to tell near-ties apart, only to show that
+//! no candidate outside the solved ones is likely to beat the pick by more
+//! than the `ε` guarantee tolerates. Exact values do not change as forests
+//! arrive, so they persist for the whole call and a node is solved at
+//! most once. The practical cap [`crate::CfcmParams::forest_cap`] (the
 //! `max_forests` field) preserves termination. The paper's worst-case
 //! sample bound (Lemma 3.9) is not implemented; it is astronomically
 //! larger than any cap a run can afford.
-//!
-//! A candidate is accepted when, across two consecutive batch checkpoints:
-//!
-//! 1. the argbest is unchanged,
-//! 2. its score moved by at most `ε/4` relatively, and
-//! 3. either the Bernstein interval separates it from the runner-up, or
-//!    both intervals are already below `ε/2` of the leading score.
 
 use crate::CfcmParams;
-use cfcc_forest::bernstein::bernstein_halfwidth;
 use cfcc_forest::estimators::ElectricalAccumulator;
 use cfcc_forest::sampler::{absorb_batch, SamplerConfig};
 use cfcc_graph::{Graph, Node};
-
-/// Confidence `δ` of the empirical-Bernstein half-widths.
-const DELTA_CONFIDENCE: f64 = 0.01;
+use cfcc_linalg::sdd::{SddFactor, RHS_CHUNK};
+use cfcc_linalg::{DenseMatrix, LinalgError};
 
 /// Doubling batch schedule: total sample targets after each checkpoint.
 pub fn batch_schedule(min_batch: u64, cap: u64) -> Vec<u64> {
@@ -41,70 +43,25 @@ pub fn batch_schedule(min_batch: u64, cap: u64) -> Vec<u64> {
     totals
 }
 
-/// One scored candidate at a checkpoint.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Candidate {
-    /// Node id.
-    pub node: u32,
-    /// Score (marginal gain Δ', or negated first-phase objective so that
-    /// "bigger is better" uniformly).
-    pub score: f64,
-    /// Bernstein half-width attached to the score's denominator estimate.
-    pub halfwidth: f64,
-}
-
-/// Rolling stop-rule state.
-#[derive(Debug, Default, Clone)]
-pub struct StopRule {
-    prev: Option<Candidate>,
-}
-
-impl StopRule {
-    /// Fresh state.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Feed this checkpoint's best and runner-up; returns true to stop.
-    pub fn check(&mut self, best: Candidate, second: Option<Candidate>, epsilon: f64) -> bool {
-        let decision = match self.prev {
-            Some(prev) if prev.node == best.node => {
-                let rel_change = if best.score != 0.0 {
-                    ((best.score - prev.score) / best.score).abs()
-                } else {
-                    0.0
-                };
-                let stable = rel_change <= epsilon / 4.0;
-                let separated = match second {
-                    Some(s) => {
-                        let gap = best.score - s.score;
-                        gap >= best.halfwidth + s.halfwidth
-                            || best.halfwidth + s.halfwidth
-                                <= epsilon / 2.0 * best.score.abs().max(f64::MIN_POSITIVE)
-                    }
-                    None => true,
-                };
-                stable && separated
-            }
-            _ => false,
-        };
-        self.prev = Some(best);
-        decision
-    }
-}
-
 /// Sample forests rooted at `in_root` into `acc` in doubling batches of
-/// the RNG stream `seed`, until the stop rule certifies the best score or
-/// [`CfcmParams::forest_cap`] forests are in. After every batch, `score`
-/// rewrites each node's score from `acc` (bigger is better; `NaN` marks a
-/// non-candidate) and `halfwidth(acc, u, score)` bounds a candidate's
-/// error. Returns the last scores and their argmax; only a failing
-/// `score` fails the sampling.
+/// the RNG stream `seed`, until an exact evaluation settles the pick or
+/// [`CfcmParams::forest_cap`] forests are in (see the module docs).
+///
+/// After every batch, `score` rewrites each node's estimate from `acc`
+/// (bigger is better; `NaN` marks a non-candidate). The 16 highest
+/// estimates without an exact value (first index on ties) then get one
+/// from a single `exact(nodes)` call, in the estimates' units. Sampling
+/// stops when every unsolved candidate's estimate is at most
+/// `best + (ε/2)·|best|`, with `best` the largest exact value so far.
+///
+/// Returns the last estimates with the exact values written over the
+/// solved nodes', and the node of the best exact value (first index on
+/// ties). Only a failing `score` or `exact` fails the sampling.
 ///
 /// An `acc` that already holds forests (SchurDelta's pool, see
 /// [`crate::schur_delta`]) is scored at its current count first; the
 /// schedule and the stream's global forest index continue from there, so
-/// a pool already at the cap samples nothing.
+/// a pool already at the cap samples nothing and still decides exactly.
 pub(crate) fn sample_until_certified<E>(
     g: &Graph,
     in_root: &[bool],
@@ -112,14 +69,17 @@ pub(crate) fn sample_until_certified<E>(
     params: &CfcmParams,
     acc: &mut ElectricalAccumulator,
     mut score: impl FnMut(&ElectricalAccumulator, &mut [f64]) -> Result<(), E>,
-    halfwidth: impl Fn(&ElectricalAccumulator, Node, f64) -> f64,
+    mut exact: impl FnMut(&[Node]) -> Result<Vec<f64>, E>,
 ) -> Result<(Vec<f64>, Node), E> {
     let cfg = SamplerConfig {
         seed,
         threads: params.threads,
     };
-    let mut rule = StopRule::new();
-    let mut scores = vec![f64::NAN; g.num_nodes()];
+    let n = g.num_nodes();
+    let mut scores = vec![f64::NAN; n];
+    // Exact values of the solved nodes, NaN for the rest.
+    let mut solved = vec![f64::NAN; n];
+    let mut open = vec![f64::NAN; n];
     let start = acc.num_forests();
     let schedule = batch_schedule(params.min_batch, params.forest_cap())
         .into_iter()
@@ -129,68 +89,77 @@ pub(crate) fn sample_until_certified<E>(
         absorb_batch(g, in_root, sampled, total - sampled, &cfg, acc);
         sampled = total;
         score(acc, &mut scores)?;
-        let (best, second) = top2_max(&scores);
-        let mk = |u: Node| Candidate {
-            node: u,
-            score: scores[u as usize],
-            halfwidth: halfwidth(acc, u, scores[u as usize]),
-        };
-        if rule.check(mk(best), second.map(mk), params.epsilon) {
+        // The estimates of the candidates without an exact value.
+        for ((o, &x), &v) in open.iter_mut().zip(&scores).zip(&solved) {
+            *o = if v.is_nan() { x } else { f64::NAN };
+        }
+        let panel = top_max(&open, RHS_CHUNK);
+        if !panel.is_empty() {
+            for (&u, v) in panel.iter().zip(exact(&panel)?) {
+                solved[u as usize] = v;
+                open[u as usize] = f64::NAN;
+            }
+        }
+        let best = solved[argbest(&solved) as usize];
+        let bar = best + params.epsilon / 2.0 * best.abs();
+        if !open.iter().any(|&x| x > bar) {
             break;
         }
     }
-    let best = top2_max(&scores).0;
-    Ok((scores, best))
-}
-
-/// Bernstein half-width of node `u`'s diagonal estimate.
-pub(crate) fn diag_halfwidth(acc: &ElectricalAccumulator, u: Node) -> f64 {
-    bernstein_halfwidth(
-        acc.num_forests(),
-        acc.diag_variance(u),
-        acc.diag_sup(u).max(1.0),
-        DELTA_CONFIDENCE,
-    )
-}
-
-/// The diagonal's half-width propagated to a gain `Δ' = num / z` with
-/// denominator `z = (L_{-S}^{-1})_{uu}`: `|∂(num/z)/∂z| · h_z = Δ'/z · h_z`
-/// (first order), at most `Δ'`.
-pub(crate) fn gain_halfwidth(acc: &ElectricalAccumulator, u: Node, gain: f64) -> f64 {
-    let z = acc.diag_mean(u).max(f64::MIN_POSITIVE);
-    gain * (diag_halfwidth(acc, u) / z).min(1.0)
-}
-
-/// Indices of the two largest non-`NaN` values; the first index wins ties.
-pub(crate) fn top2_max(xs: &[f64]) -> (Node, Option<Node>) {
-    let mut best: Option<usize> = None;
-    let mut second: Option<usize> = None;
-    for (i, &x) in xs.iter().enumerate() {
-        if x.is_nan() {
-            continue;
-        }
-        match best {
-            None => best = Some(i),
-            Some(b) if x > xs[b] => {
-                second = best;
-                best = Some(i);
-            }
-            _ => {
-                if second.is_none_or(|s| x > xs[s]) {
-                    second = Some(i);
-                }
-            }
+    for (x, &v) in scores.iter_mut().zip(&solved) {
+        if !v.is_nan() {
+            *x = v;
         }
     }
-    (
-        best.expect("at least one candidate") as Node,
-        second.map(|s| s as Node),
-    )
+    Ok((scores, argbest(&solved)))
+}
+
+/// The node of the best exact value. The first checkpoint solves the
+/// leading candidates, and every phase has at least one.
+fn argbest(solved: &[f64]) -> Node {
+    *top_max(solved, 1)
+        .first()
+        .expect("at least one candidate has an exact value")
+}
+
+/// Indices of the (at most) `m` largest non-`NaN` values, largest first;
+/// the first index wins ties.
+pub(crate) fn top_max(xs: &[f64], m: usize) -> Vec<Node> {
+    let by_value = |&a: &usize, &b: &usize| xs[b].total_cmp(&xs[a]).then(a.cmp(&b));
+    let mut idx: Vec<usize> = (0..xs.len()).filter(|&i| !xs[i].is_nan()).collect();
+    if idx.len() > m && m > 0 {
+        idx.select_nth_unstable_by(m - 1, by_value);
+    }
+    idx.truncate(m);
+    idx.sort_unstable_by(by_value);
+    idx.into_iter().map(|i| i as Node).collect()
+}
+
+/// The columns `x = L_{-S}^{-1} e_u` for the kept nodes `nodes` (at most
+/// [`RHS_CHUNK`]), solved as one cold-started panel through `factor`: row
+/// `j` of the result is the column of `nodes[j]`, in compact order.
+pub(crate) fn unit_columns(
+    factor: &mut dyn SddFactor,
+    nodes: &[Node],
+) -> Result<DenseMatrix, LinalgError> {
+    let (d, c) = (factor.dim(), nodes.len());
+    let mut b = DenseMatrix::zeros(d, c);
+    for (j, &u) in nodes.iter().enumerate() {
+        let i = factor.compact_of(u).expect("a unit column of a kept node");
+        b.set(i, j, 1.0);
+    }
+    let mut x = DenseMatrix::zeros(d, c);
+    factor.solve_mat_into(&b, &mut x)?;
+    Ok(x.transpose())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cfcc_forest::estimators::DiagMode;
+    use cfcc_graph::generators;
+    use std::collections::HashSet;
+    use std::convert::Infallible;
 
     #[test]
     fn schedule_doubles_to_cap() {
@@ -200,128 +169,129 @@ mod tests {
         assert_eq!(batch_schedule(0, 10), vec![1, 2, 4, 8, 10]);
     }
 
+    /// A path rooted at node 0, an empty accumulator, and parameters with
+    /// the schedule `[1, 2, 4, 8]`.
+    fn case(n: usize) -> (Graph, Vec<bool>, ElectricalAccumulator, CfcmParams) {
+        let g = generators::path(n);
+        let mut in_root = vec![false; n];
+        in_root[0] = true;
+        let acc = ElectricalAccumulator::new(&g, &in_root, None, DiagMode::Diagonal, None);
+        let mut p = CfcmParams::with_epsilon(0.2);
+        p.min_batch = 1;
+        p.max_forests = 8;
+        (g, in_root, acc, p)
+    }
+
+    /// Run the loop with scripted estimates (of the node and the forest
+    /// count) and exact values, recording every `exact` call.
+    fn run(
+        n: usize,
+        acc: Option<ElectricalAccumulator>,
+        estimate: impl Fn(usize, u64) -> f64,
+        value: impl Fn(Node) -> f64,
+    ) -> (Vec<f64>, Node, Vec<Vec<Node>>, u64) {
+        let (g, in_root, fresh, p) = case(n);
+        let mut acc = acc.unwrap_or(fresh);
+        let mut calls = Vec::new();
+        let (scores, best) = sample_until_certified::<Infallible>(
+            &g,
+            &in_root,
+            7,
+            &p,
+            &mut acc,
+            |acc, s| {
+                for (u, x) in s.iter_mut().enumerate() {
+                    *x = if u == 0 {
+                        f64::NAN
+                    } else {
+                        estimate(u, acc.num_forests())
+                    };
+                }
+                Ok(())
+            },
+            |nodes| {
+                calls.push(nodes.to_vec());
+                Ok(nodes.iter().map(|&u| value(u)).collect())
+            },
+        )
+        .unwrap();
+        (scores, best, calls, acc.num_forests())
+    }
+
     #[test]
-    fn never_stops_on_first_checkpoint() {
-        let mut rule = StopRule::new();
-        let best = Candidate {
-            node: 3,
-            score: 10.0,
-            halfwidth: 0.01,
+    fn the_pick_is_the_exact_best_not_the_estimated_best() {
+        // Node 1 leads the estimates; node 3 is exactly best, and no
+        // estimate outside the first panel clears the slack.
+        let (scores, best, calls, forests) = run(
+            30,
+            None,
+            |u, _| 10.0 - u as f64,
+            |u| if u == 3 { 9.5 } else { 1.0 },
+        );
+        assert_eq!(best, 3);
+        assert_eq!(scores[3], 9.5);
+        assert_eq!(scores[1], 1.0, "solved nodes carry their exact value");
+        assert_eq!(scores[20], -10.0, "unsolved nodes keep their estimate");
+        assert!(scores[0].is_nan());
+        assert_eq!((calls.len(), forests), (1, 1), "one checkpoint decides");
+    }
+
+    #[test]
+    fn an_unsolved_estimate_above_the_slack_keeps_sampling_to_the_cap() {
+        // 79 candidates estimated at 10, each exactly 1: every checkpoint
+        // leaves unsolved estimates above 1 + 0.1, so each solves a new
+        // panel, up to the cap.
+        let (scores, best, calls, forests) = run(80, None, |_, _| 10.0, |_| 1.0);
+        assert_eq!(forests, 8);
+        assert_eq!(calls.len(), 4);
+        assert!(calls.iter().all(|c| c.len() == RHS_CHUNK));
+        assert_eq!(best, 1, "the first index wins ties");
+        assert_eq!(scores[1], 1.0);
+        assert_eq!(scores[79], 10.0);
+        // Within the slack: unsolved estimates at 1.05 stop the sampling.
+        let below = |u: usize, _| if u <= RHS_CHUNK { 5.0 } else { 1.05 };
+        let (_, _, calls, forests) = run(80, None, below, |_| 1.0);
+        assert_eq!((calls.len(), forests), (1, 1));
+    }
+
+    #[test]
+    fn a_node_that_reenters_the_top_16_is_not_solved_again() {
+        // The leading estimates shift with the forest count, so nodes
+        // solved at one checkpoint lead again at the next; none of them is
+        // solved twice.
+        let estimate = |u: usize, f: u64| {
+            if (u as u64 + f).is_multiple_of(3) {
+                20.0
+            } else {
+                10.0
+            }
         };
-        assert!(!rule.check(best, None, 0.2));
-        // Second checkpoint with the same stable winner stops.
-        assert!(rule.check(best, None, 0.2));
+        let (_, _, calls, forests) = run(80, None, estimate, |_| 1.0);
+        assert_eq!((calls.len(), forests), (4, 8));
+        let mut seen = HashSet::new();
+        for call in &calls {
+            for &u in call {
+                assert!(seen.insert(u), "node {u} solved twice");
+            }
+        }
     }
 
     #[test]
-    fn requires_stable_argbest() {
-        let mut rule = StopRule::new();
-        rule.check(
-            Candidate {
-                node: 1,
-                score: 5.0,
-                halfwidth: 0.0,
-            },
-            None,
-            0.2,
+    fn a_pool_at_the_cap_samples_nothing_and_still_decides_exactly() {
+        let (g, in_root, mut acc, p) = case(10);
+        let cfg = SamplerConfig {
+            seed: 7,
+            threads: 1,
+        };
+        absorb_batch(&g, &in_root, 0, p.forest_cap(), &cfg, &mut acc);
+        let (_, best, calls, forests) = run(
+            10,
+            Some(acc),
+            |u, _| u as f64,
+            |u| if u == 2 { 50.0 } else { 1.0 },
         );
-        // Winner changed → no stop.
-        assert!(!rule.check(
-            Candidate {
-                node: 2,
-                score: 5.0,
-                halfwidth: 0.0
-            },
-            None,
-            0.2
-        ));
-        // Now stable → stop.
-        assert!(rule.check(
-            Candidate {
-                node: 2,
-                score: 5.0,
-                halfwidth: 0.0
-            },
-            None,
-            0.2
-        ));
-    }
-
-    #[test]
-    fn requires_score_stability() {
-        let mut rule = StopRule::new();
-        rule.check(
-            Candidate {
-                node: 1,
-                score: 10.0,
-                halfwidth: 0.0,
-            },
-            None,
-            0.2,
-        );
-        // Score jumped 50% → keep sampling.
-        assert!(!rule.check(
-            Candidate {
-                node: 1,
-                score: 20.0,
-                halfwidth: 0.0
-            },
-            None,
-            0.2
-        ));
-    }
-
-    #[test]
-    fn requires_separation_from_runner_up() {
-        let mut rule = StopRule::new();
-        let second = Some(Candidate {
-            node: 9,
-            score: 9.9,
-            halfwidth: 1.0,
-        });
-        rule.check(
-            Candidate {
-                node: 1,
-                score: 10.0,
-                halfwidth: 1.0,
-            },
-            second,
-            0.2,
-        );
-        // Overlapping intervals and wide halfwidths → no stop.
-        assert!(!rule.check(
-            Candidate {
-                node: 1,
-                score: 10.0,
-                halfwidth: 1.0
-            },
-            second,
-            0.2
-        ));
-        // Tight halfwidths (≤ ε/2·score even though gap < widths) → stop.
-        let tight_second = Some(Candidate {
-            node: 9,
-            score: 9.9,
-            halfwidth: 0.2,
-        });
-        let mut rule2 = StopRule::new();
-        rule2.check(
-            Candidate {
-                node: 1,
-                score: 10.0,
-                halfwidth: 0.2,
-            },
-            tight_second,
-            0.2,
-        );
-        assert!(rule2.check(
-            Candidate {
-                node: 1,
-                score: 10.0,
-                halfwidth: 0.2
-            },
-            tight_second,
-            0.2
-        ));
+        assert_eq!(forests, 8);
+        assert_eq!(calls.len(), 1);
+        assert_eq!(best, 2);
     }
 }

@@ -146,7 +146,7 @@ impl CfcmSolver for ApproxSolver {
             g,
             k,
             ctx,
-            || first_pick(g, w, ctx),
+            |_| first_pick(g, w, ctx),
             |_, in_s, ws| next_pick(g, in_s, w, ctx, ws),
         )
     }

@@ -311,6 +311,7 @@ mod tests {
             walk_steps: 0,
             seconds: 0.0,
             gain: f64::NAN,
+            ridge: 0.0,
         };
         ctx.emit(&it);
         ctx.emit(&it);

@@ -58,7 +58,12 @@
 //! The workspace also **aggregates [`SolveStats`] across every factor of
 //! the run**, so the warm-start win is observable end to end:
 //! [`crate::RunStats::solve`] carries the totals into reports and the
-//! regression tests.
+//! regression tests. The forest solvers' exact decisions
+//! ([`crate::adaptive`]) count there too: the first phase's `L_{-s}`
+//! factor and each SchurDelta round's `L_{-S}` factor live for one call
+//! only (a round's `S` differs from the last one's, and its panels solve
+//! cold for unit vectors, so there is nothing to warm-start), and each
+//! folds its stats in when the call ends.
 
 use crate::schur_delta::ForestPool;
 use crate::{CfcmError, CfcmParams};

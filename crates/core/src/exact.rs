@@ -61,7 +61,7 @@ impl CfcmSolver for ExactSolver {
             // Iteration 1: argmin_u L†_uu (Eq. 4: the trace term is
             // shared). Only the diagonal is consumed, so no full
             // pseudoinverse is formed.
-            || {
+            |_| {
                 let pdiag = pseudoinverse_diag(g);
                 let (first, _) = greedy::argmax(pdiag.len(), |u| -pdiag[u]);
                 Ok(IterStats::new(first as Node, f64::NAN))

@@ -12,23 +12,28 @@ use crate::CfcmParams;
 use cfcc_graph::Graph;
 
 /// Estimate marginal gains for all non-grounded nodes (Algorithm 2):
-/// [`schur_delta`] with an empty `T`, on a fresh workspace.
+/// [`schur_delta`] with an empty `T`, on a fresh workspace, so the gains
+/// of the candidates it solved are exact.
 ///
 /// `iteration` diversifies the RNG stream across greedy iterations.
+///
+/// # Panics
+///
+/// If a solve through the round's `L_{-S}` factor fails (an empty
+/// estimated Schur complement always inverts).
 pub fn forest_delta(
     g: &Graph,
     in_s: &[bool],
     params: &CfcmParams,
     iteration: u64,
 ) -> SchurDeltaEstimates {
-    schur_delta(g, in_s, &[], params, iteration)
-        .expect("an empty estimated Schur complement always inverts")
+    schur_delta(g, in_s, &[], params, iteration).expect("the round's L_{-S} solves succeed")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adaptive::top2_max;
+    use crate::adaptive::top_max;
     use crate::exact::exact_deltas;
     use cfcc_graph::{generators, Node};
     use rand::rngs::StdRng;
@@ -37,8 +42,9 @@ mod tests {
     #[test]
     fn top2_max_skips_nan() {
         // Grounded nodes score NaN and are never ranked.
-        assert_eq!(top2_max(&[f64::NAN, 2.0, 5.0, 1.0]), (2, Some(1)));
-        assert_eq!(top2_max(&[f64::NAN, 1.0]), (1, None));
+        assert_eq!(top_max(&[f64::NAN, 2.0, 5.0, 1.0], 2), [2, 1]);
+        assert_eq!(top_max(&[f64::NAN, 1.0], 2), [1]);
+        assert_eq!(top_max(&[f64::NAN; 3], 2), []);
     }
 
     #[test]

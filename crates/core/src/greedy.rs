@@ -14,11 +14,12 @@ use crate::CfcmError;
 use cfcc_graph::{Graph, Node};
 use cfcc_util::Stopwatch;
 
-/// Select `k` nodes greedily: `first()` makes the first pick, and
+/// Select `k` nodes greedily: `first(ws)` makes the first pick, and
 /// `round(i, in_s, ws)` each later one, given the mask `in_s` of the `i`
-/// nodes picked so far and the run's workspace. A pick reports its
-/// [`IterStats`]; `run` fills in `seconds`, records the pick and sends it
-/// to the progress sink.
+/// nodes picked so far; both get the run's workspace, which aggregates
+/// the solver work of their factors into [`RunStats::solve`]. A pick
+/// reports its [`IterStats`]; `run` fills in `seconds`, records the pick
+/// and sends it to the progress sink.
 ///
 /// Run control: once a pick is recorded, a cancel or an elapsed deadline
 /// ends the run before the next one. A pick that fails with
@@ -29,7 +30,7 @@ pub fn run(
     g: &Graph,
     k: usize,
     ctx: &SolveContext,
-    first: impl FnOnce() -> Result<IterStats, CfcmError>,
+    first: impl FnOnce(&mut GreedyWorkspace) -> Result<IterStats, CfcmError>,
     mut round: impl FnMut(usize, &[bool], &mut GreedyWorkspace) -> Result<IterStats, CfcmError>,
 ) -> Result<Selection, CfcmError> {
     ctx.check_problem(g, k)?;
@@ -39,7 +40,7 @@ pub fn run(
     let mut nodes = Vec::with_capacity(k);
     let mut stats = RunStats::default();
     let mut sw = Stopwatch::start();
-    let mut pick = first();
+    let mut pick = first(&mut ws);
     let done = loop {
         let mut it = match pick {
             Ok(it) => it,
@@ -145,7 +146,7 @@ mod tests {
                     Ok(IterStats::new(i as Node, 1.0))
                 }
             };
-            let sel = run(&g, 5, &ctx, || pick(0), |i, _, _| pick(i)).unwrap();
+            let sel = run(&g, 5, &ctx, |_| pick(0), |i, _, _| pick(i)).unwrap();
             let kept = stop_at - 1;
             assert_eq!(sel.nodes, (0..kept as Node).collect::<Vec<_>>());
             assert_eq!(sel.stats.iterations.len(), kept);
@@ -160,7 +161,7 @@ mod tests {
             &g,
             4,
             &SolveContext::default(),
-            || Ok(IterStats::new(0, f64::NAN)),
+            |_| Ok(IterStats::new(0, f64::NAN)),
             |_, _, _| Err(CfcmError::Numerical("singular".into())),
         )
         .unwrap_err();
@@ -175,7 +176,7 @@ mod tests {
             &g,
             1,
             &SolveContext::default(),
-            || Ok(IterStats::new(4, f64::NAN)),
+            |_| Ok(IterStats::new(4, f64::NAN)),
             |_, _, _| {
                 rounds.fetch_add(1, Ordering::Relaxed);
                 Ok(IterStats::new(5, 1.0))

@@ -2,9 +2,14 @@
 //! (top-k degrees) and `Top-CFCC` (top-k single-node CFCC). Fig. 2 shows
 //! these lag the greedy algorithms — single-node rankings cannot capture
 //! group effects.
+//!
+//! Sampled Top-CFCC ranks every node by the first phase's forest
+//! estimates of `L†_uu`, so it has no single pick for the first phase's
+//! exact decision to settle. It keeps a fixed budget instead: all
+//! [`CfcmParams::forest_cap`] forests, with no stop rule and no solve.
 
 use crate::context::SolveContext;
-use crate::first_phase::first_phase;
+use crate::first_phase::sample_to_cap;
 use crate::greedy::ranked;
 use crate::result::Selection;
 use crate::solver::{dense_capability, Capability, CfcmSolver, SolverKind};
@@ -24,7 +29,8 @@ pub fn top_cfcc_exact(g: &Graph, k: usize) -> Result<Selection, CfcmError> {
 }
 
 /// `Top-CFCC` (sampled): same ranking from the forest first-phase
-/// estimates of `L†_uu` — nearly-linear, any graph size.
+/// estimates of `L†_uu` over a fixed budget of
+/// [`CfcmParams::forest_cap`] forests — nearly-linear, any graph size.
 pub fn top_cfcc_sampled(g: &Graph, k: usize, params: &CfcmParams) -> Result<Selection, CfcmError> {
     TopCfccSolver.solve(g, k, &SolveContext::new(params.clone()))
 }
@@ -73,8 +79,9 @@ impl CfcmSolver for TopCfccSolver {
 
     fn solve(&self, g: &Graph, k: usize, ctx: &SolveContext) -> Result<Selection, CfcmError> {
         ranked(g, k, ctx, || {
-            let fp = first_phase(g, &ctx.params);
-            Ok((by_cfcc(&fp.estimates), fp.forests, fp.walk_steps))
+            let acc = sample_to_cap(g, &ctx.params);
+            let ranking = by_cfcc(&acc.diag_means());
+            Ok((ranking, acc.num_forests(), acc.total_walk_steps()))
         })
     }
 }
@@ -144,6 +151,18 @@ mod tests {
             sampled.nodes,
             exact.nodes
         );
+    }
+
+    #[test]
+    fn sampled_top_cfcc_samples_exactly_the_forest_cap() {
+        let mut rng = StdRng::seed_from_u64(36);
+        let g = generators::barabasi_albert(50, 3, &mut rng);
+        let mut p = CfcmParams::with_epsilon(0.3).seed(4);
+        p.max_forests = 320;
+        let sel = top_cfcc_sampled(&g, 3, &p).unwrap();
+        assert_eq!(sel.stats.total_forests(), 320);
+        assert_eq!(sel.stats.iterations[0].forests, 320);
+        assert_eq!(sel.stats.solve.solves, 0);
     }
 
     #[test]

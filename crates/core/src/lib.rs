@@ -13,7 +13,9 @@
 //!   [`schur_cfcm::schur_cfcm`] (forest sampling + Schur complement), both
 //!   with the `1 − (k/(k−1))·(1/e) − ε` approximation profile. They share
 //!   one gain estimator, [`schur_delta::schur_delta_ws`]: ForestDelta
-//!   (Algorithm 2) is SchurDelta (Algorithm 4) with an empty `T`;
+//!   (Algorithm 2) is SchurDelta (Algorithm 4) with an empty `T`. Their
+//!   forests screen the candidates, and exact solves of the best-estimated
+//!   ones decide each pick ([`adaptive`]);
 //! * every baseline from the paper's evaluation:
 //!   [`exact::exact_greedy`] (dense algebra with incremental rank-one
 //!   updates), [`optimum::optimum_cfcm`] (exhaustive search for tiny

@@ -9,8 +9,8 @@ use cfcc_linalg::sdd::SddBackend;
 ///
 /// Defaults follow the paper's experimental setup (`ε = 0.2`) with
 /// practical constants: sketch widths of `O(log n)` and a bounded forest
-/// budget (`max_forests`), which the adaptive Bernstein stop usually
-/// undercuts. The paper's worst-case sample sizes (Lemmas 3.9 and 4.5)
+/// budget (`max_forests`), which the forest phases' exact decision
+/// (`crate::adaptive`) usually undercuts. The paper's worst-case sample sizes (Lemmas 3.9 and 4.5)
 /// are astronomically conservative and not implemented.
 #[derive(Debug, Clone)]
 pub struct CfcmParams {
@@ -211,7 +211,7 @@ mod tests {
     }
 
     #[test]
-    fn forest_cap_modes() {
+    fn forest_cap_is_max_forests_by_default() {
         let p = CfcmParams::default();
         assert_eq!(p.forest_cap(), 4096);
     }

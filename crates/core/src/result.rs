@@ -19,9 +19,15 @@ pub struct IterStats {
     pub walk_steps: u64,
     /// Wall-clock seconds.
     pub seconds: f64,
-    /// Estimated marginal gain Δ'(chosen, S) — `NaN` in the first iteration
-    /// where the objective is `argmin L†_uu` instead.
+    /// Marginal gain `Δ(chosen, S)` — `NaN` in the first iteration, where
+    /// the objective is `argmin L†_uu` instead. The forest solvers' rounds
+    /// and the exact solvers report it exact (the forest rounds to the
+    /// solver's `cg_tol`); ApproxGreedy reports its sketched estimate.
     pub gain: f64,
+    /// Ridge SchurDelta added to its estimated Schur complement `Σ̃` to
+    /// invert it (`schur::invert_estimated_schur`): 0 for rounds that
+    /// needed none and for every other solver.
+    pub ridge: f64,
 }
 
 impl IterStats {
@@ -34,11 +40,12 @@ impl IterStats {
             walk_steps: 0,
             seconds: 0.0,
             gain,
+            ridge: 0.0,
         }
     }
 
     /// JSON object (`gain` is `null` in the first iteration, where it is
-    /// NaN by construction).
+    /// NaN by construction; `ridge` is always present).
     pub fn to_json(&self) -> String {
         self.to_json_with_chosen(u64::from(self.chosen))
     }
@@ -53,6 +60,7 @@ impl IterStats {
             .int("walk_steps", i128::from(self.walk_steps))
             .num("seconds", self.seconds)
             .num("gain", self.gain)
+            .num("ridge", self.ridge)
             .render()
     }
 }
@@ -63,9 +71,12 @@ pub struct RunStats {
     /// Per-iteration details, in selection order.
     pub iterations: Vec<IterStats>,
     /// Linear-solver work aggregated across **every** factor of the run
-    /// (all greedy rounds together) — the observable the warm-start
-    /// engine's iteration-count win is measured by. Zero for solvers that
-    /// never touch the SDD backends (forest sampling, heuristics).
+    /// (all greedy rounds together, the first pick included) — the
+    /// observable the warm-start engine's iteration-count win is measured
+    /// by. The forest solvers report their exact-decision panels here
+    /// (the `L_{-s}` and `L_{-S}` factors of every phase). Zero for
+    /// solvers that never touch the SDD backends (the heuristics, the
+    /// dense exact solvers).
     pub solve: SolveStats,
 }
 
@@ -178,6 +189,13 @@ pub(crate) fn assert_same_run(a: &Selection, b: &Selection, what: &str) {
             x.gain,
             y.gain
         );
+        assert_eq!(
+            x.ridge.to_bits(),
+            y.ridge.to_bits(),
+            "{what}: ridge {} vs {}, iteration {i}",
+            x.ridge,
+            y.ridge
+        );
     }
 }
 
@@ -196,6 +214,7 @@ mod tests {
                         walk_steps: 100,
                         seconds: 0.5,
                         gain: f64::NAN,
+                        ridge: 0.0,
                     },
                     IterStats {
                         chosen: 2,
@@ -203,6 +222,7 @@ mod tests {
                         walk_steps: 150,
                         seconds: 0.25,
                         gain: 1.5,
+                        ridge: 0.0,
                     },
                     IterStats {
                         chosen: 9,
@@ -210,6 +230,7 @@ mod tests {
                         walk_steps: 200,
                         seconds: 0.25,
                         gain: 0.5,
+                        ridge: 0.0,
                     },
                 ],
                 ..RunStats::default()
@@ -244,5 +265,6 @@ mod tests {
         assert!(j.contains(r#""gain":null"#));
         assert!(!j.contains("NaN"));
         assert!(j.contains(r#""gain":1.5"#));
+        assert!(j.contains(r#""gain":1.5,"ridge":0}"#));
     }
 }

@@ -14,9 +14,17 @@
 //! pick from `T`, and this cuts the forests a run samples by about a
 //! third. A run in which no pick lands in `T` samples exactly what it
 //! would without the pool.
+//!
+//! The forests of every phase only screen candidates. The first phase
+//! and every round evaluate their best-estimated candidates exactly, 16
+//! at a time through a factor of the grounded Laplacian, pick the best
+//! exact value, and stop sampling once no unsolved estimate beats it by
+//! more than the `ε/2` slack (see [`crate::adaptive`]). So each recorded
+//! gain is exact, most phases stop within their first few checkpoints,
+//! and the run's [`crate::RunStats::solve`] counts the panels.
 
 use crate::context::SolveContext;
-use crate::first_phase::first_phase;
+use crate::first_phase::first_phase_ws;
 use crate::greedy;
 use crate::params::{t_star, top_degree_nodes};
 use crate::result::{IterStats, Selection};
@@ -41,7 +49,9 @@ pub fn schur_cfcm(g: &Graph, k: usize, params: &CfcmParams) -> Result<Selection,
 /// first phase (Lines 2–15; the paper omits the Schur machinery there
 /// for ease of implementation). Each later round estimates the gains with
 /// SchurDelta rooted at `S ∪ (T ∖ S)`, which is ForestDelta rooted at `S`
-/// when `T ∖ S` is empty.
+/// when `T ∖ S` is empty. Both decide among their screened candidates by
+/// exact solves, and fold the solver work into the workspace; a failed
+/// solve fails the run.
 ///
 /// A round that picks from `T` leaves the root set `S ∪ (T ∖ S)` as it
 /// was, so the next round continues SchurDelta's forest pool in the
@@ -60,8 +70,8 @@ pub(crate) fn forest_greedy(
         g,
         k,
         ctx,
-        || {
-            let fp = first_phase(g, params);
+        |ws| {
+            let fp = first_phase_ws(g, params, ws)?;
             Ok(IterStats {
                 forests: fp.forests,
                 walk_steps: fp.walk_steps,
@@ -79,6 +89,7 @@ pub(crate) fn forest_greedy(
             Ok(IterStats {
                 forests: est.sampled,
                 walk_steps: est.walk_steps,
+                ridge: est.ridge,
                 ..IterStats::new(est.best, est.deltas[est.best as usize])
             })
         },
@@ -180,7 +191,7 @@ mod tests {
     }
 
     #[test]
-    fn explicit_small_c_falls_back_when_t_exhausted() {
+    fn explicit_small_c_runs_on_once_t_is_exhausted() {
         let mut rng = StdRng::seed_from_u64(31);
         let g = generators::barabasi_albert(40, 2, &mut rng);
         let mut p = CfcmParams::with_epsilon(0.3).seed(6);

@@ -41,15 +41,27 @@
 //! seed salts of a new pool: SchurDelta's (`0x5C47A` for the sketches,
 //! `0x5DE17` for the sampler) or ForestDelta's (`0xD317A` and `0xDE17A`),
 //! so both algorithms keep the streams they always drew.
+//!
+//! # Exact decision
+//!
+//! The estimates `Δ'` only screen the candidates: [`crate::adaptive`]
+//! solves the 16 best-estimated ones at a time for their exact gains
+//! `Δ(u, S) = ‖x‖² / x_u` with `x = L_{-S}^{-1} e_u`, one
+//! [`RHS_CHUNK`](cfcc_linalg::sdd::RHS_CHUNK)-column panel through a
+//! factor of `L_{-S}` built at the call's first panel, and picks the best
+//! of them. The exact gain depends on `S` alone; `T` only steers the
+//! sampling, so an empty `T` decides the same way. The factor's solver
+//! work is folded into the workspace's run statistics.
 
-use crate::adaptive::{gain_halfwidth, sample_until_certified};
-use crate::engine::{GreedyWorkspace, SchurScratch};
+use crate::adaptive::{sample_until_certified, unit_columns};
+use crate::engine::{self, GreedyWorkspace, SchurScratch};
 use crate::schur::{estimated_schur, invert_estimated_schur};
 use crate::{CfcmError, CfcmParams};
 use cfcc_forest::estimators::{DiagMode, ElectricalAccumulator};
 use cfcc_forest::rooted::RootIndex;
 use cfcc_graph::{Graph, Node};
 use cfcc_linalg::jl::JlSketch;
+use cfcc_linalg::sdd::{self, SddFactor};
 use cfcc_linalg::vector::{dot, norm2_sq};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -58,9 +70,11 @@ use std::sync::Arc;
 /// Output of one Schur delta-estimation round.
 #[derive(Debug, Clone)]
 pub struct SchurDeltaEstimates {
-    /// `Δ'(u, S)` per node (`NaN` for `u ∈ S`).
+    /// `Δ(u, S)` per node (`NaN` for `u ∈ S`): exact (to the solver's
+    /// tolerance) for the candidates the round solved, the forest estimate
+    /// `Δ'` for the rest.
     pub deltas: Vec<f64>,
-    /// Argmax node.
+    /// The solved candidate with the largest exact gain.
     pub best: Node,
     /// Forests the estimates average over: the pool's size, never 0.
     pub forests: u64,
@@ -69,7 +83,8 @@ pub struct SchurDeltaEstimates {
     pub sampled: u64,
     /// Random-walk steps of the forests this call sampled.
     pub walk_steps: u64,
-    /// Ridge added to the estimated Schur complement (0 in the common case).
+    /// Ridge added to the estimated Schur complement at the round's last
+    /// checkpoint (0 in the common case).
     pub ridge: f64,
 }
 
@@ -239,7 +254,9 @@ pub fn schur_delta_ws(
     let sketch_w = pool.acc.sketch().expect("the pool sketches");
     ws.schur.begin_round(sketch_w, t_nodes.len());
     let mut ridge = 0.0f64;
-    let (deltas, best) = sample_until_certified::<CfcmError>(
+    // L_{-S}, factored at the call's first panel.
+    let mut factor: Option<Box<dyn SddFactor + Send>> = None;
+    let decided = sample_until_certified::<CfcmError>(
         g,
         &in_root,
         pool.seed,
@@ -258,24 +275,41 @@ pub fn schur_delta_ws(
             )?;
             Ok(())
         },
-        // t ∈ T: the denominator comes from Σ̃^{-1}, treated via the
-        // stability criterion only.
-        |acc, u, delta| {
-            if in_root[u as usize] {
-                0.0
-            } else {
-                gain_halfwidth(acc, u, delta)
+        |nodes| {
+            if factor.is_none() {
+                let opts = engine::solve_options(params);
+                factor = Some(sdd::factor(g, in_s, params.backend, &opts)?);
             }
+            exact_gains(factor.as_deref_mut().expect("factored above"), nodes)
         },
-    )?;
+    );
+    let (forests, walk_steps) = (pool.acc.num_forests(), pool.acc.total_walk_steps());
+    if let Some(f) = &factor {
+        ws.absorb_solve_stats(f.stats());
+    }
+    let (deltas, best) = decided?;
     Ok(SchurDeltaEstimates {
         deltas,
         best,
-        forests: pool.acc.num_forests(),
-        sampled: pool.acc.num_forests() - forests_before,
-        walk_steps: pool.acc.total_walk_steps() - steps_before,
+        forests,
+        sampled: forests - forests_before,
+        walk_steps: walk_steps - steps_before,
         ridge,
     })
+}
+
+/// The exact gains `Δ(u, S) = ‖x‖² / x_u`, `x = L_{-S}^{-1} e_u`, of the
+/// candidates `nodes` (all outside `S`), through `factor = L_{-S}`.
+fn exact_gains(factor: &mut dyn SddFactor, nodes: &[Node]) -> Result<Vec<f64>, CfcmError> {
+    let cols = unit_columns(factor, nodes)?;
+    Ok(nodes
+        .iter()
+        .enumerate()
+        .map(|(j, &u)| {
+            let x = cols.row(j);
+            norm2_sq(x) / x[factor.compact_of(u).expect("a candidate outside S")]
+        })
+        .collect())
 }
 
 /// Assemble Δ' for all `u ∉ S` from the current accumulator state. The

@@ -11,11 +11,12 @@
 //! * **Diagonal samples** `X_f(u)` with `E[X_f(u)] = (L_{-S}^{-1})_{uu}`:
 //!   along `u`'s BFS path, count forest-path traversals of each edge in both
 //!   directions, using O(1) Euler-tour ancestor tests. Per-node sample
-//!   moments feed the empirical-Bernstein stop (Lemma 3.6).
+//!   moments (variance and range) are kept for error bars.
 //! * **First-phase samples** `x_u = X_f(u) − (2/n) · Φ̂₁(u)` implementing
-//!   Lemma 3.5's reduction of `L†_uu` to `L_{-s}^{-1}` quantities (the
-//!   shared `1ᵀL^{-1}1/n²` term is rank-preserving and omitted, as in
-//!   Algorithm 3).
+//!   Lemma 3.5's reduction of `L†_uu` to `L_{-s}^{-1}` quantities. The
+//!   shared `1ᵀL^{-1}1/n²` term is rank-preserving and not sampled;
+//!   Algorithm 3 omits it, and `cfcc_core::first_phase` adds it from one
+//!   solve.
 //! * **Rooted counts** for the Schur complement (Lemma 4.2) when an
 //!   auxiliary root index is supplied.
 //!
@@ -78,8 +79,7 @@ pub struct ElectricalAccumulator {
     /// `n·x_u` in the first phase); roots stay 0.
     diag_sum: Vec<i64>,
     diag_sumsq: Vec<i128>,
-    /// Per-node max |integer sample| — empirical range for the Bernstein
-    /// stop.
+    /// Per-node max |integer sample| — the samples' empirical range.
     diag_sup: Vec<i64>,
     rooted: Option<RootedCounts>,
     // ---- scratch reused across forests ----

@@ -14,14 +14,11 @@
 //!   and per-node diagonal samples for `(L_{-S}^{-1})_{uu}`.
 //! * [`rooted`] — rooted-probability counters `Ñ(ρ_u = t)` (Lemma 4.2),
 //!   feeding SchurCFCM's Schur-complement estimation.
-//! * [`bernstein`] — the empirical Bernstein bound (Lemma 3.6) for adaptive
-//!   stopping.
 //! * [`sampler`] — deterministic (seeded) serial/parallel batch driver with
 //!   doubling batch sizes, mirroring the `2^{r'}` loop of Algorithms 2–5.
 
 #![forbid(unsafe_code)]
 
-pub mod bernstein;
 pub mod estimators;
 pub mod forest;
 pub mod rooted;

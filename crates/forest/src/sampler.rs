@@ -2,7 +2,7 @@
 //!
 //! Mirrors the `for r' = 1..⌈log₂ r⌉ / for i = 1..2^{r'} in parallel` loops
 //! of Algorithms 2–5: callers absorb forests in doubling batches and decide
-//! after each batch whether the empirical-Bernstein stop fires.
+//! after each batch whether to stop.
 //!
 //! Determinism: every forest's RNG is seeded from `(seed, global index)`
 //! through SplitMix64, so the same forests are sampled for any thread

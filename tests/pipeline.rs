@@ -82,6 +82,32 @@ fn thread_count_does_not_change_selection() {
 }
 
 #[test]
+fn forest_solvers_pick_exact_greedys_nodes_on_fig1_graphs() {
+    // Fig. 1's graphs and parameters (examples/fig1.rs): every forest
+    // phase decides by exact solves among its screened candidates, so both
+    // forest solvers select exact greedy's nodes, at 1 and 2 threads.
+    let k = 5;
+    for name in cfcc_datasets::suites::TINY {
+        let g = cfcc_datasets::by_name(name, 1.0).unwrap();
+        let exact = exact_greedy(&g, k).unwrap();
+        for threads in [1, 2] {
+            let mut params = CfcmParams::with_epsilon(0.2).seed(0xBEEF).threads(threads);
+            params.max_forests = 2048;
+            let forest = forest_cfcm(&g, k, &params).unwrap();
+            let schur = schur_cfcm(&g, k, &params).unwrap();
+            assert_eq!(
+                forest.nodes, exact.nodes,
+                "forest on {name}, {threads} threads"
+            );
+            assert_eq!(
+                schur.nodes, exact.nodes,
+                "schur on {name}, {threads} threads"
+            );
+        }
+    }
+}
+
+#[test]
 fn forest_and_schur_agree_on_clear_structure() {
     // A barbell has an unambiguous best group: the bridge region.
     let g = cfcc_graph::generators::barbell(10, 3);
