@@ -5,7 +5,7 @@
 //! CLI-selectable the moment they are registered.
 
 use cfcc_core::registry;
-use cfcc_linalg::sdd::{self, SddBackend};
+use cfcc_linalg::SddBackend;
 use std::fmt;
 
 /// Parsed command line.
@@ -106,11 +106,12 @@ OPTIONS:
     --scale <float>    proxy scale for bundled datasets in (0,1] (default: 1.0)
     --timeout <secs>   wall-clock budget; iterative solvers return their
                        partial selection when the budget is exhausted
-                       (checked between greedy picks, and inside
-                       ApproxGreedy's solves: a pick whose solves are
-                       interrupted is dropped, so an ApproxGreedy run can
-                       end with no selection; single-shot heuristics run
-                       to completion)
+                       (checked between greedy picks, and inside the
+                       iterative solves of ApproxGreedy, ForestCFCM and
+                       SchurCFCM: a pick whose solves are interrupted is
+                       dropped, so such a run can end with no selection;
+                       dense-cholesky solves and single-shot heuristics
+                       run to completion)
     --evaluate         also compute C(S) of the selection: exact trace
                        through --backend up to 4096 nodes, 64-probe
                        Hutchinson estimate above
@@ -167,7 +168,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<CliArgs, Pa
                 out.backend = SddBackend::parse(&v).ok_or_else(|| {
                     ParseError(format!(
                         "unknown backend '{v}' (available: {})",
-                        sdd::name_list()
+                        SddBackend::name_list()
                     ))
                 })?;
             }

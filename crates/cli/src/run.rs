@@ -6,7 +6,7 @@ use crate::args::CliArgs;
 use cfcc_core::{cfcc, registry, CfcmParams, RunStats, SolveSession};
 use cfcc_graph::traversal::largest_connected_component;
 use cfcc_graph::Graph;
-use cfcc_linalg::sdd;
+use cfcc_linalg::SddBackend;
 use cfcc_util::json::{self, JsonObject};
 use cfcc_util::Stopwatch;
 use std::time::Duration;
@@ -170,7 +170,7 @@ pub fn execute(args: &CliArgs) -> Result<Report, String> {
 
     if sel.nodes.is_empty() {
         // Only possible when the deadline fired before the first pick
-        // finished (ApproxGreedy's first-pick solves) or before any
+        // finished (a greedy solver's first-pick solves) or before any
         // complete group was examined (exhaustive search). Evaluating C(∅)
         // would mean CG solves on the singular full Laplacian — fail
         // clearly.
@@ -201,7 +201,7 @@ pub fn execute(args: &CliArgs) -> Result<Report, String> {
         (None, None)
     };
     let backend = (args.evaluate || sel.stats.solve.solves > 0).then(|| match args.backend {
-        cfcc_linalg::SddBackend::Auto => auto_label(g.num_nodes(), args.k),
+        SddBackend::Auto => auto_label(g.num_nodes(), args.k),
         other => other.name().to_string(),
     });
     Ok(Report {
@@ -227,7 +227,7 @@ pub fn execute(args: &CliArgs) -> Result<Report, String> {
 /// resolves to it. The policy is size-only, so this needs no graph
 /// sniff.
 fn auto_label(n: usize, k: usize) -> String {
-    let auto = cfcc_linalg::SddBackend::Auto;
+    let auto = SddBackend::Auto;
     let first = auto.resolve(n.saturating_sub(1)).name();
     let last = auto.resolve(n.saturating_sub(k)).name();
     if first == last {
@@ -262,24 +262,21 @@ pub fn render_dataset_list() -> String {
     t.render()
 }
 
-/// Render the SDD backend registry for `--list-backends`.
+/// Render the SDD backends for `--list-backends`: each name with its
+/// kind, and the `auto` policy's limit.
 pub fn render_backend_list() -> String {
-    let mut t = cfcc_util::table::Table::new(["name", "kind", "operations"]);
-    for b in sdd::backends() {
-        t.row([
-            b.name().to_string(),
-            b.kind().label().to_string(),
-            b.ops().to_string(),
-        ]);
+    let mut t = cfcc_util::table::Table::new(["name", "kind"]);
+    for b in SddBackend::ALL {
+        let kind = match b {
+            SddBackend::Auto => format!(
+                "{}: dense-cholesky up to {} unknowns, sparse-cg above",
+                b.kind(),
+                SddBackend::AUTO_DENSE_LIMIT
+            ),
+            _ => b.kind().to_string(),
+        };
+        t.row([b.name().to_string(), kind]);
     }
-    t.row([
-        "auto".into(),
-        "policy".into(),
-        format!(
-            "dense-cholesky up to {} unknowns, sparse-cg above",
-            cfcc_linalg::SddBackend::AUTO_DENSE_LIMIT
-        ),
-    ]);
     t.render()
 }
 
@@ -467,10 +464,10 @@ mod tests {
     #[test]
     fn backend_list_renders_registry_and_auto_policy() {
         let text = render_backend_list();
-        for b in sdd::backends() {
+        for b in SddBackend::ALL {
             assert!(text.contains(b.name()), "missing {}", b.name());
         }
-        assert!(text.contains("auto"));
+        assert!(text.contains("direct"));
         assert!(text.contains("iterative"));
         assert!(
             text.contains("dense-cholesky up to 1536 unknowns, sparse-cg above"),
@@ -486,7 +483,7 @@ mod tests {
         // Small graphs stay dense.
         assert_eq!(auto_label(34, 2), "auto (dense-cholesky)");
         // Straddling the limit names both, in run order.
-        let limit = cfcc_linalg::SddBackend::AUTO_DENSE_LIMIT;
+        let limit = SddBackend::AUTO_DENSE_LIMIT;
         assert_eq!(
             auto_label(limit + 2, 2),
             "auto (sparse-cg then dense-cholesky)"

@@ -42,7 +42,8 @@ use crate::result::{IterStats, Selection};
 use crate::solver::{CfcmSolver, SolverKind};
 use crate::{CfcmError, CfcmParams};
 use cfcc_graph::{Graph, Node};
-use cfcc_linalg::cg::{solve_pseudoinverse, CgConfig};
+use cfcc_linalg::cg::solve_pseudoinverse;
+use cfcc_linalg::sdd;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -52,19 +53,19 @@ pub fn approx_greedy(g: &Graph, k: usize, params: &CfcmParams) -> Result<Selecti
 }
 
 /// First pick: `argmin L†_uu` via `w` sketched incidence solves. The
-/// pseudoinverse solves poll the context's cancel token and deadline, like
-/// the grounded solves of later rounds; a stopped probe leaves a partial
-/// sum that ranks nothing, so the pick fails with
-/// [`CfcmError::Interrupted`].
-fn first_pick(g: &Graph, w: usize, ctx: &SolveContext) -> Result<IterStats, CfcmError> {
+/// pseudoinverse solves take the options of every greedy pick's factor,
+/// so they poll the run's stop hook like the grounded solves of later
+/// rounds; a stopped probe leaves a partial sum that ranks nothing, so
+/// the pick fails with [`CfcmError::Interrupted`].
+fn first_pick(
+    g: &Graph,
+    w: usize,
+    params: &CfcmParams,
+    ws: &GreedyWorkspace,
+) -> Result<IterStats, CfcmError> {
     let n = g.num_nodes();
-    let cg = CgConfig {
-        rel_tol: ctx.params.cg_tol,
-        max_iter: 50_000,
-        threads: ctx.params.threads,
-        stop: ctx.stop_hook(),
-    };
-    let mut rng = StdRng::seed_from_u64(ctx.params.seed ^ 0xA99);
+    let opts = ws.factor_options(params);
+    let mut rng = StdRng::seed_from_u64(params.seed ^ 0xA99);
     let mut diag = vec![0.0f64; n];
     let mut rhs = vec![0.0f64; n];
     let mut x = vec![0.0f64; n];
@@ -77,7 +78,7 @@ fn first_pick(g: &Graph, w: usize, ctx: &SolveContext) -> Result<IterStats, Cfcm
             rhs[b as usize] -= s;
         }
         x.fill(0.0);
-        let st = solve_pseudoinverse(g, &rhs, &mut x, &cg);
+        let st = solve_pseudoinverse(g, &rhs, &mut x, &opts);
         if let Some(cause) = st.stopped {
             return Err(CfcmError::Interrupted(cause));
         }
@@ -99,14 +100,14 @@ fn next_pick(
     g: &Graph,
     in_s: &[bool],
     w: usize,
-    ctx: &SolveContext,
+    params: &CfcmParams,
     ws: &mut GreedyWorkspace,
 ) -> Result<IterStats, CfcmError> {
     // The persistent sketches are sampled once over the full node space;
     // every round restricts them to its kept rows, so consecutive rounds
     // solve for right-hand sides that differ only by one deleted row —
     // the precondition for the engine's block warm start.
-    ws.ensure_sketch(g, w, ctx.params.seed);
+    ws.ensure_sketch(g, w, params.seed);
     // Factor once per round, then push all 2w sketched right-hand sides
     // through the backend's multi-RHS solve — in column chunks of
     // `sdd::RHS_CHUNK`, so the live workspace stays O(n · chunk) (w grows
@@ -119,8 +120,8 @@ fn next_pick(
     // `CfcmError::Interrupted`, and `greedy::run` drops this pick. The
     // workspace stays warm-start consistent: an aborted round never swaps
     // its `prev_*` blocks.
-    let mut factor = ctx.factor_grounded(g, in_s)?;
-    let (num, den) = ws.sketched_gains(factor.as_mut(), ctx.params.warm_start)?;
+    let mut factor = sdd::factor(g, in_s, params.backend, &ws.factor_options(params))?;
+    let (num, den) = ws.sketched_gains(factor.as_mut(), params.warm_start)?;
     let (c, gain) = greedy::argmax(factor.dim(), |c| {
         let floor = 1.0 / g.degree(factor.node_of(c)) as f64;
         num[c] / den[c].max(floor)
@@ -141,13 +142,14 @@ impl CfcmSolver for ApproxSolver {
     }
 
     fn solve(&self, g: &Graph, k: usize, ctx: &SolveContext) -> Result<Selection, CfcmError> {
-        let w = ctx.params.width(g.num_nodes());
+        let params = &ctx.params;
+        let w = params.width(g.num_nodes());
         greedy::run(
             g,
             k,
             ctx,
-            |_| first_pick(g, w, ctx),
-            |_, in_s, ws| next_pick(g, in_s, w, ctx, ws),
+            |ws| first_pick(g, w, params, ws),
+            |_, in_s, ws| next_pick(g, in_s, w, params, ws),
         )
     }
 }

@@ -16,16 +16,9 @@ use cfcc_graph::{Graph, Node};
 use cfcc_linalg::laplacian::laplacian_submatrix_dense;
 use cfcc_linalg::pinv::pseudoinverse_diag;
 use cfcc_linalg::sdd::{self, SddBackend, SddOptions};
-use cfcc_linalg::trace::{trace_inverse_exact_factor, trace_inverse_hutchinson_factor};
+use cfcc_linalg::trace::trace_inverse_hutchinson_factor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// SDD options derived from solver parameters — the engine's shared
-/// derivation, so tolerance and the worker-pool thread count reach the
-/// evaluators exactly like they reach the greedy loops.
-fn sdd_opts(params: &CfcmParams) -> SddOptions {
-    engine::solve_options(params)
-}
 
 /// Build the `in_s` mask from a node list, rejecting duplicates/overflow.
 pub fn group_mask(g: &Graph, group: &[Node]) -> Result<Vec<bool>, CfcmError> {
@@ -66,7 +59,7 @@ pub fn cfcc_group_exact(g: &Graph, group: &[Node]) -> f64 {
 pub fn grounded_trace_cg(g: &Graph, group: &[Node], tol: f64) -> Result<f64, CfcmError> {
     let mask = group_mask(g, group)?;
     let mut factor = sdd::factor(g, &mask, SddBackend::SparseCg, &SddOptions::with_tol(tol))?;
-    Ok(trace_inverse_exact_factor(factor.as_mut())?.trace)
+    Ok(factor.trace_inverse()?)
 }
 
 /// `Tr(L_{-S}^{-1})` through the SDD backend chosen by
@@ -74,8 +67,8 @@ pub fn grounded_trace_cg(g: &Graph, group: &[Node], tol: f64) -> Result<f64, Cfc
 /// factorization, iterative ones solve the identity in panels.
 pub fn grounded_trace(g: &Graph, group: &[Node], params: &CfcmParams) -> Result<f64, CfcmError> {
     let mask = group_mask(g, group)?;
-    let mut factor = sdd::factor(g, &mask, params.backend, &sdd_opts(params))?;
-    Ok(trace_inverse_exact_factor(factor.as_mut())?.trace)
+    let mut factor = sdd::factor(g, &mask, params.backend, &engine::solve_options(params))?;
+    Ok(factor.trace_inverse()?)
 }
 
 /// Group CFCC via `sparse-cg` solves of the identity, in panels.
@@ -99,7 +92,7 @@ pub fn cfcc_group_hutchinson(
 ) -> Result<f64, CfcmError> {
     let mask = group_mask(g, group)?;
     let mut rng = StdRng::seed_from_u64(params.seed ^ 0x7ace);
-    let mut factor = sdd::factor(g, &mask, params.backend, &sdd_opts(params))?;
+    let mut factor = sdd::factor(g, &mask, params.backend, &engine::solve_options(params))?;
     let est = trace_inverse_hutchinson_factor(factor.as_mut(), probes, &mut rng)?;
     Ok(g.num_nodes() as f64 / est.trace)
 }
@@ -154,7 +147,7 @@ pub fn node_centrality(g: &Graph, params: &CfcmParams) -> Result<Vec<f64>, CfcmE
     let v = node_centrality_ground(g);
     let mut mask = vec![false; n];
     mask[v as usize] = true;
-    let mut factor = sdd::factor(g, &mask, params.backend, &sdd_opts(params))?;
+    let mut factor = sdd::factor(g, &mask, params.backend, &engine::solve_options(params))?;
     node_centrality_from_factor(n, factor.as_mut())
 }
 

@@ -11,11 +11,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use crate::engine::{self, GreedyWorkspace};
+use crate::engine::GreedyWorkspace;
 use crate::result::IterStats;
 use crate::{CfcmError, CfcmParams};
 use cfcc_graph::Graph;
-use cfcc_linalg::sdd::{self, SddFactor, SddOptions};
 use cfcc_linalg::{StopCause, StopHook};
 
 /// Cooperative cancellation flag, cheaply cloneable across threads.
@@ -172,24 +171,14 @@ impl SolveContext {
         Ok(())
     }
 
-    /// SDD solver options derived from the parameters (CG tolerance,
-    /// thread count for the worker pool behind the blocked kernels and
-    /// the blocked multi-RHS PCG), with this context's run control
-    /// attached: when a cancel token or deadline is present, every
-    /// iterative solve polls it each sweep, so interruption reaches
-    /// *inside* in-flight solves instead of waiting for round boundaries.
-    pub fn sdd_options(&self) -> SddOptions {
-        SddOptions {
-            stop: self.stop_hook(),
-            ..engine::solve_options(&self.params)
-        }
-    }
-
     /// The [`StopHook`] mirroring [`SolveContext::interrupted`]: fires
     /// [`StopCause::Cancelled`] when the cancel token trips and
     /// [`StopCause::DeadlineExceeded`] once the deadline passes. Returns
     /// a no-op hook when neither is attached, so unconstrained solves
-    /// pay nothing per iteration.
+    /// pay nothing per iteration. [`crate::greedy::run`] hands it to the
+    /// run's workspace, so every iterative solve of a greedy pick polls
+    /// it each sweep and interruption reaches *inside* in-flight solves
+    /// instead of waiting for pick boundaries.
     pub fn stop_hook(&self) -> StopHook {
         match (self.cancel.clone(), self.deadline) {
             (None, None) => StopHook::none(),
@@ -203,24 +192,6 @@ impl SolveContext {
                 None
             }),
         }
-    }
-
-    /// Factor the grounded Laplacian `L_{-S}` through the backend chosen
-    /// by [`CfcmParams::backend`] — the factor-once/solve-many seam every
-    /// solver that needs `L_{-S}^{-1}` applications dispatches through.
-    /// Iterative backends answer the greedy loops' multi-column
-    /// `solve_mat` chunks with blocked multi-RHS PCG (one operator sweep
-    /// shared by all columns per iteration), and reject groundings that
-    /// leave part of the graph unreachable from `S` with a structured
-    /// error instead of diverging.
-    pub fn factor_grounded(
-        &self,
-        g: &Graph,
-        in_s: &[bool],
-    ) -> Result<Box<dyn SddFactor + Send>, CfcmError> {
-        // The front door resolves `auto` by size alone, so there is no
-        // per-round topology sniff to memoize.
-        sdd::factor(g, in_s, self.params.backend, &self.sdd_options()).map_err(CfcmError::from)
     }
 
     /// Should the run stop early? True once the cancel token fires or the

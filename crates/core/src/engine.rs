@@ -55,8 +55,14 @@
 //!   dense round buffers are reused across iterations instead of being
 //!   reallocated.
 //!
-//! The workspace also **aggregates [`SolveStats`] across every factor of
-//! the run**, so the warm-start win is observable end to end:
+//! The workspace also carries the run's **stop hook** and
+//! **aggregates [`SolveStats`] across every factor of the run**. Every
+//! factor a greedy pick builds (ApproxGreedy's rounds, the first phase's
+//! `L_{-s}`, each SchurDelta round's `L_{-S}`) takes its options from
+//! `GreedyWorkspace::factor_options`: [`solve_options`] plus that hook,
+//! which [`crate::greedy::run`] sets from the run's cancel token and
+//! deadline, so a stop reaches inside every iterative solve of the run.
+//! The solver work is observable end to end:
 //! [`crate::RunStats::solve`] carries the totals into reports and the
 //! regression tests. The forest solvers' exact decisions
 //! ([`crate::adaptive`]) count there too: the first phase's `L_{-s}`
@@ -71,21 +77,18 @@ use cfcc_graph::{Graph, Node};
 use cfcc_linalg::jl::JlSketch;
 use cfcc_linalg::sdd::{SddFactor, SddOptions, SolveStats, RHS_CHUNK};
 use cfcc_linalg::vector::norm2_sq;
-use cfcc_linalg::DenseMatrix;
+use cfcc_linalg::{DenseMatrix, StopHook};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// SDD solver options derived from solver parameters — the one place the
 /// CG tolerance and the worker-pool thread count are wired together, used
-/// by [`crate::SolveContext::sdd_options`] and the `cfcc` evaluators
-/// alike.
+/// by the greedy picks (through `GreedyWorkspace::factor_options`, which
+/// adds the run's stop hook) and the `cfcc` evaluators alike.
 pub fn solve_options(params: &CfcmParams) -> SddOptions {
     SddOptions {
         rel_tol: params.cg_tol,
-        max_iter: 50_000,
         threads: params.threads,
-        // Run control (cancel/deadline) is attached by the owning
-        // `SolveContext`, which layers its stop hook on top of these.
         ..SddOptions::default()
     }
 }
@@ -164,6 +167,10 @@ pub struct GreedyWorkspace {
     pub(crate) schur: SchurScratch,
     /// SchurDelta's forests for the current root set `S ∪ T`, if any.
     pub(crate) forest_pool: Option<ForestPool>,
+    /// The run's stop hook, polled by every iterative solve of the run's
+    /// factors: set by [`crate::greedy::run`], cleared by `begin_run` and
+    /// at the end of the run.
+    pub(crate) stop: StopHook,
     /// Aggregated solver work across every factor this run touched.
     solve: SolveStats,
 }
@@ -174,8 +181,9 @@ impl GreedyWorkspace {
         Self::default()
     }
 
-    /// Start a new run: drop warm-start state and SchurDelta's forest pool
-    /// from any previous run and reset the aggregated solver stats.
+    /// Start a new run: drop warm-start state, SchurDelta's forest pool and
+    /// the stop hook from any previous run and reset the aggregated solver
+    /// stats.
     /// Sketches are **kept** — they are validated against the graph by
     /// fingerprint in [`GreedyWorkspace::ensure_sketch`], so a workspace
     /// recycled across requests (see [`crate::SolveSession::run_reusing`])
@@ -183,7 +191,18 @@ impl GreedyWorkspace {
     pub fn begin_run(&mut self) {
         self.prev_kept.clear();
         self.forest_pool = None;
+        self.stop = StopHook::none();
         self.solve = SolveStats::default();
+    }
+
+    /// Options for a factor that a greedy pick builds: [`solve_options`]
+    /// with the run's stop hook, so its iterative solves stop when the run
+    /// is cancelled or its deadline passes (a bare workspace has no hook).
+    pub(crate) fn factor_options(&self, params: &CfcmParams) -> SddOptions {
+        SddOptions {
+            stop: self.stop.clone(),
+            ..solve_options(params)
+        }
     }
 
     /// Forests in SchurDelta's pool (0 when there is none, as after every
@@ -402,6 +421,16 @@ mod tests {
         let o = solve_options(&p);
         assert_eq!(o.rel_tol, 1e-9);
         assert_eq!(o.threads, 3);
+        assert!(!o.stop.is_set());
+        // A pick's factor options add the run's hook, until the next run.
+        let mut ws = GreedyWorkspace::new();
+        assert!(!ws.factor_options(&p).stop.is_set());
+        ws.stop = StopHook::new(|| None);
+        let o = ws.factor_options(&p);
+        assert_eq!((o.rel_tol, o.threads), (1e-9, 3));
+        assert!(o.stop.is_set());
+        ws.begin_run();
+        assert!(!ws.factor_options(&p).stop.is_set());
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! fails the run; [`first_phase`] is its `expect`ing wrapper.
 
 use crate::adaptive::{sample_until_certified, unit_columns};
-use crate::engine::{self, GreedyWorkspace};
+use crate::engine::GreedyWorkspace;
 use crate::{CfcmError, CfcmParams};
 use cfcc_forest::estimators::{DiagMode, ElectricalAccumulator};
 use cfcc_forest::sampler::{absorb_batch, SamplerConfig};
@@ -64,13 +64,16 @@ pub fn first_phase(g: &Graph, params: &CfcmParams) -> FirstPhase {
 
 /// [`first_phase`] that returns a failed solve as a [`CfcmError`] and
 /// folds the `L_{-s}` factor's solver work into `ws`'s run statistics.
+/// The factor takes `ws`'s options for a greedy pick, so its iterative
+/// solves stop with the run (a stopped solve fails the phase with
+/// [`CfcmError::Interrupted`]).
 pub fn first_phase_ws(
     g: &Graph,
     params: &CfcmParams,
     ws: &mut GreedyWorkspace,
 ) -> Result<FirstPhase, CfcmError> {
     let (s, in_root, mut acc) = accumulator(g);
-    let mut factor = sdd::factor(g, &in_root, params.backend, &engine::solve_options(params))?;
+    let mut factor = sdd::factor(g, &in_root, params.backend, &ws.factor_options(params))?;
     let decided = decide(g, s, &in_root, params, &mut acc, factor.as_mut());
     ws.absorb_solve_stats(factor.stats());
     let (scores, chosen) = decided?;

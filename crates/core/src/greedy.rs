@@ -12,6 +12,7 @@ use crate::engine::GreedyWorkspace;
 use crate::result::{IterStats, RunStats, Selection};
 use crate::CfcmError;
 use cfcc_graph::{Graph, Node};
+use cfcc_linalg::StopHook;
 use cfcc_util::Stopwatch;
 
 /// Select `k` nodes greedily: `first(ws)` makes the first pick, and
@@ -21,11 +22,13 @@ use cfcc_util::Stopwatch;
 /// reports its [`IterStats`]; `run` fills in `seconds`, records the pick
 /// and sends it to the progress sink.
 ///
-/// Run control: once a pick is recorded, a cancel or an elapsed deadline
-/// ends the run before the next one. A pick that fails with
-/// [`CfcmError::Interrupted`] (its solves were stopped) is dropped, and
-/// the run returns the picks before it, possibly none. Any other error
-/// fails the run.
+/// Run control: the workspace carries the context's stop hook for the
+/// run, so the iterative solves of every factor a pick builds stop once
+/// the run is cancelled or its deadline passes. Once a pick is recorded,
+/// a cancel or an elapsed deadline ends the run before the next one. A
+/// pick that fails with [`CfcmError::Interrupted`] (its solves were
+/// stopped) is dropped, and the run returns the picks before it,
+/// possibly none. Any other error fails the run.
 pub fn run(
     g: &Graph,
     k: usize,
@@ -36,6 +39,7 @@ pub fn run(
     ctx.check_problem(g, k)?;
     let mut ws = ctx.workspace();
     ws.begin_run();
+    ws.stop = ctx.stop_hook();
     let mut in_s = vec![false; g.num_nodes()];
     let mut nodes = Vec::with_capacity(k);
     let mut stats = RunStats::default();
@@ -57,9 +61,11 @@ pub fn run(
         }
         pick = round(nodes.len(), &in_s, &mut ws);
     };
-    // SchurDelta's forests belong to this run: a recycled workspace must
-    // neither hold them nor feed them to the next run.
+    // SchurDelta's forests and the stop hook belong to this run: a
+    // recycled workspace must neither hold them nor feed them to the next
+    // run.
     ws.forest_pool = None;
+    ws.stop = StopHook::none();
     done?;
     stats.solve = ws.solve_stats();
     Ok(Selection { nodes, stats })
@@ -119,6 +125,7 @@ pub(crate) fn argmax(d: usize, gain: impl Fn(usize) -> f64) -> (usize, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::CancelToken;
     use cfcc_graph::generators;
     use cfcc_linalg::StopCause;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -187,6 +194,35 @@ mod tests {
         // Exact greedy forms its dense L_{-S}^{-1} in its first round, so
         // a k = 1 run never pays for it.
         assert_eq!(rounds.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn the_workspace_holds_the_stop_hook_for_the_run_only() {
+        let g = generators::path(10);
+        let ctx = SolveContext::default().with_cancel(CancelToken::new());
+        let sel = run(
+            &g,
+            2,
+            &ctx,
+            |ws| {
+                assert!(ws.stop.is_set());
+                Ok(IterStats::new(0, f64::NAN))
+            },
+            |_, _, ws| {
+                assert!(ws.factor_options(&ctx.params).stop.is_set());
+                Ok(IterStats::new(1, 1.0))
+            },
+        )
+        .unwrap();
+        assert_eq!(sel.nodes, [0, 1]);
+        assert!(!ctx.workspace().stop.is_set());
+        // Without a cancel token or deadline there is no hook to poll.
+        let ctx = SolveContext::default();
+        let first = |ws: &mut GreedyWorkspace| {
+            assert!(!ws.stop.is_set());
+            Ok(IterStats::new(0, f64::NAN))
+        };
+        run(&g, 1, &ctx, first, |_, _, _| unreachable!()).unwrap();
     }
 
     #[test]

@@ -54,7 +54,7 @@
 //! work is folded into the workspace's run statistics.
 
 use crate::adaptive::{sample_until_certified, unit_columns};
-use crate::engine::{self, GreedyWorkspace, SchurScratch};
+use crate::engine::{GreedyWorkspace, SchurScratch};
 use crate::schur::{estimated_schur, invert_estimated_schur};
 use crate::{CfcmError, CfcmParams};
 use cfcc_forest::estimators::{DiagMode, ElectricalAccumulator};
@@ -234,6 +234,8 @@ pub fn schur_delta_ws(
     for &t in t_nodes {
         in_root[t as usize] = true;
     }
+    // Options of L_{-S}'s factor: the run's stop hook comes with them.
+    let opts = ws.factor_options(params);
 
     if !ws
         .forest_pool
@@ -277,7 +279,6 @@ pub fn schur_delta_ws(
         },
         |nodes| {
             if factor.is_none() {
-                let opts = engine::solve_options(params);
                 factor = Some(sdd::factor(g, in_s, params.backend, &opts)?);
             }
             exact_gains(factor.as_deref_mut().expect("factored above"), nodes)

@@ -10,8 +10,9 @@
 //!   (Lemma 3.3 with the fixed path `P_{v,S}` = BFS path).
 //! * **Diagonal samples** `X_f(u)` with `E[X_f(u)] = (L_{-S}^{-1})_{uu}`:
 //!   along `u`'s BFS path, count forest-path traversals of each edge in both
-//!   directions, using O(1) Euler-tour ancestor tests. Per-node sample
-//!   moments (variance and range) are kept for error bars.
+//!   directions, using O(1) Euler-tour ancestor tests. Each node's sample
+//!   variance is kept too ([`ElectricalAccumulator::diag_variance`]); the
+//!   estimator tests set their tolerances from it.
 //! * **First-phase samples** `x_u = X_f(u) − (2/n) · Φ̂₁(u)` implementing
 //!   Lemma 3.5's reduction of `L†_uu` to `L_{-s}^{-1}` quantities. The
 //!   shared `1ᵀL^{-1}1/n²` term is rank-preserving and not sampled;
@@ -58,7 +59,6 @@ struct Ctx {
     in_root: Vec<bool>,
     bfs_parent: Vec<Node>,
     bfs_order: Vec<Node>,
-    bfs_depth: Vec<u32>,
     sketch: Option<JlSketch>,
     mode: DiagMode,
     /// Integer samples are this multiple of the estimates (`n` in the
@@ -79,8 +79,6 @@ pub struct ElectricalAccumulator {
     /// `n·x_u` in the first phase); roots stay 0.
     diag_sum: Vec<i64>,
     diag_sumsq: Vec<i128>,
-    /// Per-node max |integer sample| — the samples' empirical range.
-    diag_sup: Vec<i64>,
     rooted: Option<RootedCounts>,
     // ---- scratch reused across forests ----
     /// `n × w` subtree sign sums; all zero between forests.
@@ -126,7 +124,6 @@ impl ElectricalAccumulator {
             in_root: in_root.to_vec(),
             bfs_parent: bfs.parent,
             bfs_order: bfs.order,
-            bfs_depth: bfs.depth,
             sketch,
             mode,
             sample_unit: match mode {
@@ -147,7 +144,6 @@ impl ElectricalAccumulator {
             edge_acc: vec![0; n * w],
             diag_sum: vec![0; n],
             diag_sumsq: vec![0; n],
-            diag_sup: vec![0; n],
             root_of: if rooted.is_some() {
                 vec![NO_PARENT; n]
             } else {
@@ -204,16 +200,6 @@ impl ElectricalAccumulator {
         // k·Σx² − (Σx)² = k(k−1)·variance, exact in integers.
         let unit = self.ctx.sample_unit;
         (i128::from(k) * sumsq - sum * sum) as f64 / (k as f64 * (k - 1) as f64 * unit * unit)
-    }
-
-    /// Empirical sample range bound for node `u` (max |sample| seen).
-    pub fn diag_sup(&self, u: Node) -> f64 {
-        self.diag_sup[u as usize] as f64 / self.ctx.sample_unit
-    }
-
-    /// BFS depth of `u` from the root set (the theoretical sample bound).
-    pub fn bfs_depth(&self, u: Node) -> u32 {
-        self.ctx.bfs_depth[u as usize]
     }
 
     /// The root set the forests are rooted at.
@@ -372,7 +358,6 @@ impl ElectricalAccumulator {
             };
             self.diag_sum[ui] += sample;
             self.diag_sumsq[ui] += i128::from(sample) * i128::from(sample);
-            self.diag_sup[ui] = self.diag_sup[ui].max(sample.abs());
         }
 
         // ---- rooted counts for the Schur complement ----
@@ -429,9 +414,6 @@ impl ForestAccumulator for ElectricalAccumulator {
         add_lanes(&mut self.edge_acc, &other.edge_acc);
         add_lanes(&mut self.diag_sum, &other.diag_sum);
         add_lanes(&mut self.diag_sumsq, &other.diag_sumsq);
-        for (a, &b) in self.diag_sup.iter_mut().zip(&other.diag_sup) {
-            *a = (*a).max(b);
-        }
         if let (Some(mine), Some(theirs)) = (&mut self.rooted, other.rooted) {
             mine.merge(theirs);
         }
@@ -581,7 +563,6 @@ mod tests {
                     let (a, b) = (&serial, &par);
                     assert_eq!(a.diag_mean(u), b.diag_mean(u), "{at}, node {u}");
                     assert_eq!(a.diag_variance(u), b.diag_variance(u), "{at}, node {u}");
-                    assert_eq!(a.diag_sup(u), b.diag_sup(u), "{at}, node {u}");
                 }
             }
         }
@@ -644,25 +625,8 @@ mod tests {
                     never.diag_variance(u),
                     "{at}, node {u}"
                 );
-                assert_eq!(dropped.diag_sup(u), never.diag_sup(u), "{at}, node {u}");
                 assert_eq!(rd.row(u), rn.row(u), "{at}, node {u}");
             }
-        }
-    }
-
-    #[test]
-    fn diag_sup_bounded_by_bfs_depth_in_diag_mode() {
-        let g = generators::grid(5, 5);
-        let in_root = mask(25, &[12]);
-        let mut acc = ElectricalAccumulator::new(&g, &in_root, None, DiagMode::Diagonal, None);
-        absorb_batch(&g, &in_root, 0, 200, &SamplerConfig::default(), &mut acc);
-        for u in 0..25u32 {
-            assert!(
-                acc.diag_sup(u) <= acc.bfs_depth(u) as f64 + 1e-12,
-                "u={u}: sup {} depth {}",
-                acc.diag_sup(u),
-                acc.bfs_depth(u)
-            );
         }
     }
 

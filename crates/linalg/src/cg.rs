@@ -15,6 +15,7 @@
 use std::sync::Arc;
 
 use crate::pool::{self, SendPtr};
+use crate::sdd::SddOptions;
 use crate::vector::{axpy, dot, norm2, project_out_ones, xpby};
 use crate::DenseMatrix;
 use cfcc_graph::Graph;
@@ -69,43 +70,10 @@ impl std::fmt::Debug for StopHook {
     }
 }
 
-/// Convergence controls for CG.
-#[derive(Debug, Clone)]
-pub struct CgConfig {
-    /// Stop when `‖r‖ ≤ rel_tol · ‖b‖`.
-    pub rel_tol: f64,
-    /// Hard iteration cap (defaults to 10·√n + 200, set explicitly for
-    /// reproducibility in benchmarks).
-    pub max_iter: usize,
-    /// Worker threads for the blocked multi-RHS loop's elementwise row
-    /// updates (the per-row x/r/p recurrences partition over the pool;
-    /// reductions stay serial so results are bit-identical across thread
-    /// counts).
-    pub threads: usize,
-    /// Cooperative cancellation, polled at the top of every iteration.
-    pub stop: StopHook,
-}
-
-impl Default for CgConfig {
-    fn default() -> Self {
-        Self {
-            rel_tol: 1e-8,
-            max_iter: 20_000,
-            threads: 1,
-            stop: StopHook::none(),
-        }
-    }
-}
-
-impl CgConfig {
-    /// Config with the given relative tolerance.
-    pub fn with_tol(rel_tol: f64) -> Self {
-        Self {
-            rel_tol,
-            ..Self::default()
-        }
-    }
-}
+/// The CG loops' options are [`SddOptions`]. This second name is kept
+/// for the benchmark harness under `perfbench/`, which still spells them
+/// `CgConfig`.
+pub type CgConfig = SddOptions;
 
 /// Outcome statistics of a CG solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -132,7 +100,7 @@ pub fn pcg_operator<A, M>(
     mut precond: M,
     b: &[f64],
     x: &mut [f64],
-    cfg: &CgConfig,
+    cfg: &SddOptions,
 ) -> CgStats
 where
     A: FnMut(&[f64], &mut [f64]),
@@ -279,7 +247,7 @@ pub fn pcg_operator_block<A, M>(
     mut precond: M,
     b: &DenseMatrix,
     x: &mut DenseMatrix,
-    cfg: &CgConfig,
+    cfg: &SddOptions,
 ) -> Vec<CgStats>
 where
     A: FnMut(&DenseMatrix, &mut DenseMatrix),
@@ -498,7 +466,7 @@ where
 /// projecting both the operator output and the preconditioned residual,
 /// so rounding cannot reintroduce the `1` direction. The returned `x` is
 /// mean-zero, including the partial iterate of an interrupted solve.
-pub fn solve_pseudoinverse(g: &Graph, b: &[f64], x: &mut [f64], cfg: &CgConfig) -> CgStats {
+pub fn solve_pseudoinverse(g: &Graph, b: &[f64], x: &mut [f64], cfg: &SddOptions) -> CgStats {
     let n = g.num_nodes();
     assert_eq!(b.len(), n);
     assert_eq!(x.len(), n);
@@ -544,7 +512,13 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     /// Jacobi-preconditioned [`pcg_operator`] on the CSR `L_{-S}`.
-    fn grounded_pcg(g: &Graph, in_s: &[bool], b: &[f64], x: &mut [f64], cfg: &CgConfig) -> CgStats {
+    fn grounded_pcg(
+        g: &Graph,
+        in_s: &[bool],
+        b: &[f64],
+        x: &mut [f64],
+        cfg: &SddOptions,
+    ) -> CgStats {
         let (csr, _, _) = CsrMatrix::grounded_laplacian(g, in_s);
         let inv_diag: Vec<f64> = csr.diagonal().iter().map(|&d| 1.0 / d).collect();
         pcg_operator(
@@ -571,7 +545,7 @@ mod tests {
         let ch = dense.cholesky().unwrap();
         let b: Vec<f64> = (0..58).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let mut x = vec![0.0; 58];
-        let stats = grounded_pcg(&g, &in_s, &b, &mut x, &CgConfig::with_tol(1e-12));
+        let stats = grounded_pcg(&g, &in_s, &b, &mut x, &SddOptions::with_tol(1e-12));
         assert!(stats.converged, "stats: {stats:?}");
         let exact = ch.solve(&b);
         for i in 0..x.len() {
@@ -591,7 +565,7 @@ mod tests {
         let g = generators::path(3);
         let in_s = vec![true, false, false];
         let mut x = vec![0.0; 2];
-        let stats = grounded_pcg(&g, &in_s, &[1.0, 0.0], &mut x, &CgConfig::with_tol(1e-14));
+        let stats = grounded_pcg(&g, &in_s, &[1.0, 0.0], &mut x, &SddOptions::with_tol(1e-14));
         assert!(stats.converged);
         assert!((x[0] - 1.0).abs() < 1e-10);
         assert!((x[1] - 1.0).abs() < 1e-10);
@@ -603,7 +577,7 @@ mod tests {
         let mut in_s = vec![false; 10];
         in_s[0] = true;
         let mut x = vec![0.0; 9];
-        let stats = grounded_pcg(&g, &in_s, &[0.0; 9], &mut x, &CgConfig::default());
+        let stats = grounded_pcg(&g, &in_s, &[0.0; 9], &mut x, &SddOptions::default());
         assert!(stats.converged);
         assert_eq!(stats.iterations, 0);
     }
@@ -617,7 +591,7 @@ mod tests {
         let mut b: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
         // b need not be orthogonal to 1 — solver projects.
         let mut x = vec![0.0; n];
-        let stats = solve_pseudoinverse(&g, &b, &mut x, &CgConfig::with_tol(1e-12));
+        let stats = solve_pseudoinverse(&g, &b, &mut x, &SddOptions::with_tol(1e-12));
         assert!(stats.converged);
         project_out_ones(&mut b);
         let mut expect = vec![0.0; n];
@@ -643,12 +617,12 @@ mod tests {
         let b: Vec<f64> = (0..200).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let polls = Arc::new(AtomicUsize::new(0));
         let seen = Arc::clone(&polls);
-        let cfg = CgConfig {
+        let cfg = SddOptions {
             rel_tol: 1e-14,
             stop: StopHook::new(move || {
                 (seen.fetch_add(1, Ordering::Relaxed) >= 3).then_some(StopCause::Cancelled)
             }),
-            ..CgConfig::default()
+            ..SddOptions::default()
         };
         // A guess with a large component along 1, which must not survive.
         let mut x = vec![5.0; 200];
@@ -668,7 +642,7 @@ mod tests {
         let mut in_s = vec![false; 200];
         in_s[0] = true;
         let b: Vec<f64> = (0..199).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let cfg = CgConfig::with_tol(1e-10);
+        let cfg = SddOptions::with_tol(1e-10);
         let mut cold = vec![0.0; 199];
         let s1 = grounded_pcg(&g, &in_s, &b, &mut cold, &cfg);
         let mut warm = cold.clone();
@@ -685,10 +659,10 @@ mod tests {
         in_s[0] = true;
         let b: Vec<f64> = (0..499).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let mut x = vec![0.0; 499];
-        let cfg = CgConfig {
+        let cfg = SddOptions {
             rel_tol: 1e-14,
             max_iter: 3,
-            ..CgConfig::default()
+            ..SddOptions::default()
         };
         let stats = grounded_pcg(&g, &in_s, &b, &mut x, &cfg);
         assert!(!stats.converged);

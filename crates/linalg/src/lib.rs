@@ -4,16 +4,17 @@
 //! because the target environment has no BLAS/LAPACK binding and no mature
 //! sparse SDD solver crate.
 //!
-//! ## The `SddSolver` backend API
+//! ## The SDD front door
 //!
 //! Every grounded Laplacian system `L_{-S} x = b` the algorithms solve
-//! goes through **one factor-once/solve-many surface**: [`sdd::SddSolver`]
-//! produces an [`sdd::SddFactor`] exposing `solve_vec`, `solve_mat`
+//! goes through **one factor-once/solve-many surface**: [`sdd::factor`]
+//! builds an [`sdd::SddFactor`] exposing `solve_vec`, `solve_mat`
 //! (multi-RHS), `diag_inverse`, and `trace_inverse`, plus a cumulative
-//! [`sdd::SolveStats`] report (iterations, worst residual, flops).
-//! Backends are registered by name ([`sdd::backends`]) and selected via
-//! [`sdd::SddBackend`] (`auto` picks dense up to 1536 unknowns and
-//! `sparse-cg` above):
+//! [`sdd::SolveStats`] report (iterations, worst residual, flops). The
+//! backend is an [`sdd::SddBackend`], the only handle on one: it owns the
+//! names and aliases, and `auto` resolves to dense up to 1536 unknowns
+//! and `sparse-cg` above. One [`sdd::SddOptions`] tunes a factor and the
+//! CG loops alike (tolerance, iteration cap, threads, stop hook):
 //!
 //! | backend          | kind      | storage       | operations |
 //! |------------------|-----------|---------------|------------|
@@ -28,13 +29,14 @@
 //! ApproxGreedy's sketches — goes through `solve_mat_into` in panels of
 //! [`sdd::RHS_CHUNK`] columns.
 //!
-//! Consumers in `cfcc-core` (ApproxGreedy, the CFCC evaluators, Schur
-//! utilities) dispatch through this seam, so swapping a solver touches no
-//! greedy loop.
+//! Consumers in `cfcc-core` (ApproxGreedy, the forest phases' exact
+//! decisions, the CFCC evaluators) dispatch through this seam, so
+//! swapping a solver touches no greedy loop.
 //!
 //! ## Modules
 //!
-//! * [`sdd`] — the backend trait, registry, and the two backends above.
+//! * [`sdd`] — the factor trait, the backend enum and its policy, the
+//!   front door, and the two backends above.
 //! * [`pool`] — the persistent worker pool every parallel kernel runs on:
 //!   spawn once, park between jobs, task-index dispatch with
 //!   caller-computed partitioning (bit-identical results per thread
@@ -60,9 +62,9 @@
 //!   ([`cg::pcg_operator_block`]). This is the substitute for the Julia
 //!   Kyng–Sachdeva solver used by the paper's ApproxGreedy baseline.
 //! * [`jl`] — Johnson–Lindenstrauss Rademacher sketches (Lemma 3.4).
-//! * [`trace`] — exact and Hutchinson traces of `Tr(L_{-S}^{-1})`
-//!   through any [`sdd::SddFactor`], which the paper uses to evaluate CFCC
-//!   on large graphs.
+//! * [`trace`] — Hutchinson estimates of `Tr(L_{-S}^{-1})` through any
+//!   [`sdd::SddFactor`], which the paper uses to evaluate CFCC on large
+//!   graphs (the exact trace is [`sdd::SddFactor::trace_inverse`]).
 //! * [`pinv`] — dense pseudoinverse `L†` via `(L + J/n)^{-1} − J/n`, plus
 //!   the diagonal-only variant the greedy first pick consumes.
 
@@ -79,7 +81,7 @@ pub mod sdd;
 pub mod trace;
 pub mod vector;
 
-pub use cg::{CgConfig, CgStats, StopCause, StopHook};
+pub use cg::{CgStats, StopCause, StopHook};
 pub use dense::DenseMatrix;
 pub use error::LinalgError;
-pub use sdd::{OwnedFactor, SddBackend, SddFactor, SddOptions, SddSolver, SolveStats};
+pub use sdd::{OwnedFactor, SddBackend, SddFactor, SddOptions, SolveStats};

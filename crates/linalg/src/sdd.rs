@@ -1,11 +1,11 @@
-//! The unified SDD-solver backend API: one factor-once/solve-many surface
-//! over every way this crate can solve grounded Laplacian systems
+//! The SDD-solver front door: one factor-once/solve-many surface over
+//! every way this crate can solve grounded Laplacian systems
 //! `L_{-S} x = b`.
 //!
 //! The paper's ApproxGreedy only reaches million-node graphs because every
 //! solve goes through a sparse SDD solver; the greedy loops themselves
-//! never care *which*. This module makes that a first-class seam,
-//! mirroring how `cfcc_core::registry` unified the algorithm layer:
+//! never care *which*. An [`SddBackend`] names the backend, and
+//! [`factor`] is the one way to build a factor through it:
 //!
 //! | backend          | kind      | representation | best for |
 //! |------------------|-----------|----------------|----------|
@@ -28,13 +28,12 @@
 //!
 //! # Contract
 //!
-//! [`SddSolver::factor`] grounds `S`, does whatever setup the backend
-//! needs (dense factorization, or CSR assembly + incomplete Cholesky),
-//! and returns an [`SddFactor`] over the **compacted** index
-//! space `V ∖ S` (same ordering as
-//! [`crate::laplacian::laplacian_submatrix_dense`]). The factor owns
-//! everything it needs, so it never borrows the graph. It then answers
-//! any number of:
+//! [`factor`] grounds `S`, does whatever setup the backend needs (dense
+//! factorization, or CSR assembly + incomplete Cholesky), and returns an
+//! [`SddFactor`] over the **compacted** index space `V ∖ S` (same
+//! ordering as [`crate::laplacian::laplacian_submatrix_dense`]). The
+//! factor owns everything it needs, so it never borrows the graph. It
+//! then answers any number of:
 //!
 //! * [`SddFactor::solve_vec`] / [`SddFactor::solve_mat`] — single and
 //!   multi-RHS solves (`A X = B`, RHS as matrix columns);
@@ -56,11 +55,12 @@
 //! Callers hold an [`SddBackend`] (a `CfcmParams` field / `--backend`
 //! upstream): `auto` picks `dense-cholesky` up to
 //! [`SddBackend::AUTO_DENSE_LIMIT`] unknowns (where the blocked dense
-//! layer wins) and `sparse-cg` above it, on every topology. [`backends`],
-//! [`by_name`], and [`name_list`] expose the registry for discoverability
-//! (`--list-backends`).
+//! layer wins) and `sparse-cg` above it, on every topology.
+//! [`SddBackend::resolve`] applies that policy, [`SddBackend::parse`]
+//! accepts the names and their aliases, and [`SddBackend::ALL`] lists
+//! them (`--list-backends`).
 
-use crate::cg::{pcg_operator, pcg_operator_block, CgConfig, StopCause, StopHook};
+use crate::cg::{pcg_operator, pcg_operator_block, StopCause, StopHook};
 use crate::csr::{CsrMatrix, IncompleteCholesky};
 use crate::dense::Cholesky;
 use crate::error::LinalgError;
@@ -74,25 +74,6 @@ use cfcc_graph::{Graph, Node};
 /// workspace at `O(n · RHS_CHUNK)` while still sharing each blocked-PCG
 /// sweep (and each dense triangular pass) over a full panel.
 pub const RHS_CHUNK: usize = 16;
-
-/// Backend family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SddKind {
-    /// Factorize once, solve exactly (up to rounding).
-    Direct,
-    /// Krylov iteration to a relative tolerance.
-    Iterative,
-}
-
-impl SddKind {
-    /// Lower-case label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            SddKind::Direct => "direct",
-            SddKind::Iterative => "iterative",
-        }
-    }
-}
 
 /// Cumulative work report of an [`SddFactor`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -118,17 +99,21 @@ pub struct SolveStats {
     pub precond_shift: f64,
 }
 
-/// Tuning for a factorization (tolerances only bind iterative backends).
+/// Tuning for a factor and its solves, and for the CG loops of
+/// [`crate::cg`] (tolerances only bind iterative solves).
 #[derive(Debug, Clone)]
 pub struct SddOptions {
-    /// Relative residual target of iterative solves.
+    /// Relative residual target of iterative solves: stop when
+    /// `‖r‖ ≤ rel_tol · ‖b‖`.
     pub rel_tol: f64,
     /// Iteration cap per right-hand side.
     pub max_iter: usize,
-    /// Worker threads for the blocked dense kernels.
+    /// Worker threads for the blocked dense kernels and the blocked
+    /// multi-RHS PCG's row updates (reductions stay serial, so results
+    /// are bit-identical across thread counts).
     pub threads: usize,
-    /// Cooperative cancellation, polled every iteration by the iterative
-    /// backend's inner CG loop. A fired hook surfaces as
+    /// Cooperative cancellation, polled at the top of every iteration of
+    /// an iterative solve. A fired hook surfaces as
     /// [`LinalgError::Cancelled`] / [`LinalgError::DeadlineExceeded`]
     /// with the partial work already folded into [`SolveStats`] and the
     /// partial iterate left in `x` for a warm-started retry.
@@ -260,28 +245,6 @@ pub trait SddFactor {
     fn set_stop(&mut self, _stop: StopHook) {}
 }
 
-/// A pluggable way to factor grounded Laplacians. Implementations are
-/// stateless unit structs registered in [`backends`].
-pub trait SddSolver: Sync {
-    /// Canonical registry name (lower-case, stable).
-    fn name(&self) -> &'static str;
-
-    /// Backend family.
-    fn kind(&self) -> SddKind;
-
-    /// Human-readable summary of the supported operations and the regime
-    /// the backend is built for (shown by `--list-backends`).
-    fn ops(&self) -> &'static str;
-
-    /// Ground `S` (mask `in_s`) and produce a factor for `L_{-S}`.
-    fn factor(
-        &self,
-        g: &Graph,
-        in_s: &[bool],
-        opts: &SddOptions,
-    ) -> Result<Box<dyn SddFactor + Send>, LinalgError>;
-}
-
 /// Original-node → compact-index map for a kept-node list (`usize::MAX`
 /// for grounded nodes) — the one compact-index convention, shared by
 /// every backend.
@@ -321,9 +284,7 @@ fn check_grounding(g: &Graph, in_s: &[bool]) -> Result<(), LinalgError> {
 // dense-cholesky
 // ---------------------------------------------------------------------
 
-/// Direct backend: dense `L_{-S}` + blocked Cholesky (PR 2 kernels).
-pub struct DenseCholeskyBackend;
-
+/// Direct backend: dense `L_{-S}` + blocked Cholesky.
 struct DenseFactor {
     ch: Cholesky,
     keep: Vec<Node>,
@@ -332,30 +293,13 @@ struct DenseFactor {
     stats: SolveStats,
 }
 
-impl SddSolver for DenseCholeskyBackend {
-    fn name(&self) -> &'static str {
-        "dense-cholesky"
-    }
-
-    fn kind(&self) -> SddKind {
-        SddKind::Direct
-    }
-
-    fn ops(&self) -> &'static str {
-        "solve_vec, solve_mat (blocked), diag_inverse (n^3/2), trace_inverse; exact, O(n^3) factor, n <~ 2k"
-    }
-
-    fn factor(
-        &self,
-        g: &Graph,
-        in_s: &[bool],
-        opts: &SddOptions,
-    ) -> Result<Box<dyn SddFactor + Send>, LinalgError> {
+impl DenseFactor {
+    fn new(g: &Graph, in_s: &[bool], opts: &SddOptions) -> Result<Self, LinalgError> {
         let (dense, keep) = laplacian_submatrix_dense(g, in_s);
         let n = dense.rows();
         let ch = dense.cholesky_threaded(opts.threads)?;
         let pos = compact_pos(g.num_nodes(), &keep);
-        Ok(Box::new(DenseFactor {
+        Ok(DenseFactor {
             ch,
             keep,
             pos,
@@ -364,7 +308,7 @@ impl SddSolver for DenseCholeskyBackend {
                 flops: (n as u64).pow(3) / 3,
                 ..SolveStats::default()
             },
-        }))
+        })
     }
 }
 
@@ -509,55 +453,23 @@ fn record_block(
 /// Iterative backend: CSR `L_{-S}` with an IC(0) incomplete-Cholesky
 /// preconditioner. `O(n + m)` memory end to end — the Laplacian is never
 /// densified. The substitute for the paper's Kyng–Sachdeva solver.
-pub struct SparseCgBackend;
-
 struct SparseCgFactor {
     csr: CsrMatrix,
     ic: IncompleteCholesky,
     keep: Vec<Node>,
     pos: Vec<usize>,
-    cfg: CgConfig,
+    cfg: SddOptions,
     stats: SolveStats,
 }
 
-impl SddSolver for SparseCgBackend {
-    fn name(&self) -> &'static str {
-        "sparse-cg"
-    }
-
-    fn kind(&self) -> SddKind {
-        SddKind::Iterative
-    }
-
-    fn ops(&self) -> &'static str {
-        "solve_vec (warm-startable), solve_mat (blocked multi-RHS), diag_inverse/trace_inverse (n solves in 16-column panels); CSR + IC(0), O(n+m) memory; Manteuffel shift surfaces as SolveStats.precond_shift"
-    }
-
-    fn factor(
-        &self,
-        g: &Graph,
-        in_s: &[bool],
-        opts: &SddOptions,
-    ) -> Result<Box<dyn SddFactor + Send>, LinalgError> {
+impl SparseCgFactor {
+    fn new(g: &Graph, in_s: &[bool], opts: &SddOptions) -> Result<Self, LinalgError> {
         check_grounding(g, in_s)?;
         let (csr, keep, pos) = CsrMatrix::grounded_laplacian(g, in_s);
         let ic = IncompleteCholesky::factor(&csr)?;
-        Ok(Box::new(SparseCgFactor::from_parts(
-            csr,
-            ic,
-            keep,
-            pos,
-            CgConfig {
-                rel_tol: opts.rel_tol,
-                max_iter: opts.max_iter,
-                threads: opts.threads,
-                stop: opts.stop.clone(),
-            },
-        )))
+        Ok(SparseCgFactor::from_parts(csr, ic, keep, pos, opts.clone()))
     }
-}
 
-impl SparseCgFactor {
     /// Assemble a factor from an already-built matrix + preconditioner
     /// (the factor path and the breakdown tests share this), recording
     /// the IC(0) shift in the stats so callers can see the perturbation.
@@ -566,7 +478,7 @@ impl SparseCgFactor {
         ic: IncompleteCholesky,
         keep: Vec<Node>,
         pos: Vec<usize>,
-        cfg: CgConfig,
+        cfg: SddOptions,
     ) -> Self {
         Self {
             stats: SolveStats {
@@ -663,44 +575,14 @@ impl SddFactor for SparseCgFactor {
 }
 
 // ---------------------------------------------------------------------
-// registry + selection policy
+// selection policy + front door
 // ---------------------------------------------------------------------
 
-/// Every registered backend, in listing order.
-static BACKENDS: &[&dyn SddSolver] = &[&DenseCholeskyBackend, &SparseCgBackend];
-
-/// Alias table (alias → canonical name).
-static ALIASES: &[(&str, &str)] = &[
-    ("dense", "dense-cholesky"),
-    ("cholesky", "dense-cholesky"),
-    ("sparse", "sparse-cg"),
-    ("ic", "sparse-cg"),
-];
-
-/// All registered backends.
-pub fn backends() -> &'static [&'static dyn SddSolver] {
-    BACKENDS
-}
-
-/// Look up a backend by canonical name or alias (case-insensitive).
-pub fn by_name(name: &str) -> Option<&'static dyn SddSolver> {
-    let lower = name.to_ascii_lowercase();
-    let canonical = ALIASES
-        .iter()
-        .find(|(alias, _)| *alias == lower)
-        .map_or(lower.as_str(), |(_, canonical)| canonical);
-    BACKENDS.iter().find(|s| s.name() == canonical).copied()
-}
-
-/// `name1 | name2 | …` — for usage strings (the `auto` policy included).
-pub fn name_list() -> String {
-    let mut names: Vec<&str> = vec!["auto"];
-    names.extend(BACKENDS.iter().map(|s| s.name()));
-    names.join(" | ")
-}
-
-/// Backend selection carried through `CfcmParams` / `--backend`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The SDD backend: a `CfcmParams` field, `--backend` upstream, and the
+/// only handle on a backend. `auto` is a policy; [`SddBackend::resolve`]
+/// turns it into one of the two concrete backends, and [`factor`] builds
+/// a factor through the concrete one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SddBackend {
     /// `dense-cholesky` up to [`SddBackend::AUTO_DENSE_LIMIT`] unknowns,
     /// `sparse-cg` above.
@@ -712,23 +594,36 @@ pub enum SddBackend {
     SparseCg,
 }
 
+/// Alias table (alias → backend); names are matched case-insensitively.
+const ALIASES: [(&str, SddBackend); 4] = [
+    ("dense", SddBackend::DenseCholesky),
+    ("cholesky", SddBackend::DenseCholesky),
+    ("sparse", SddBackend::SparseCg),
+    ("ic", SddBackend::SparseCg),
+];
+
 impl SddBackend {
     /// Crossover of the `auto` policy: the dense blocked layer wins up to
     /// this many unknowns (factor amortized over many RHS), the CSR path
     /// above (where `O(n³)` and `O(n²)` memory stop being payable).
     pub const AUTO_DENSE_LIMIT: usize = 1536;
 
+    /// Every backend, in listing order: the `auto` policy first.
+    pub const ALL: [SddBackend; 3] = [
+        SddBackend::Auto,
+        SddBackend::DenseCholesky,
+        SddBackend::SparseCg,
+    ];
+
     /// Parse a CLI/user name ("auto", a canonical backend name, or an
-    /// alias).
+    /// alias), case-insensitively.
     pub fn parse(name: &str) -> Option<Self> {
-        if name.eq_ignore_ascii_case("auto") {
-            return Some(SddBackend::Auto);
-        }
-        match by_name(name)?.name() {
-            "dense-cholesky" => Some(SddBackend::DenseCholesky),
-            "sparse-cg" => Some(SddBackend::SparseCg),
-            _ => None,
-        }
+        let name = name.to_ascii_lowercase();
+        ALIASES
+            .iter()
+            .find(|(alias, _)| *alias == name)
+            .map(|&(_, backend)| backend)
+            .or_else(|| Self::ALL.into_iter().find(|b| b.name() == name))
     }
 
     /// Display name ("auto" or the canonical backend name).
@@ -740,24 +635,40 @@ impl SddBackend {
         }
     }
 
-    /// Resolve to a concrete backend for an `n`-unknown system:
-    /// `dense-cholesky` up to [`SddBackend::AUTO_DENSE_LIMIT`] (blocked
-    /// factor amortized over many RHS), `sparse-cg` above it. The decision
-    /// is size-only; resolution never looks at the graph.
-    pub fn resolve(self, n: usize) -> &'static dyn SddSolver {
+    /// Backend family: `direct` (factorize once, solve exactly up to
+    /// rounding), `iterative` (Krylov iteration to a relative tolerance),
+    /// or `policy` for `auto`.
+    pub fn kind(self) -> &'static str {
         match self {
-            SddBackend::Auto if n <= Self::AUTO_DENSE_LIMIT => &DenseCholeskyBackend,
-            SddBackend::Auto | SddBackend::SparseCg => &SparseCgBackend,
-            SddBackend::DenseCholesky => &DenseCholeskyBackend,
+            SddBackend::Auto => "policy",
+            SddBackend::DenseCholesky => "direct",
+            SddBackend::SparseCg => "iterative",
         }
     }
 
-    /// Resolve to a concrete backend for a `kept`-unknown system on `g`.
-    /// Today this is exactly [`SddBackend::resolve`] — the auto policy
-    /// does not inspect the graph — but callers that *have* the graph
-    /// (the front doors, serve's factor-cache keying) go through this
-    /// seam so a topology-aware policy would need no signature change.
-    pub fn resolve_for_graph(self, _g: &Graph, kept: usize) -> &'static dyn SddSolver {
+    /// `auto | dense-cholesky | sparse-cg` — for usage strings.
+    pub fn name_list() -> String {
+        Self::ALL.map(Self::name).join(" | ")
+    }
+
+    /// The concrete backend for an `n`-unknown system — never `Auto`:
+    /// `auto` resolves to `dense-cholesky` up to
+    /// [`SddBackend::AUTO_DENSE_LIMIT`] (blocked factor amortized over
+    /// many RHS) and to `sparse-cg` above it, and an explicit backend to
+    /// itself. The decision is size-only; resolution never looks at the
+    /// graph.
+    pub fn resolve(self, n: usize) -> SddBackend {
+        match self {
+            SddBackend::Auto if n <= Self::AUTO_DENSE_LIMIT => SddBackend::DenseCholesky,
+            SddBackend::Auto => SddBackend::SparseCg,
+            concrete => concrete,
+        }
+    }
+
+    /// [`SddBackend::resolve`] for a `kept`-unknown system on `g`; the
+    /// graph is ignored. Kept for the benchmark harness under
+    /// `perfbench/`, which still spells the resolution this way.
+    pub fn resolve_for_graph(self, _g: &Graph, kept: usize) -> SddBackend {
         self.resolve(kept)
     }
 }
@@ -768,8 +679,8 @@ impl std::fmt::Display for SddBackend {
     }
 }
 
-/// Factor `L_{-S}` through the chosen backend (resolving `auto` by the
-/// number of kept nodes) — the one-call front door consumers use.
+/// Factor `L_{-S}` through the chosen backend, resolving `auto` by the
+/// number of kept nodes — the one way to build an [`SddFactor`].
 pub fn factor(
     g: &Graph,
     in_s: &[bool],
@@ -777,7 +688,11 @@ pub fn factor(
     opts: &SddOptions,
 ) -> Result<Box<dyn SddFactor + Send>, LinalgError> {
     let kept = in_s.iter().filter(|&&s| !s).count();
-    backend.resolve_for_graph(g, kept).factor(g, in_s, opts)
+    Ok(match backend.resolve(kept) {
+        SddBackend::DenseCholesky => Box::new(DenseFactor::new(g, in_s, opts)?),
+        SddBackend::SparseCg => Box::new(SparseCgFactor::new(g, in_s, opts)?),
+        SddBackend::Auto => unreachable!("`resolve` returns a concrete backend"),
+    })
 }
 
 /// A factor together with the concrete backend that built it — the form
@@ -788,13 +703,13 @@ pub fn factor(
 /// the wrapped factor.
 pub struct OwnedFactor {
     factor: Box<dyn SddFactor + Send>,
-    backend_name: &'static str,
+    backend: SddBackend,
 }
 
 impl OwnedFactor {
     /// The concrete backend that produced this factor (post-`auto`).
     pub fn backend_name(&self) -> &'static str {
-        self.backend_name
+        self.backend.name()
     }
 }
 
@@ -838,10 +753,10 @@ pub fn factor_owned(
     opts: &SddOptions,
 ) -> Result<OwnedFactor, LinalgError> {
     let kept = in_s.iter().filter(|&&s| !s).count();
-    let solver = backend.resolve_for_graph(g, kept);
+    let backend = backend.resolve(kept);
     Ok(OwnedFactor {
-        factor: solver.factor(g, in_s, opts)?,
-        backend_name: solver.name(),
+        factor: factor(g, in_s, backend, opts)?,
+        backend,
     })
 }
 
@@ -860,15 +775,24 @@ mod tests {
         m
     }
 
+    /// The concrete backends, as explicit choices (each resolves to
+    /// itself).
+    const CONCRETE: [SddBackend; 2] = [SddBackend::DenseCholesky, SddBackend::SparseCg];
+
+    fn sparse(g: &Graph, in_s: &[bool], opts: &SddOptions) -> Box<dyn SddFactor + Send> {
+        factor(g, in_s, SddBackend::SparseCg, opts).unwrap()
+    }
+
     #[test]
     fn registry_names_resolve_and_aliases_work() {
-        for b in backends() {
-            assert_eq!(by_name(b.name()).unwrap().name(), b.name());
+        for b in SddBackend::ALL {
+            assert_eq!(SddBackend::parse(b.name()), Some(b));
+            assert_eq!(SddBackend::parse(&b.name().to_ascii_uppercase()), Some(b));
         }
-        assert_eq!(by_name("dense").unwrap().name(), "dense-cholesky");
-        assert_eq!(by_name("SPARSE").unwrap().name(), "sparse-cg");
-        assert!(by_name("nope").is_none());
-        assert!(name_list().starts_with("auto"));
+        assert_eq!(SddBackend::parse("dense"), Some(SddBackend::DenseCholesky));
+        assert_eq!(SddBackend::parse("SPARSE"), Some(SddBackend::SparseCg));
+        assert_eq!(SddBackend::parse("nope"), None);
+        assert!(SddBackend::name_list().starts_with("auto"));
     }
 
     #[test]
@@ -895,24 +819,21 @@ mod tests {
             assert_eq!(SddBackend::parse(gone), None, "{gone}");
         }
         assert_eq!(SddBackend::SparseCg.to_string(), "sparse-cg");
-        assert_eq!(backends().len(), 2);
+        assert_eq!(
+            SddBackend::ALL.map(SddBackend::kind),
+            ["policy", "direct", "iterative"]
+        );
     }
 
     #[test]
     fn auto_policy_switches_at_the_limit() {
-        assert_eq!(
-            SddBackend::Auto
-                .resolve(SddBackend::AUTO_DENSE_LIMIT)
-                .name(),
-            "dense-cholesky"
-        );
-        assert_eq!(
-            SddBackend::Auto
-                .resolve(SddBackend::AUTO_DENSE_LIMIT + 1)
-                .name(),
-            "sparse-cg"
-        );
-        assert_eq!(SddBackend::SparseCg.resolve(10).name(), "sparse-cg");
+        let limit = SddBackend::AUTO_DENSE_LIMIT;
+        assert_eq!(SddBackend::Auto.resolve(limit), SddBackend::DenseCholesky);
+        assert_eq!(SddBackend::Auto.resolve(limit + 1), SddBackend::SparseCg);
+        for b in CONCRETE {
+            assert_eq!(b.resolve(10), b);
+            assert_eq!(b.resolve(limit + 1), b);
+        }
     }
 
     #[test]
@@ -923,8 +844,8 @@ mod tests {
         let opts = SddOptions::with_tol(1e-11);
         let b: Vec<f64> = (0..68).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let mut reference: Option<Vec<f64>> = None;
-        for backend in backends() {
-            let mut f = backend.factor(&g, &in_s, &opts).unwrap();
+        for backend in CONCRETE {
+            let mut f = factor(&g, &in_s, backend, &opts).unwrap();
             assert_eq!(f.dim(), 68);
             assert_eq!(f.kept_nodes().len(), 68);
             assert_eq!(f.compact_of(2), None);
@@ -941,12 +862,11 @@ mod tests {
             let st = f.stats();
             assert_eq!(st.solves, 1);
             assert!(st.flops > 0);
-            match backend.kind() {
-                SddKind::Direct => assert_eq!(st.iterations, 0),
-                SddKind::Iterative => {
-                    assert!(st.iterations > 0);
-                    assert!(st.max_rel_residual <= 1e-11);
-                }
+            if backend == SddBackend::DenseCholesky {
+                assert_eq!(st.iterations, 0);
+            } else {
+                assert!(st.iterations > 0);
+                assert!(st.max_rel_residual <= 1e-11);
             }
         }
     }
@@ -965,7 +885,7 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(63);
         let b: Vec<f64> = (0..899).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let mut f = SparseCgBackend.factor(&g, &in_s, &opts).unwrap();
+        let mut f = sparse(&g, &in_s, &opts);
         assert!(matches!(
             f.solve_vec(&b),
             Err(LinalgError::DidNotConverge { .. })
@@ -976,8 +896,8 @@ mod tests {
     fn solve_mat_rejects_bad_shapes() {
         let g = generators::cycle(10);
         let in_s = mask(10, &[0]);
-        for backend in backends() {
-            let mut f = backend.factor(&g, &in_s, &SddOptions::default()).unwrap();
+        for backend in CONCRETE {
+            let mut f = factor(&g, &in_s, backend, &SddOptions::default()).unwrap();
             let bad = DenseMatrix::zeros(4, 2);
             assert!(matches!(
                 f.solve_mat(&bad),
@@ -1004,28 +924,24 @@ mod tests {
     fn auto_policy_routes_every_large_graph_to_sparse_cg() {
         let grid = generators::grid(45, 45); // 2025 > AUTO_DENSE_LIMIT
         assert_eq!(
-            SddBackend::Auto.resolve_for_graph(&grid, 2024).name(),
-            "sparse-cg"
+            SddBackend::Auto.resolve_for_graph(&grid, 2024),
+            SddBackend::SparseCg
         );
         let mut rng = StdRng::seed_from_u64(0x70D0);
         let ba = generators::barabasi_albert(2000, 4, &mut rng);
         assert_eq!(
-            SddBackend::Auto.resolve_for_graph(&ba, 1999).name(),
-            "sparse-cg"
+            SddBackend::Auto.resolve_for_graph(&ba, 1999),
+            SddBackend::SparseCg
         );
         for g in [&grid, &ba] {
             assert_eq!(
-                SddBackend::Auto
-                    .resolve_for_graph(g, SddBackend::AUTO_DENSE_LIMIT)
-                    .name(),
-                "dense-cholesky"
+                SddBackend::Auto.resolve_for_graph(g, SddBackend::AUTO_DENSE_LIMIT),
+                SddBackend::DenseCholesky
             );
         }
         assert_eq!(
+            SddBackend::DenseCholesky.resolve_for_graph(&ba, 1999),
             SddBackend::DenseCholesky
-                .resolve_for_graph(&ba, 1999)
-                .name(),
-            "dense-cholesky"
         );
         // The front door dispatches the policy: a grid factor through
         // `auto` iterates.
@@ -1037,8 +953,8 @@ mod tests {
 
     /// Regression (block warm start): `solve_mat_into` documents that
     /// every column of `x` carries its initial guess; re-solving a block
-    /// from its own solutions must converge (nearly) immediately on every
-    /// iterative backend, and agree with the cold path.
+    /// from its own solutions on `sparse-cg` must converge (nearly)
+    /// immediately, and agree with the cold path.
     #[test]
     fn warm_started_block_resolve_takes_fewer_iterations() {
         let mut rng = StdRng::seed_from_u64(0xB77A);
@@ -1052,30 +968,21 @@ mod tests {
                 rhs.set(i, j, rng.gen_range(-1.0..1.0));
             }
         }
-        for backend in iterative_backends() {
-            let mut f = backend
-                .factor(&g, &in_s, &SddOptions::with_tol(1e-10))
-                .unwrap();
-            let mut x = DenseMatrix::zeros(d, w);
-            f.solve_mat_into(&rhs, &mut x).unwrap();
-            let cold = f.stats().iterations;
-            assert!(cold > 0, "{}", backend.name());
-            let cold_x = x.clone();
-            // Warm start from the converged block: every column's initial
-            // residual already meets the tolerance.
-            f.solve_mat_into(&rhs, &mut x).unwrap();
-            let warm = f.stats().iterations - cold;
-            assert!(
-                warm <= w as u64 && warm < cold,
-                "{}: warm {warm} vs cold {cold}",
-                backend.name()
-            );
-            assert!(
-                x.max_abs_diff(&cold_x) < 1e-8,
-                "{}: warm solutions drifted",
-                backend.name()
-            );
-        }
+        let mut f = sparse(&g, &in_s, &SddOptions::with_tol(1e-10));
+        let mut x = DenseMatrix::zeros(d, w);
+        f.solve_mat_into(&rhs, &mut x).unwrap();
+        let cold = f.stats().iterations;
+        assert!(cold > 0);
+        let cold_x = x.clone();
+        // Warm start from the converged block: every column's initial
+        // residual already meets the tolerance.
+        f.solve_mat_into(&rhs, &mut x).unwrap();
+        let warm = f.stats().iterations - cold;
+        assert!(
+            warm <= w as u64 && warm < cold,
+            "warm {warm} vs cold {cold}"
+        );
+        assert!(x.max_abs_diff(&cold_x) < 1e-8, "warm solutions drifted");
     }
 
     /// The default `diag_inverse` solves the identity in panels: on
@@ -1089,9 +996,9 @@ mod tests {
             let g = generators::barabasi_albert(n, 3, &mut rng);
             let in_s = mask(n, &[0]);
             let opts = SddOptions::with_tol(1e-12);
-            let mut dense = DenseCholeskyBackend.factor(&g, &in_s, &opts).unwrap();
+            let mut dense = factor(&g, &in_s, SddBackend::DenseCholesky, &opts).unwrap();
             let expect = dense.diag_inverse().unwrap();
-            let mut f = SparseCgBackend.factor(&g, &in_s, &opts).unwrap();
+            let mut f = sparse(&g, &in_s, &opts);
             let diag = f.diag_inverse().unwrap();
             assert_eq!(f.stats().solves, n as u64 - 1);
             for (i, (a, b)) in diag.iter().zip(&expect).enumerate() {
@@ -1100,87 +1007,55 @@ mod tests {
         }
     }
 
-    /// Iterative backends under test (everything but the dense reference).
-    fn iterative_backends() -> Vec<&'static dyn SddSolver> {
-        backends()
-            .iter()
-            .copied()
-            .filter(|b| b.kind() == SddKind::Iterative)
-            .collect()
-    }
-
     /// Regression (singular-system guard): a grounding that leaves nodes
     /// unreachable from S — a disconnected component or an isolated
-    /// vertex — must fail at factor time with a structured error on every
-    /// iterative backend, not build a 1/0 preconditioner.
+    /// vertex — must fail at `sparse-cg`'s factor time with a structured
+    /// error, not build a 1/0 preconditioner.
     #[test]
     fn singular_grounding_is_a_structured_factor_error() {
+        let factor_sparse = |g: &Graph, in_s: &[bool]| {
+            factor(g, in_s, SddBackend::SparseCg, &SddOptions::default())
+        };
         // Two components: S touches only the first.
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (3, 4), (4, 5)]).unwrap();
-        let in_s = mask(6, &[0]);
-        for backend in iterative_backends() {
-            let err = backend
-                .factor(&g, &in_s, &SddOptions::default())
-                .err()
-                .unwrap_or_else(|| panic!("{} must reject singular grounding", backend.name()));
-            assert!(
-                matches!(err, LinalgError::SingularGrounding { node } if node >= 3),
-                "{}: {err:?}",
-                backend.name()
-            );
-        }
+        let err = factor_sparse(&g, &mask(6, &[0]))
+            .err()
+            .expect("sparse-cg must reject singular grounding");
+        assert!(
+            matches!(err, LinalgError::SingularGrounding { node } if node >= 3),
+            "{err:?}"
+        );
+        // Same graph with every component grounded factors fine.
+        factor_sparse(&g, &mask(6, &[0, 3])).unwrap();
         // Isolated vertex (zero grounded degree — the historical inf/NaN
         // inv_diag case).
         let g = Graph::from_edges(4, &[(0, 1), (1, 2)]).unwrap();
-        let in_s = mask(4, &[0]);
-        for backend in iterative_backends() {
-            assert!(
-                matches!(
-                    backend.factor(&g, &in_s, &SddOptions::default()),
-                    Err(LinalgError::SingularGrounding { node: 3 })
-                ),
-                "{}",
-                backend.name()
-            );
-        }
-        // Same graphs with every component grounded factor fine.
-        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (3, 4), (4, 5)]).unwrap();
-        let in_s = mask(6, &[0, 3]);
-        for backend in iterative_backends() {
-            backend
-                .factor(&g, &in_s, &SddOptions::default())
-                .unwrap_or_else(|e| panic!("{}: {e}", backend.name()));
-        }
+        assert!(matches!(
+            factor_sparse(&g, &mask(4, &[0])),
+            Err(LinalgError::SingularGrounding { node: 3 })
+        ));
     }
 
     /// Regression (warm-start contract): `solve_vec_into` documents that
-    /// `x` carries the initial guess; re-solving the same system from its
-    /// own solution must converge (nearly) immediately on every
-    /// iterative backend.
+    /// `x` carries the initial guess; re-solving the same system on
+    /// `sparse-cg` from its own solution must converge (nearly)
+    /// immediately.
     #[test]
     fn warm_started_resolve_takes_fewer_iterations() {
         let mut rng = StdRng::seed_from_u64(0x3A9);
         let g = generators::barabasi_albert(300, 3, &mut rng);
         let in_s = mask(300, &[4]);
         let b: Vec<f64> = (0..299).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        for backend in iterative_backends() {
-            let mut f = backend
-                .factor(&g, &in_s, &SddOptions::with_tol(1e-10))
-                .unwrap();
-            let mut x = vec![0.0; 299];
-            f.solve_vec_into(&b, &mut x).unwrap();
-            let cold = f.stats().iterations;
-            assert!(cold > 0, "{}", backend.name());
-            // Warm start from the converged solution: the initial
-            // residual already meets the tolerance.
-            f.solve_vec_into(&b, &mut x).unwrap();
-            let warm = f.stats().iterations - cold;
-            assert!(
-                warm < cold && warm <= 1,
-                "{}: warm {warm} vs cold {cold}",
-                backend.name()
-            );
-        }
+        let mut f = sparse(&g, &in_s, &SddOptions::with_tol(1e-10));
+        let mut x = vec![0.0; 299];
+        f.solve_vec_into(&b, &mut x).unwrap();
+        let cold = f.stats().iterations;
+        assert!(cold > 0);
+        // Warm start from the converged solution: the initial residual
+        // already meets the tolerance.
+        f.solve_vec_into(&b, &mut x).unwrap();
+        let warm = f.stats().iterations - cold;
+        assert!(warm < cold && warm <= 1, "warm {warm} vs cold {cold}");
     }
 
     /// The blocked multi-RHS `solve_mat` must agree with per-column
@@ -1212,28 +1087,25 @@ mod tests {
                 rhs.set(i, 3, 1e-3 * rhs.get(i, 3));
             }
             let opts = SddOptions::with_tol(1e-11);
-            for backend in iterative_backends() {
-                let mut fb = backend.factor(&g, &in_s, &opts).unwrap();
-                let x = fb.solve_mat(&rhs).unwrap();
-                assert_eq!(fb.stats().solves, w as u64);
-                assert!(fb.stats().iterations > 0);
-                assert!(fb.stats().max_rel_residual <= 1e-11);
-                let mut fc = backend.factor(&g, &in_s, &opts).unwrap();
-                let mut col = vec![0.0; d];
-                for j in 0..w {
-                    for (i, c) in col.iter_mut().enumerate() {
-                        *c = rhs.get(i, j);
-                    }
-                    let xc = fc.solve_vec(&col).unwrap();
-                    let scale = xc.iter().fold(1e-30f64, |m, &v| m.max(v.abs()));
-                    for (i, &v) in xc.iter().enumerate() {
-                        assert!(
-                            (x.get(i, j) - v).abs() / scale <= 1e-8,
-                            "{} trial {trial} col {j} row {i}: {} vs {v}",
-                            backend.name(),
-                            x.get(i, j)
-                        );
-                    }
+            let mut fb = sparse(&g, &in_s, &opts);
+            let x = fb.solve_mat(&rhs).unwrap();
+            assert_eq!(fb.stats().solves, w as u64);
+            assert!(fb.stats().iterations > 0);
+            assert!(fb.stats().max_rel_residual <= 1e-11);
+            let mut fc = sparse(&g, &in_s, &opts);
+            let mut col = vec![0.0; d];
+            for j in 0..w {
+                for (i, c) in col.iter_mut().enumerate() {
+                    *c = rhs.get(i, j);
+                }
+                let xc = fc.solve_vec(&col).unwrap();
+                let scale = xc.iter().fold(1e-30f64, |m, &v| m.max(v.abs()));
+                for (i, &v) in xc.iter().enumerate() {
+                    assert!(
+                        (x.get(i, j) - v).abs() / scale <= 1e-8,
+                        "trial {trial} col {j} row {i}: {} vs {v}",
+                        x.get(i, j)
+                    );
                 }
             }
         }
@@ -1258,7 +1130,7 @@ mod tests {
                 rhs.set(i, j, rng.gen_range(-1.0..1.0));
             }
         }
-        let mut f = SparseCgBackend.factor(&g, &in_s, &opts).unwrap();
+        let mut f = sparse(&g, &in_s, &opts);
         assert!(matches!(
             f.solve_mat(&rhs),
             Err(LinalgError::DidNotConverge { .. })
@@ -1279,14 +1151,12 @@ mod tests {
         csr.scale_diagonal(0.45);
         let ic = IncompleteCholesky::factor(&csr).expect("shift escalation recovers");
         assert!(ic.shift() > 0.0);
-        let f = SparseCgFactor::from_parts(csr, ic, keep, pos, CgConfig::default());
+        let f = SparseCgFactor::from_parts(csr, ic, keep, pos, SddOptions::default());
         assert_eq!(f.stats().precond_shift, f.ic.shift());
         assert!(f.stats().precond_shift > 0.0);
 
         // Healthy grounded Laplacian: no shift reported, anywhere.
-        let mut f = SparseCgBackend
-            .factor(&g, &in_s, &SddOptions::default())
-            .unwrap();
+        let mut f = sparse(&g, &in_s, &SddOptions::default());
         f.solve_vec(&[1.0; 11]).unwrap();
         assert_eq!(f.stats().precond_shift, 0.0);
     }

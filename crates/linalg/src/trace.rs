@@ -1,60 +1,33 @@
-//! Trace of `L_{-S}^{-1}`, exact or estimated, through any [`SddFactor`].
+//! Hutchinson estimates of `Tr(L_{-S}^{-1})` through any [`SddFactor`].
 //!
 //! `C(S) = n / Tr(L_{-S}^{-1})` (Eq. 3). On graphs too large for a dense
 //! inverse the paper evaluates solution quality "employing the conjugate
-//! gradient method" (§V-B2). This module offers both evaluations over a
-//! factor of either registered backend:
-//!
-//! * [`trace_inverse_exact_factor`] — the exact trace, which the factor
-//!   reads off its triangular factor (`dense-cholesky`) or solves as the
-//!   identity in [`RHS_CHUNK`]-column panels (`sparse-cg`);
-//! * [`trace_inverse_hutchinson_factor`] — the Hutchinson estimate
-//!   `Tr(M^{-1}) ≈ (1/p) Σ_i z_iᵀ M^{-1} z_i` with Rademacher probes
-//!   `z_i`, solved in panels of [`RHS_CHUNK`] probes.
+//! gradient method" (§V-B2). The exact trace is
+//! [`SddFactor::trace_inverse`]: the factor reads it off its triangular
+//! factor (`dense-cholesky`) or solves the identity in
+//! [`RHS_CHUNK`]-column panels (`sparse-cg`). This module adds the
+//! stochastic one, [`trace_inverse_hutchinson_factor`]: the Hutchinson
+//! estimate `Tr(M^{-1}) ≈ (1/p) Σ_i z_iᵀ M^{-1} z_i` with Rademacher
+//! probes `z_i`, solved in panels of [`RHS_CHUNK`] probes.
 //!
 //! Non-convergence of the underlying solves surfaces as
-//! [`LinalgError::DidNotConverge`] — historically it was a silent `bool`
-//! a caller could forget to check.
+//! [`LinalgError::DidNotConverge`], and the solver work lands in the
+//! factor's [`SddFactor::stats`].
 
-use crate::cg::CgStats;
 use crate::error::LinalgError;
-use crate::sdd::{self, SddFactor, RHS_CHUNK};
+use crate::sdd::{SddFactor, RHS_CHUNK};
 use crate::DenseMatrix;
 use rand::Rng;
 
-/// Result of a trace estimate, with the aggregated solver work:
-/// `cg.iterations` sums over all solves, `cg.rel_residual` is the worst
-/// one, and `cg.converged` means *every* solve met its tolerance
-/// (trivially true on direct backends).
+/// Result of a Hutchinson trace estimate.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceEstimate {
     /// Estimated trace.
     pub trace: f64,
-    /// Number of probes used (for the exact variant: basis columns).
+    /// Number of probes used.
     pub probes: usize,
     /// Standard error of the probe mean (0 when `probes <= 1`).
     pub std_error: f64,
-    /// Aggregated solver statistics across all probes.
-    pub cg: CgStats,
-}
-
-/// Solver work of one call, from the factor's stats before and after it.
-fn call_stats(solve: &sdd::SolveStats, before: sdd::SolveStats) -> CgStats {
-    // Residual of this call's window: exact when the window is a single
-    // solve or the factor was fresh; on a reused factor with a multi-solve
-    // window, fall back to the factor-lifetime maximum (conservative —
-    // over-reporting a residual never hides non-convergence).
-    let rel_residual = if solve.solves == before.solves + 1 {
-        solve.last_rel_residual
-    } else {
-        solve.max_rel_residual
-    };
-    CgStats {
-        iterations: (solve.iterations - before.iterations) as usize,
-        rel_residual,
-        converged: true,
-        stopped: None,
-    }
 }
 
 /// Hutchinson trace of `L_{-S}^{-1}` with `probes` Rademacher probes,
@@ -68,7 +41,6 @@ pub fn trace_inverse_hutchinson_factor<R: Rng>(
 ) -> Result<TraceEstimate, LinalgError> {
     assert!(probes >= 1);
     let n = factor.dim();
-    let before = factor.stats();
     let mut z = DenseMatrix::default();
     let mut x = DenseMatrix::default();
     let mut acc = cfcc_util::Welford::new();
@@ -96,24 +68,6 @@ pub fn trace_inverse_hutchinson_factor<R: Rng>(
         trace: acc.mean(),
         probes,
         std_error: se,
-        cg: call_stats(&factor.stats(), before),
-    })
-}
-
-/// Exact trace through an already-built factor: direct backends read it
-/// off the factorization; iterative backends solve the identity in
-/// [`RHS_CHUNK`]-column panels.
-pub fn trace_inverse_exact_factor(
-    factor: &mut dyn SddFactor,
-) -> Result<TraceEstimate, LinalgError> {
-    let n = factor.dim();
-    let before = factor.stats();
-    let trace = factor.trace_inverse()?;
-    Ok(TraceEstimate {
-        trace,
-        probes: n,
-        std_error: 0.0,
-        cg: call_stats(&factor.stats(), before),
     })
 }
 
@@ -121,7 +75,7 @@ pub fn trace_inverse_exact_factor(
 mod tests {
     use super::*;
     use crate::laplacian::laplacian_submatrix_dense;
-    use crate::sdd::{DenseCholeskyBackend, SddOptions, SddSolver, SparseCgBackend};
+    use crate::sdd::{self, SddBackend, SddOptions};
     use cfcc_graph::{generators, Graph};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -132,7 +86,7 @@ mod tests {
     }
 
     fn sparse(g: &Graph, in_s: &[bool], opts: &SddOptions) -> Box<dyn SddFactor + Send> {
-        SparseCgBackend.factor(g, in_s, opts).unwrap()
+        sdd::factor(g, in_s, SddBackend::SparseCg, opts).unwrap()
     }
 
     #[test]
@@ -145,14 +99,12 @@ mod tests {
         let expect = dense_trace(&g, &in_s);
         // 38 unknowns: two full identity panels and a ragged one.
         let mut f = sparse(&g, &in_s, &SddOptions::with_tol(1e-12));
-        let est = trace_inverse_exact_factor(f.as_mut()).unwrap();
+        let trace = f.trace_inverse().unwrap();
         assert_eq!(f.stats().solves, 38);
-        assert!(est.cg.converged);
-        assert!(est.cg.iterations > 0, "aggregated CG work must be reported");
+        assert!(f.stats().iterations > 0, "the CG work must be reported");
         assert!(
-            (est.trace - expect).abs() / expect < 1e-8,
-            "{} vs {expect}",
-            est.trace
+            (trace - expect).abs() / expect < 1e-8,
+            "{trace} vs {expect}"
         );
     }
 
@@ -169,7 +121,7 @@ mod tests {
             ..SddOptions::default()
         };
         assert!(matches!(
-            trace_inverse_exact_factor(sparse(&g, &in_s, &opts).as_mut()),
+            sparse(&g, &in_s, &opts).trace_inverse(),
             Err(LinalgError::DidNotConverge { .. })
         ));
     }
@@ -183,7 +135,6 @@ mod tests {
         let expect = dense_trace(&g, &in_s);
         let mut f = sparse(&g, &in_s, &SddOptions::with_tol(1e-10));
         let est = trace_inverse_hutchinson_factor(f.as_mut(), 400, &mut rng).unwrap();
-        assert!(est.cg.converged);
         // 5 standard errors (plus slack for the tiny bias of finite tol).
         let tol = 5.0 * est.std_error + 1e-6;
         assert!(
@@ -207,9 +158,8 @@ mod tests {
         let mut rng_b = StdRng::seed_from_u64(99);
         let mut fa = sparse(&g, &in_s, &SddOptions::with_tol(1e-11));
         let a = trace_inverse_hutchinson_factor(fa.as_mut(), 50, &mut rng_a).unwrap();
-        let mut fb = DenseCholeskyBackend
-            .factor(&g, &in_s, &SddOptions::default())
-            .unwrap();
+        let mut fb =
+            sdd::factor(&g, &in_s, SddBackend::DenseCholesky, &SddOptions::default()).unwrap();
         let b = trace_inverse_hutchinson_factor(fb.as_mut(), 50, &mut rng_b).unwrap();
         assert!(
             (a.trace - b.trace).abs() / a.trace < 1e-7,
@@ -228,9 +178,8 @@ mod tests {
         let g = generators::barabasi_albert(70, 3, &mut rng);
         let mut in_s = vec![false; 70];
         in_s[2] = true;
-        let mut f = DenseCholeskyBackend
-            .factor(&g, &in_s, &SddOptions::default())
-            .unwrap();
+        let mut f =
+            sdd::factor(&g, &in_s, SddBackend::DenseCholesky, &SddOptions::default()).unwrap();
         let probes = 37;
         let est =
             trace_inverse_hutchinson_factor(f.as_mut(), probes, &mut StdRng::seed_from_u64(7))

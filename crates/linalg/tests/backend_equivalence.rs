@@ -1,13 +1,12 @@
-//! Backend-equivalence property tests for the unified `SddSolver` API:
-//! `dense-cholesky` and the CSR/IC(0) `sparse-cg` backend must agree to
-//! ≤ 1e-8 *relative* error on `solve_mat` (multi-column RHS — `sparse-cg`
-//! answers it with blocked multi-RHS PCG), `diag_inverse`, and
-//! `trace_inverse` over random connected graphs (seeded loops — the
-//! offline stand-in for proptest). The loops iterate the live registry,
-//! so a newly registered backend is covered the moment it is registered.
+//! Backend-equivalence property tests for the SDD front door
+//! (`sdd::factor`): `dense-cholesky` and the CSR/IC(0) `sparse-cg`
+//! backend must agree to ≤ 1e-8 *relative* error on `solve_mat`
+//! (multi-column RHS — `sparse-cg` answers it with blocked multi-RHS
+//! PCG), `diag_inverse`, and `trace_inverse` over random connected graphs
+//! (seeded loops — the offline stand-in for proptest).
 
 use cfcc_graph::{generators, Graph};
-use cfcc_linalg::sdd::{backends, SddOptions};
+use cfcc_linalg::sdd::{self, SddBackend, SddOptions};
 use cfcc_linalg::DenseMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -29,8 +28,6 @@ fn rel_err(a: f64, b: f64) -> f64 {
 
 #[test]
 fn backends_agree_on_solve_mat_diag_and_trace() {
-    // Guard against silently testing fewer backends than are registered.
-    assert_eq!(backends().len(), 2, "registry grew: extend the doc above");
     let mut rng = StdRng::seed_from_u64(0x5DD0);
     let opts = SddOptions::with_tol(1e-12);
     for trial in 0..8u64 {
@@ -50,50 +47,43 @@ fn backends_agree_on_solve_mat_diag_and_trace() {
         }
 
         // Reference: the direct dense factorization.
-        let dense = backends()[0];
-        assert_eq!(dense.name(), "dense-cholesky");
-        let mut fd = dense.factor(&g, &in_s, &opts).unwrap();
+        let mut fd = sdd::factor(&g, &in_s, SddBackend::DenseCholesky, &opts).unwrap();
         let x_ref = fd.solve_mat(&rhs).unwrap();
         let diag_ref = fd.diag_inverse().unwrap();
         let trace_ref = fd.trace_inverse().unwrap();
 
-        for backend in &backends()[1..] {
-            let mut f = backend.factor(&g, &in_s, &opts).unwrap();
-            assert_eq!(f.dim(), d, "{}", backend.name());
-            let x = f.solve_mat(&rhs).unwrap();
-            let scale = x_ref
-                .data()
-                .iter()
-                .fold(0.0f64, |m, &v| m.max(v.abs()))
-                .max(f64::MIN_POSITIVE);
-            for i in 0..d {
-                for j in 0..5 {
-                    assert!(
-                        (x.get(i, j) - x_ref.get(i, j)).abs() / scale <= 1e-8,
-                        "{} trial {trial}: solve_mat[{i}][{j}] {} vs {}",
-                        backend.name(),
-                        x.get(i, j),
-                        x_ref.get(i, j)
-                    );
-                }
-            }
-            let diag = f.diag_inverse().unwrap();
-            for i in 0..d {
+        let mut f = sdd::factor(&g, &in_s, SddBackend::SparseCg, &opts).unwrap();
+        assert_eq!(f.dim(), d);
+        let x = f.solve_mat(&rhs).unwrap();
+        let scale = x_ref
+            .data()
+            .iter()
+            .fold(0.0f64, |m, &v| m.max(v.abs()))
+            .max(f64::MIN_POSITIVE);
+        for i in 0..d {
+            for j in 0..5 {
                 assert!(
-                    rel_err(diag[i], diag_ref[i]) <= 1e-8,
-                    "{} trial {trial}: diag_inverse[{i}] {} vs {}",
-                    backend.name(),
-                    diag[i],
-                    diag_ref[i]
+                    (x.get(i, j) - x_ref.get(i, j)).abs() / scale <= 1e-8,
+                    "trial {trial}: solve_mat[{i}][{j}] {} vs {}",
+                    x.get(i, j),
+                    x_ref.get(i, j)
                 );
             }
-            let trace = f.trace_inverse().unwrap();
+        }
+        let diag = f.diag_inverse().unwrap();
+        for i in 0..d {
             assert!(
-                rel_err(trace, trace_ref) <= 1e-8,
-                "{} trial {trial}: trace {trace} vs {trace_ref}",
-                backend.name()
+                rel_err(diag[i], diag_ref[i]) <= 1e-8,
+                "trial {trial}: diag_inverse[{i}] {} vs {}",
+                diag[i],
+                diag_ref[i]
             );
         }
+        let trace = f.trace_inverse().unwrap();
+        assert!(
+            rel_err(trace, trace_ref) <= 1e-8,
+            "trial {trial}: trace {trace} vs {trace_ref}"
+        );
     }
 }
 
@@ -110,8 +100,8 @@ fn backends_agree_after_regrounding_a_larger_set() {
         in_s[7 * (step + 1)] = true;
         let mut traces = Vec::new();
         let mut kepts = Vec::new();
-        for backend in backends() {
-            let mut f = backend.factor(&g, &in_s, &opts).unwrap();
+        for backend in [SddBackend::DenseCholesky, SddBackend::SparseCg] {
+            let mut f = sdd::factor(&g, &in_s, backend, &opts).unwrap();
             kepts.push(f.kept_nodes().to_vec());
             traces.push(f.trace_inverse().unwrap());
         }
@@ -129,20 +119,19 @@ fn sparse_backend_handles_a_path_graph_ill_conditioning() {
     let g = generators::path(600);
     let mut in_s = vec![false; 600];
     in_s[0] = true;
-    let sparse = backends()[1];
-    assert_eq!(sparse.name(), "sparse-cg");
-    let mut f = sparse
-        .factor(&g, &in_s, &SddOptions::with_tol(1e-10))
-        .unwrap();
+    let mut f = sdd::factor(
+        &g,
+        &in_s,
+        SddBackend::SparseCg,
+        &SddOptions::with_tol(1e-10),
+    )
+    .unwrap();
     let b = vec![1.0; 599];
     let x = f.solve_vec(&b).unwrap();
     // Grounded path solution against e.g. the known closed form of the
     // all-ones RHS: x_i = sum over j of min(i,j) relation; just check the
     // residual directly instead.
-    let dense_backend = backends()[0];
-    let mut fd = dense_backend
-        .factor(&g, &in_s, &SddOptions::default())
-        .unwrap();
+    let mut fd = sdd::factor(&g, &in_s, SddBackend::DenseCholesky, &SddOptions::default()).unwrap();
     let x_ref = fd.solve_vec(&b).unwrap();
     let scale = x_ref.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
     for i in 0..599 {

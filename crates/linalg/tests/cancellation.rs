@@ -16,12 +16,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cfcc_graph::generators;
-use cfcc_linalg::sdd::{by_name, SddOptions};
+use cfcc_linalg::sdd::{self, SddBackend, SddOptions};
 use cfcc_linalg::{DenseMatrix, LinalgError, StopCause, StopHook};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const ITERATIVE: [&str; 1] = ["sparse-cg"];
+const ITERATIVE: [SddBackend; 1] = [SddBackend::SparseCg];
 
 /// A hook that fires `cause` on the `nth` poll (1-based) and counts.
 fn nth_poll_hook(nth: u64, cause: StopCause) -> (StopHook, Arc<AtomicU64>) {
@@ -44,35 +44,32 @@ fn immediate_cancel_interrupts_at_iteration_zero() {
     let mut in_s = vec![false; 120];
     in_s[7] = true;
     let b = vec![1.0; 119];
-    for name in ITERATIVE {
+    for backend in ITERATIVE {
         // Seam 1: the hook rides in at factor time through SddOptions.
         let opts = SddOptions {
             stop: StopHook::new(|| Some(StopCause::Cancelled)),
             ..SddOptions::with_tol(1e-10)
         };
-        let mut f = by_name(name).unwrap().factor(&g, &in_s, &opts).unwrap();
+        let mut f = sdd::factor(&g, &in_s, backend, &opts).unwrap();
         let err = f.solve_vec(&b).unwrap_err();
         assert!(
             matches!(err, LinalgError::Cancelled { iterations: 0 }),
-            "{name}: {err:?}"
+            "{backend}: {err:?}"
         );
-        assert!(err.is_interruption(), "{name}");
+        assert!(err.is_interruption(), "{backend}");
         // The aborted solve still folded its (zero) partial work into the
         // cumulative stats instead of losing the accounting.
-        assert_eq!(f.stats().solves, 1, "{name}");
-        assert_eq!(f.stats().iterations, 0, "{name}");
+        assert_eq!(f.stats().solves, 1, "{backend}");
+        assert_eq!(f.stats().iterations, 0, "{backend}");
 
         // Seam 2: same behavior when installed on a live factor, and a
         // deadline cause keeps its identity.
-        let mut f = by_name(name)
-            .unwrap()
-            .factor(&g, &in_s, &SddOptions::with_tol(1e-10))
-            .unwrap();
+        let mut f = sdd::factor(&g, &in_s, backend, &SddOptions::with_tol(1e-10)).unwrap();
         f.set_stop(StopHook::new(|| Some(StopCause::DeadlineExceeded)));
         let err = f.solve_vec(&b).unwrap_err();
         assert!(
             matches!(err, LinalgError::DeadlineExceeded { iterations: 0 }),
-            "{name}: {err:?}"
+            "{backend}: {err:?}"
         );
         // Clearing the hook restores the factor for reuse.
         f.set_stop(StopHook::none());
@@ -101,9 +98,7 @@ fn aborted_block_solve_resumes_from_the_partial_iterate() {
     }
     let opts = SddOptions::with_tol(1e-10);
     let mut x_ref = DenseMatrix::zeros(d, w);
-    by_name("dense-cholesky")
-        .unwrap()
-        .factor(&g, &in_s, &SddOptions::default())
+    sdd::factor(&g, &in_s, SddBackend::DenseCholesky, &SddOptions::default())
         .unwrap()
         .solve_mat_into(&rhs, &mut x_ref)
         .unwrap();
@@ -112,12 +107,11 @@ fn aborted_block_solve_resumes_from_the_partial_iterate() {
         .iter()
         .fold(f64::MIN_POSITIVE, |m, &v| m.max(v.abs()));
 
-    for name in ITERATIVE {
-        let backend = by_name(name).unwrap();
+    for backend in ITERATIVE {
         // Cold run with a counting, never-firing hook: `cold_iters` is the
         // stats yardstick, `total_polls` the number of block sweeps (the
         // hook fires once per sweep, not once per column-iteration).
-        let mut f = backend.factor(&g, &in_s, &opts).unwrap();
+        let mut f = sdd::factor(&g, &in_s, backend, &opts).unwrap();
         let (hook, polls) = nth_poll_hook(u64::MAX, StopCause::Cancelled);
         f.set_stop(hook);
         let mut x = DenseMatrix::zeros(d, w);
@@ -126,23 +120,23 @@ fn aborted_block_solve_resumes_from_the_partial_iterate() {
         let total_polls = polls.load(Ordering::Relaxed) as usize;
         assert!(
             total_polls > 4,
-            "{name}: trivial convergence ({total_polls})"
+            "{backend}: trivial convergence ({total_polls})"
         );
 
         // Abort at poll counts spanning start, middle (deflation
         // territory), and near-convergence.
         let aborts = [1, 2, total_polls / 4, total_polls / 2, total_polls - 1];
         for &nth in aborts.iter().filter(|&&k| k >= 1) {
-            let mut f = backend.factor(&g, &in_s, &opts).unwrap();
+            let mut f = sdd::factor(&g, &in_s, backend, &opts).unwrap();
             let (hook, polls) = nth_poll_hook(nth as u64, StopCause::DeadlineExceeded);
             f.set_stop(hook);
             let mut x = DenseMatrix::zeros(d, w);
             let err = f.solve_mat_into(&rhs, &mut x).unwrap_err();
             assert!(
                 matches!(err, LinalgError::DeadlineExceeded { .. }),
-                "{name} abort@{nth}: {err:?}"
+                "{backend} abort@{nth}: {err:?}"
             );
-            assert!(polls.load(Ordering::Relaxed) >= nth as u64, "{name}");
+            assert!(polls.load(Ordering::Relaxed) >= nth as u64, "{backend}");
             let aborted_iters = f.stats().iterations;
 
             // Resume: clear the hook and re-solve the same buffers. The
@@ -155,7 +149,7 @@ fn aborted_block_solve_resumes_from_the_partial_iterate() {
                 for j in 0..w {
                     assert!(
                         (x.get(i, j) - x_ref.get(i, j)).abs() / ref_scale <= 1e-7,
-                        "{name} abort@{nth}: x[{i}][{j}] {} vs {}",
+                        "{backend} abort@{nth}: x[{i}][{j}] {} vs {}",
                         x.get(i, j),
                         x_ref.get(i, j)
                     );
@@ -163,14 +157,14 @@ fn aborted_block_solve_resumes_from_the_partial_iterate() {
             }
             assert!(
                 resumed_iters <= cold_iters + 2,
-                "{name} abort@{nth}: resume took {resumed_iters} vs cold {cold_iters}"
+                "{backend} abort@{nth}: resume took {resumed_iters} vs cold {cold_iters}"
             );
             if nth >= total_polls - 1 {
                 // Aborted on the brink of convergence: the resume must be
                 // decisively cheaper than starting over.
                 assert!(
                     resumed_iters < cold_iters / 2,
-                    "{name} abort@{nth}: near-converged resume took {resumed_iters} \
+                    "{backend} abort@{nth}: near-converged resume took {resumed_iters} \
                      vs cold {cold_iters} — warm start not honored"
                 );
             }
@@ -189,10 +183,7 @@ fn direct_backend_ignores_stop_hooks() {
         stop: StopHook::new(|| Some(StopCause::Cancelled)),
         ..SddOptions::default()
     };
-    let mut f = by_name("dense-cholesky")
-        .unwrap()
-        .factor(&g, &in_s, &opts)
-        .unwrap();
+    let mut f = sdd::factor(&g, &in_s, SddBackend::DenseCholesky, &opts).unwrap();
     f.set_stop(StopHook::new(|| Some(StopCause::Cancelled)));
     f.solve_vec(&vec![1.0; 39]).unwrap();
 }

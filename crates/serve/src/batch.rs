@@ -450,7 +450,7 @@ mod tests {
                 graph: "g".into(),
                 epoch: 1,
                 grounding: vec![0],
-                backend: "dense-cholesky",
+                backend: cfcc_linalg::SddBackend::DenseCholesky,
             },
             entry: Arc::new(CacheEntry::default()),
             rhs: DenseMatrix::zeros(2, 1),

@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use cfcc_graph::Node;
-use cfcc_linalg::sdd::OwnedFactor;
+use cfcc_linalg::sdd::{OwnedFactor, SddBackend};
 
 use crate::poison::lock_recover;
 
@@ -37,10 +37,10 @@ pub struct FactorKey {
     pub epoch: u64,
     /// Grounding set in sorted order (canonical set form).
     pub grounding: Vec<Node>,
-    /// Resolved backend name (post-`auto`), so `backend=auto` and an
-    /// explicit `backend=sparse-cg` that resolves identically share an
-    /// entry.
-    pub backend: &'static str,
+    /// Resolved backend (post-`auto`, never `Auto`), so `backend=auto`
+    /// and an explicit `backend=sparse-cg` that resolves identically
+    /// share an entry.
+    pub backend: SddBackend,
 }
 
 /// One cache slot. The factor starts `None` and is built by the first
@@ -218,7 +218,7 @@ mod tests {
             graph: graph.into(),
             epoch,
             grounding: grounding.to_vec(),
-            backend: "dense-cholesky",
+            backend: SddBackend::DenseCholesky,
         }
     }
 

@@ -227,7 +227,6 @@ impl ServerState {
     fn sdd_options(&self) -> SddOptions {
         SddOptions {
             rel_tol: self.cfg.rel_tol,
-            max_iter: 50_000,
             threads: self.cfg.threads,
             // Factors are cached and shared: they carry no stop hook of
             // their own. Per-request deadlines are installed (and cleared)
@@ -643,24 +642,23 @@ fn map_cfcm_error(e: CfcmError) -> ServeError {
     ServeError::new(code, e.to_string())
 }
 
-/// Build the factor for `key` if the entry is still empty. A failed build
-/// removes the entry so later requests retry instead of hitting a
-/// permanently empty slot; a *panicking* build (injected fault, or a real
-/// bug in a backend) is caught the same way — the requester gets
-/// `internal`, the daemon keeps serving.
+/// Build the factor for `key`, through its resolved backend, if the entry
+/// is still empty. A failed build removes the entry so later requests
+/// retry instead of hitting a permanently empty slot; a *panicking* build
+/// (injected fault, or a real bug in a backend) is caught the same way —
+/// the requester gets `internal`, the daemon keeps serving.
 fn ensure_factor(
     state: &ServerState,
     entry: &Arc<CacheEntry>,
     key: &FactorKey,
     resident: &ResidentGraph,
     mask: &[bool],
-    backend: SddBackend,
 ) -> Result<(), ServeError> {
     let mut slot = entry.factor();
     if slot.is_none() {
         let built = catch_unwind(AssertUnwindSafe(|| {
             state.cfg.fault.on_factor_build();
-            sdd::factor_owned(&resident.graph, mask, backend, &state.sdd_options())
+            sdd::factor_owned(&resident.graph, mask, key.backend, &state.sdd_options())
         }));
         match built {
             Ok(Ok(f)) => *slot = Some(f),
@@ -708,19 +706,19 @@ fn handle_eval_group(
     }
     check_deadline(deadline)?;
     let backend = parse_backend(backend)?;
-    let solver_name = backend.resolve_for_graph(g, kept).name();
+    let resolved = backend.resolve(kept);
     let mut grounding = nodes.to_vec();
     grounding.sort_unstable();
     let key = FactorKey {
         graph: graph.to_string(),
         epoch: resident.epoch,
         grounding,
-        backend: solver_name,
+        backend: resolved,
     };
     let (entry, hit) = state.cache.get_or_insert(&key);
-    ensure_factor(state, &entry, &key, &resident, &mask, backend)?;
+    ensure_factor(state, &entry, &key, &resident, &mask)?;
 
-    let (trace, method, batch_width, batch_jobs) = if solver_name == "dense-cholesky" {
+    let (trace, method, batch_width, batch_jobs) = if resolved == SddBackend::DenseCholesky {
         // Direct backend: the exact trace reads off the factor; memoized
         // per entry so repeats are pure cache hits.
         let trace = entry.trace_or_compute(|| {
@@ -808,15 +806,14 @@ fn handle_node_centrality(
     let v = node_centrality_ground(g);
     let mut mask = vec![false; n];
     mask[v as usize] = true;
-    let solver_name = backend.resolve_for_graph(g, n - 1).name();
     let key = FactorKey {
         graph: graph.to_string(),
         epoch: resident.epoch,
         grounding: vec![v],
-        backend: solver_name,
+        backend: backend.resolve(n - 1),
     };
     let (entry, hit) = state.cache.get_or_insert(&key);
-    ensure_factor(state, &entry, &key, &resident, &mask, backend)?;
+    ensure_factor(state, &entry, &key, &resident, &mask)?;
     // Deterministic given the factor, so memoized per entry: repeated
     // requests collapse to a cache read. (`diag_inverse` on iterative
     // backends is n solves, in panels — not something to redo per

@@ -8,6 +8,7 @@ use cfcc_core::{
     registry, CancelToken, CfcmError, CfcmParams, IterStats, SolveContext, SolveSession,
 };
 use cfcc_datasets::karate;
+use cfcc_linalg::SddBackend;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -190,21 +191,38 @@ fn cancellation_stops_a_long_forest_run_early_with_stats_intact() {
 #[test]
 fn deadline_yields_partial_selection() {
     let g = karate();
-    // An already-elapsed deadline: the first pick still completes
-    // (cooperative checks sit at pick boundaries), the rest are skipped.
-    // ApproxGreedy's first pick runs stoppable solves, which stop at
-    // once; `greedy::run` drops that pick instead of ranking by whatever
-    // probes finished, so the run ends with no selection.
-    for (solver, picks) in [("schur", 1), ("forest", 1), ("exact", 1), ("approx", 0)] {
-        let sel = SolveSession::new(&g)
-            .k(5)
-            .solver(solver)
-            .epsilon(0.3)
-            .deadline(Instant::now() - Duration::from_millis(1))
-            .run()
-            .unwrap();
-        assert_eq!(sel.nodes.len(), picks, "{solver}");
-        assert_eq!(sel.stats.iterations.len(), picks, "{solver}");
+    // An already-elapsed deadline. The run stops between picks, and
+    // inside every iterative solve of a greedy pick; `greedy::run` drops
+    // a pick whose solves were stopped instead of ranking by whatever
+    // finished, so the run keeps the picks before it, possibly none.
+    // - `auto` is dense-cholesky on karate, whose solves never poll: the
+    //   forest solvers' first phase completes and the rest is skipped.
+    //   ApproxGreedy's first pick runs pseudoinverse CG, which stops at
+    //   once, so that run ends with no selection.
+    // - On sparse-cg the forest phases' exact solves stop as well, so
+    //   schur and forest end with no selection too.
+    // Exact greedy does no SDD solve and keeps its first pick on both.
+    for (backend, expected) in [
+        (
+            SddBackend::Auto,
+            [("schur", 1), ("forest", 1), ("exact", 1), ("approx", 0)],
+        ),
+        (
+            SddBackend::SparseCg,
+            [("schur", 0), ("forest", 0), ("exact", 1), ("approx", 0)],
+        ),
+    ] {
+        for (solver, picks) in expected {
+            let sel = SolveSession::new(&g)
+                .k(5)
+                .solver(solver)
+                .params(CfcmParams::with_epsilon(0.3).backend(backend))
+                .deadline(Instant::now() - Duration::from_millis(1))
+                .run()
+                .unwrap();
+            assert_eq!(sel.nodes.len(), picks, "{solver} on {backend}");
+            assert_eq!(sel.stats.iterations.len(), picks, "{solver} on {backend}");
+        }
     }
 }
 
