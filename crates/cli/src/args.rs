@@ -100,7 +100,9 @@ OPTIONS:
     --threads <int>    worker threads: forest sampling + dense kernels (default: 1)
     --backend <name>   SDD solver backend for grounded Laplacian systems
                        (see --list-backends; default: auto — dense up to
-                       1536 unknowns, sparse CSR/IC(0) above)
+                       1536 unknowns, sparse CSR/IC(0) above); aliases:
+                       dense, cholesky (dense-cholesky), sparse, ic
+                       (sparse-cg)
     --graph <path>     whitespace edge-list file ('#'/'%' comments ok)
     --dataset <name>   bundled dataset (see --list-datasets)
     --scale <float>    proxy scale for bundled datasets in (0,1] (default: 1.0)

@@ -265,7 +265,7 @@ pub fn render_dataset_list() -> String {
 /// Render the SDD backends for `--list-backends`: each name with its
 /// kind, and the `auto` policy's limit.
 pub fn render_backend_list() -> String {
-    let mut t = cfcc_util::table::Table::new(["name", "kind"]);
+    let mut t = cfcc_util::table::Table::new(["name", "kind", "aliases"]);
     for b in SddBackend::ALL {
         let kind = match b {
             SddBackend::Auto => format!(
@@ -275,7 +275,13 @@ pub fn render_backend_list() -> String {
             ),
             _ => b.kind().to_string(),
         };
-        t.row([b.name().to_string(), kind]);
+        let aliases: Vec<&str> = b.aliases().collect();
+        let aliases = if aliases.is_empty() {
+            "-".into()
+        } else {
+            aliases.join(", ")
+        };
+        t.row([b.name().to_string(), kind, aliases]);
     }
     t.render()
 }
@@ -459,6 +465,22 @@ mod tests {
         let text = render_dataset_list();
         assert!(text.contains("karate"));
         assert!(text.contains("soc-livejournal"));
+    }
+
+    #[test]
+    fn backend_list_names_every_alias_on_its_backends_row() {
+        let text = render_backend_list();
+        assert!(text.lines().next().unwrap().contains("aliases"), "{text}");
+        for b in SddBackend::ALL {
+            let row = text
+                .lines()
+                .find(|l| l.split_whitespace().next() == Some(b.name()))
+                .unwrap_or_else(|| panic!("no row for {}: {text}", b.name()));
+            for alias in b.aliases() {
+                assert!(row.contains(alias), "{alias} missing from {row:?}");
+            }
+        }
+        assert!(text.contains("dense, cholesky") && text.contains("sparse, ic"));
     }
 
     #[test]

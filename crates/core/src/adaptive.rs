@@ -4,12 +4,26 @@
 //! Both forest phases (the first pick of Algorithms 3 and 5, and every
 //! SchurDelta round) sample in doubling batches through
 //! `sample_until_certified`. After each checkpoint the forests' estimates
-//! only choose which candidates to evaluate exactly: the 16 highest
-//! estimates that have no exact value yet are solved as one
-//! [`RHS_CHUNK`]-column panel through a factor of the grounded Laplacian,
-//! and the pick is the best exact value. Sampling stops once no
-//! unsolved candidate's estimate exceeds that value by more than the slack
-//! `(ε/2)·|best|`.
+//! only choose which candidates to evaluate exactly: 16 candidates that
+//! have no exact value yet are solved as one [`RHS_CHUNK`]-column panel
+//! through a factor of the grounded Laplacian, and the pick is the best
+//! exact value. Sampling stops once no unsolved candidate's unbiased
+//! estimate exceeds that value by more than the slack `(ε/2)·|best|`.
+//!
+//! # Two estimates per candidate
+//!
+//! A phase scores every candidate twice. The *unbiased* estimate is
+//! SchurDelta's `⟨Ŷ^A_u, Ŷ^B_u⟩ / ẑ_u` over two independent halves of the
+//! forests (see [`crate::schur_delta`]). The *optimistic* one adds the
+//! halves' spread `‖(Ŷ^A_u − Ŷ^B_u)/2‖² / ẑ_u`, and with equal halves it
+//! is `‖Ŷ_u‖² / ẑ_u` of all the forests, which a node's Monte-Carlo
+//! variance biases upward. The stop rule reads the unbiased estimates, so
+//! noisy nodes no longer hold the sampling open. A panel holds the 12
+//! best unsolved candidates by the unbiased estimate plus the
+//! [`RHS_CHUNK`]` / 4` best of the rest by the optimistic one, so that a
+//! strong node whose unbiased estimate is low at a small checkpoint still
+//! gets solved. A phase without halves (the first phase) passes one
+//! estimate for both, and its panels are the 16 best.
 //!
 //! One checkpoint is enough to stop, because the pick itself is exact:
 //! the estimates no longer have to tell near-ties apart, only to show that
@@ -43,20 +57,26 @@ pub fn batch_schedule(min_batch: u64, cap: u64) -> Vec<u64> {
     totals
 }
 
+/// Panel columns for the best optimistic estimates that the unbiased
+/// ones leave out (see the module docs).
+const OPTIMISTIC_COLUMNS: usize = RHS_CHUNK / 4;
+
 /// Sample forests rooted at `in_root` into `acc` in doubling batches of
 /// the RNG stream `seed`, until an exact evaluation settles the pick or
 /// [`CfcmParams::forest_cap`] forests are in (see the module docs).
 ///
-/// After every batch, `score` rewrites each node's estimate from `acc`
-/// (bigger is better; `NaN` marks a non-candidate). The 16 highest
-/// estimates without an exact value (first index on ties) then get one
+/// After every batch, `score(acc, unbiased, optimistic)` rewrites each
+/// node's two estimates from `acc` (bigger is better; `NaN` marks a
+/// non-candidate in both). The next panel (the 12 highest unbiased
+/// estimates without an exact value, then the 4 highest optimistic
+/// estimates of the rest, first index on ties) then gets exact values
 /// from a single `exact(nodes)` call, in the estimates' units. Sampling
-/// stops when every unsolved candidate's estimate is at most
+/// stops when every unsolved candidate's unbiased estimate is at most
 /// `best + (ε/2)·|best|`, with `best` the largest exact value so far.
 ///
-/// Returns the last estimates with the exact values written over the
-/// solved nodes', and the node of the best exact value (first index on
-/// ties). Only a failing `score` or `exact` fails the sampling.
+/// Returns the last unbiased estimates with the exact values written over
+/// the solved nodes', and the node of the best exact value (first index
+/// on ties). Only a failing `score` or `exact` fails the sampling.
 ///
 /// An `acc` that already holds forests (SchurDelta's pool, see
 /// [`crate::schur_delta`]) is scored at its current count first; the
@@ -68,7 +88,7 @@ pub(crate) fn sample_until_certified<E>(
     seed: u64,
     params: &CfcmParams,
     acc: &mut ElectricalAccumulator,
-    mut score: impl FnMut(&ElectricalAccumulator, &mut [f64]) -> Result<(), E>,
+    mut score: impl FnMut(&ElectricalAccumulator, &mut [f64], &mut [f64]) -> Result<(), E>,
     mut exact: impl FnMut(&[Node]) -> Result<Vec<f64>, E>,
 ) -> Result<(Vec<f64>, Node), E> {
     let cfg = SamplerConfig {
@@ -76,10 +96,13 @@ pub(crate) fn sample_until_certified<E>(
         threads: params.threads,
     };
     let n = g.num_nodes();
-    let mut scores = vec![f64::NAN; n];
+    let mut unbiased = vec![f64::NAN; n];
+    let mut optimistic = vec![f64::NAN; n];
     // Exact values of the solved nodes, NaN for the rest.
     let mut solved = vec![f64::NAN; n];
+    // The unsolved candidates' unbiased and optimistic estimates.
     let mut open = vec![f64::NAN; n];
+    let mut open_optimistic = vec![f64::NAN; n];
     let start = acc.num_forests();
     let schedule = batch_schedule(params.min_batch, params.forest_cap())
         .into_iter()
@@ -88,12 +111,13 @@ pub(crate) fn sample_until_certified<E>(
     for total in (start > 0).then_some(start).into_iter().chain(schedule) {
         absorb_batch(g, in_root, sampled, total - sampled, &cfg, acc);
         sampled = total;
-        score(acc, &mut scores)?;
-        // The estimates of the candidates without an exact value.
-        for ((o, &x), &v) in open.iter_mut().zip(&scores).zip(&solved) {
-            *o = if v.is_nan() { x } else { f64::NAN };
+        score(acc, &mut unbiased, &mut optimistic)?;
+        for u in 0..n {
+            let unsolved = solved[u].is_nan();
+            open[u] = if unsolved { unbiased[u] } else { f64::NAN };
+            open_optimistic[u] = if unsolved { optimistic[u] } else { f64::NAN };
         }
-        let panel = top_max(&open, RHS_CHUNK);
+        let panel = next_panel(&open, &mut open_optimistic);
         if !panel.is_empty() {
             for (&u, v) in panel.iter().zip(exact(&panel)?) {
                 solved[u as usize] = v;
@@ -106,12 +130,26 @@ pub(crate) fn sample_until_certified<E>(
             break;
         }
     }
-    for (x, &v) in scores.iter_mut().zip(&solved) {
+    for (x, &v) in unbiased.iter_mut().zip(&solved) {
         if !v.is_nan() {
             *x = v;
         }
     }
-    Ok((scores, argbest(&solved)))
+    Ok((unbiased, argbest(&solved)))
+}
+
+/// The next panel from the unsolved candidates' estimates: the
+/// `RHS_CHUNK − RHS_CHUNK / 4` highest `unbiased`, then the
+/// `RHS_CHUNK / 4` highest `optimistic` of the rest (first index on ties
+/// in both). `optimistic` is clobbered. With equal estimates this is the
+/// 16 highest, in order.
+fn next_panel(unbiased: &[f64], optimistic: &mut [f64]) -> Vec<Node> {
+    let mut panel = top_max(unbiased, RHS_CHUNK - OPTIMISTIC_COLUMNS);
+    for &u in &panel {
+        optimistic[u as usize] = f64::NAN;
+    }
+    panel.extend(top_max(optimistic, OPTIMISTIC_COLUMNS));
+    panel
 }
 
 /// The node of the best exact value. The first checkpoint solves the
@@ -182,12 +220,26 @@ mod tests {
         (g, in_root, acc, p)
     }
 
-    /// Run the loop with scripted estimates (of the node and the forest
-    /// count) and exact values, recording every `exact` call.
+    /// Run the loop with one scripted estimate (of the node and the forest
+    /// count) for both, and exact values, recording every `exact` call.
     fn run(
         n: usize,
         acc: Option<ElectricalAccumulator>,
         estimate: impl Fn(usize, u64) -> f64,
+        value: impl Fn(Node) -> f64,
+    ) -> (Vec<f64>, Node, Vec<Vec<Node>>, u64) {
+        let both = |u, forests| {
+            let x = estimate(u, forests);
+            (x, x)
+        };
+        run_screen(n, acc, both, value)
+    }
+
+    /// [`run`] with scripted `(unbiased, optimistic)` estimates.
+    fn run_screen(
+        n: usize,
+        acc: Option<ElectricalAccumulator>,
+        estimates: impl Fn(usize, u64) -> (f64, f64),
         value: impl Fn(Node) -> f64,
     ) -> (Vec<f64>, Node, Vec<Vec<Node>>, u64) {
         let (g, in_root, fresh, p) = case(n);
@@ -199,12 +251,12 @@ mod tests {
             7,
             &p,
             &mut acc,
-            |acc, s| {
-                for (u, x) in s.iter_mut().enumerate() {
-                    *x = if u == 0 {
-                        f64::NAN
+            |acc, unbiased, optimistic| {
+                for u in 0..n {
+                    (unbiased[u], optimistic[u]) = if u == 0 {
+                        (f64::NAN, f64::NAN)
                     } else {
-                        estimate(u, acc.num_forests())
+                        estimates(u, acc.num_forests())
                     };
                 }
                 Ok(())
@@ -216,6 +268,33 @@ mod tests {
         )
         .unwrap();
         (scores, best, calls, acc.num_forests())
+    }
+
+    #[test]
+    fn a_panel_is_12_unbiased_picks_and_4_optimistic_ones_and_the_stop_reads_unbiased() {
+        // Unbiased estimates lead with nodes 1..=12 (5.0) and sit at 1.05
+        // elsewhere; optimistic ones grow with the node. The panel is
+        // nodes 1..=12, then the 4 best optimistic estimates of the rest.
+        // After it, no unsolved unbiased estimate clears 1 + 0.1, so one
+        // checkpoint decides, although optimistic estimates of 100 remain.
+        let estimates = |u: usize, _| {
+            let unbiased = if u <= 12 { 5.0 } else { 1.05 };
+            (unbiased, 100.0 + u as f64)
+        };
+        let (scores, best, calls, forests) =
+            run_screen(40, None, estimates, |u| if u == 38 { 2.0 } else { 1.0 });
+        let mut panel: Vec<Node> = (1..=12).collect();
+        panel.extend([39, 38, 37, 36]);
+        assert_eq!(calls, [panel]);
+        assert_eq!((best, forests), (38, 1));
+        assert_eq!(scores[38], 2.0);
+        assert_eq!(
+            scores[20], 1.05,
+            "unsolved nodes carry the unbiased estimate"
+        );
+        // Equal estimates make the panel the 16 best, in order.
+        let (_, _, calls, _) = run(40, None, |u, _| 100.0 - u as f64, |_| 1.0);
+        assert_eq!(calls[0], (1..=16).collect::<Vec<Node>>());
     }
 
     #[test]

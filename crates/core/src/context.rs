@@ -279,6 +279,7 @@ mod tests {
         let it = IterStats {
             chosen: 0,
             forests: 0,
+            solves: 0,
             walk_steps: 0,
             seconds: 0.0,
             gain: f64::NAN,

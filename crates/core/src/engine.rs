@@ -111,8 +111,13 @@ pub(crate) struct SchurScratch {
     pub ht: DenseMatrix,
     /// `C · G` (`n × |T|`), for the `fᵀ G f` quadratic forms.
     pub cg: DenseMatrix,
-    /// The sketched voltages `Y` (`n × w`), corrected in place.
+    /// The sketched voltages `Y` (`n × w`) of the first half of the
+    /// forests (of all of them while the second half is empty),
+    /// corrected in place.
     pub y: DenseMatrix,
+    /// The second half's sketched voltages `Y^B` (`n × w`), corrected in
+    /// place.
+    pub y_b: DenseMatrix,
 }
 
 impl SchurScratch {

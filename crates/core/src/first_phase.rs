@@ -14,6 +14,8 @@
 //! decision: a factor of `L_{-s}`, built when the phase starts, solves
 //! `x = L_{-s}^{-1} e_u` for 16 candidates at a time, and
 //! `L†_uu = x_u − (2/n)·1ᵀx + c` exactly (to the solver's tolerance).
+//! The phase has no halves: its one estimate serves as both of the
+//! loop's, so each panel holds the 16 best estimates.
 //!
 //! The constant `c` does not change the ranking, and Algorithm 3 drops
 //! it. The phase adds it to the estimates and the exact values alike, so
@@ -128,10 +130,12 @@ fn decide(
         params.seed ^ SAMPLER_SALT,
         params,
         acc,
-        |acc, scores| {
+        |acc, scores, optimistic| {
             for (u, x) in scores.iter_mut().enumerate() {
                 *x = -(acc.diag_mean(u as Node) + c);
             }
+            // No halves here: one estimate serves as both.
+            optimistic.copy_from_slice(scores);
             Ok(())
         },
         |nodes| {

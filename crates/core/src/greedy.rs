@@ -19,8 +19,9 @@ use cfcc_util::Stopwatch;
 /// `round(i, in_s, ws)` each later one, given the mask `in_s` of the `i`
 /// nodes picked so far; both get the run's workspace, which aggregates
 /// the solver work of their factors into [`RunStats::solve`]. A pick
-/// reports its [`IterStats`]; `run` fills in `seconds`, records the pick
-/// and sends it to the progress sink.
+/// reports its [`IterStats`]; `run` fills in `seconds` and `solves` (the
+/// right-hand sides the workspace's [`RunStats::solve`] gained during the
+/// pick), records the pick and sends it to the progress sink.
 ///
 /// Run control: the workspace carries the context's stop hook for the
 /// run, so the iterative solves of every factor a pick builds stop once
@@ -44,6 +45,8 @@ pub fn run(
     let mut nodes = Vec::with_capacity(k);
     let mut stats = RunStats::default();
     let mut sw = Stopwatch::start();
+    // Right-hand sides solved before the current pick.
+    let mut solved = ws.solve_stats().solves;
     let mut pick = first(&mut ws);
     let done = loop {
         let mut it = match pick {
@@ -52,6 +55,9 @@ pub fn run(
             Err(e) => break Err(e),
         };
         it.seconds = sw.lap().as_secs_f64();
+        let total = ws.solve_stats().solves;
+        it.solves = total - solved;
+        solved = total;
         in_s[it.chosen as usize] = true;
         nodes.push(it.chosen);
         ctx.emit(&it);
@@ -127,7 +133,7 @@ mod tests {
     use super::*;
     use crate::context::CancelToken;
     use cfcc_graph::generators;
-    use cfcc_linalg::StopCause;
+    use cfcc_linalg::{SolveStats, StopCause};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -223,6 +229,34 @@ mod tests {
             Ok(IterStats::new(0, f64::NAN))
         };
         run(&g, 1, &ctx, first, |_, _, _| unreachable!()).unwrap();
+    }
+
+    #[test]
+    fn each_pick_reports_the_solves_its_factors_added() {
+        let g = generators::path(10);
+        let solved = |ws: &mut GreedyWorkspace, solves| {
+            ws.absorb_solve_stats(SolveStats {
+                solves,
+                ..SolveStats::default()
+            });
+        };
+        let sel = run(
+            &g,
+            3,
+            &SolveContext::default(),
+            |ws| {
+                solved(ws, 17);
+                Ok(IterStats::new(0, f64::NAN))
+            },
+            |i, _, ws| {
+                solved(ws, 16 * (i as u64 - 1));
+                Ok(IterStats::new(i as Node, 1.0))
+            },
+        )
+        .unwrap();
+        let solves: Vec<u64> = sel.stats.iterations.iter().map(|it| it.solves).collect();
+        assert_eq!(solves, [17, 0, 16]);
+        assert_eq!(sel.stats.solve.solves, 33);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! statement, and is tested here.
 
 use crate::CfcmError;
-use cfcc_forest::sampler::{absorb_batch, ForestAccumulator, SamplerConfig};
+use cfcc_forest::sampler::{absorb_batch, ForestAccumulator, ForestWorker, SamplerConfig};
 use cfcc_forest::Forest;
 use cfcc_graph::{Graph, Node};
 use cfcc_linalg::pinv::pseudoinverse_dense;
@@ -32,27 +32,34 @@ pub fn absorption_cost_exact(g: &Graph, roots: &[Node]) -> Result<f64, CfcmError
         .sum())
 }
 
-/// Accumulator that only tallies walk steps.
-#[derive(Debug, Clone, Default)]
+/// Accumulator that only tallies forests and walk steps, per worker.
+#[derive(Debug, Default)]
 struct StepTally {
+    workers: Vec<Steps>,
+}
+
+#[derive(Debug, Default)]
+struct Steps {
     forests: u64,
     steps: u64,
 }
 
-impl ForestAccumulator for StepTally {
-    fn absorb(&mut self, f: &Forest) {
+impl ForestWorker for Steps {
+    fn absorb(&mut self, _index: u64, f: &Forest) {
         self.forests += 1;
         self.steps += f.walk_steps;
     }
-    fn merge(&mut self, other: Self) {
-        self.forests += other.forests;
-        self.steps += other.steps;
-    }
-    fn fresh(&self) -> Self {
-        Self::default()
+}
+
+impl ForestAccumulator for StepTally {
+    type Worker = Steps;
+    fn workers(&mut self, threads: usize) -> &mut [Steps] {
+        let len = self.workers.len().max(threads);
+        self.workers.resize_with(len, Steps::default);
+        &mut self.workers[..threads]
     }
     fn count(&self) -> u64 {
-        self.forests
+        self.workers.iter().map(|w| w.forests).sum()
     }
 }
 
@@ -73,7 +80,8 @@ pub fn absorption_cost_sampled(
     let mut tally = StepTally::default();
     let cfg = SamplerConfig { seed, threads };
     absorb_batch(g, &mask, 0, samples, &cfg, &mut tally);
-    Ok(tally.steps as f64 / tally.forests.max(1) as f64)
+    let steps: u64 = tally.workers.iter().map(|w| w.steps).sum();
+    Ok(steps as f64 / tally.count().max(1) as f64)
 }
 
 /// Kemeny's constant `K(G) = Σ_v π_v H(u → v)` (independent of `u`),

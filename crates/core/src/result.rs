@@ -15,6 +15,11 @@ pub struct IterStats {
     pub chosen: Node,
     /// Spanning forests sampled (0 for deterministic baselines).
     pub forests: u64,
+    /// Right-hand sides the pick's SDD factors solved: the forest
+    /// solvers' exact panel columns (plus the first phase's one solve for
+    /// its constant), ApproxGreedy's sketched solves; 0 for solvers
+    /// without SDD solves. [`crate::greedy::run`] fills it in.
+    pub solves: u64,
     /// Total random-walk steps during sampling.
     pub walk_steps: u64,
     /// Wall-clock seconds.
@@ -32,11 +37,13 @@ pub struct IterStats {
 
 impl IterStats {
     /// An iteration that chose `chosen` at estimated gain `gain` and
-    /// sampled no forests; [`crate::greedy::run`] fills in `seconds`.
+    /// sampled no forests; [`crate::greedy::run`] fills in `seconds` and
+    /// `solves`.
     pub fn new(chosen: Node, gain: f64) -> Self {
         Self {
             chosen,
             forests: 0,
+            solves: 0,
             walk_steps: 0,
             seconds: 0.0,
             gain,
@@ -57,6 +64,7 @@ impl IterStats {
         JsonObject::new()
             .int("chosen", i128::from(chosen_as))
             .int("forests", i128::from(self.forests))
+            .int("solves", i128::from(self.solves))
             .int("walk_steps", i128::from(self.walk_steps))
             .num("seconds", self.seconds)
             .num("gain", self.gain)
@@ -178,6 +186,7 @@ pub(crate) fn assert_same_run(a: &Selection, b: &Selection, what: &str) {
         .enumerate()
     {
         assert_eq!(x.forests, y.forests, "{what}: forests, iteration {i}");
+        assert_eq!(x.solves, y.solves, "{what}: solves, iteration {i}");
         assert_eq!(
             x.walk_steps, y.walk_steps,
             "{what}: walk steps, iteration {i}"
@@ -211,6 +220,7 @@ mod tests {
                     IterStats {
                         chosen: 5,
                         forests: 10,
+                        solves: 16,
                         walk_steps: 100,
                         seconds: 0.5,
                         gain: f64::NAN,
@@ -219,6 +229,7 @@ mod tests {
                     IterStats {
                         chosen: 2,
                         forests: 20,
+                        solves: 32,
                         walk_steps: 150,
                         seconds: 0.25,
                         gain: 1.5,
@@ -227,6 +238,7 @@ mod tests {
                     IterStats {
                         chosen: 9,
                         forests: 30,
+                        solves: 0,
                         walk_steps: 200,
                         seconds: 0.25,
                         gain: 0.5,
@@ -261,6 +273,7 @@ mod tests {
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains(r#""nodes":[5,2,9]"#));
         assert!(j.contains(r#""total_forests":60"#));
+        assert!(j.contains(r#""forests":20,"solves":32,"walk_steps":150"#));
         // First-iteration NaN gain must serialize as null, not NaN.
         assert!(j.contains(r#""gain":null"#));
         assert!(!j.contains("NaN"));

@@ -29,13 +29,38 @@
 //! and the sampler's forest stream from there, up to the same cap. A new
 //! root set starts a new pool, exactly as a round without a pool would.
 //!
+//! # Two halves
+//!
+//! The pool's forests fall into two halves by stream index: forest `i`
+//! is in half `i mod 2` (see [`cfcc_forest::sampler`]), whatever the
+//! thread count. Each half is averaged into its own sketched voltages,
+//! `Y^A` and `Y^B`, and both get the same Schur correction `c_u`, row `u`
+//! of `F̃·Hᵀ` with `H = (W F̃ + Q) Σ̃^{-1}`. A candidate `u ∈ U` is scored
+//! twice, with `z_u = max(ẑ_u, 1/d_u) + f̃_uᵀ Σ̃^{-1} f̃_u`:
+//!
+//! ```text
+//! unbiased     Δ'_u = ⟨Y^A_u + c_u, Y^B_u + c_u⟩ / z_u
+//! optimistic   Δ'_u + ‖(Y^A_u − Y^B_u)/2‖² / z_u
+//! ```
+//!
+//! With `T = ∅` (so `c_u = 0`) the halves are independent, and the first
+//! numerator is an unbiased estimate of `‖W L_{-S}^{-1} e_u‖²`. The second
+//! estimate is `‖Ŷ_u + c_u‖² / z_u` of all the forests whenever the halves
+//! are the same size, and the variance of `Ŷ_u` biases it upward.
+//! [`crate::adaptive`] stops on the unbiased estimates and fills its
+//! panels from both. A checkpoint with an empty half (a single forest)
+//! scores both as `‖Ŷ_u + c_u‖² / z_u`. Rows of `T` have one estimate,
+//! `‖H e_t‖² / (Σ̃^{-1})_tt`. The two `n × w` voltage buffers live in the
+//! run's workspace and are reused across checkpoints and rounds.
+//!
 //! # Empty `T`: ForestDelta
 //!
 //! ForestDelta (Algorithm 2) is this estimator with `T = ∅`: the forests
-//! are rooted at `S` alone, `Σ̃` is `0 × 0`, every correction below has an
-//! empty inner dimension, and each gain is `‖Y_u‖² / max(ẑ_u, 1/d_u)`,
-//! the sketched numerator over the diagonal samples clamped from below by
-//! the Neumann bound `(L_{-S}^{-1})_{uu} ≥ 1/d_u` of Lemma 3.9's proof.
+//! are rooted at `S` alone, `Σ̃` is `0 × 0`, every correction has an
+//! empty inner dimension, and each unbiased gain is
+//! `⟨Y^A_u, Y^B_u⟩ / max(ẑ_u, 1/d_u)`, the sketched numerator over the
+//! diagonal samples clamped from below by the Neumann bound
+//! `(L_{-S}^{-1})_{uu} ≥ 1/d_u` of Lemma 3.9's proof.
 //! ForestCFCM's rounds, and SchurCFCM's once `T ∖ S` is empty, all run
 //! through [`schur_delta_ws`]. The one branch on an empty `T` picks the
 //! seed salts of a new pool: SchurDelta's (`0x5C47A` for the sketches,
@@ -44,14 +69,22 @@
 //!
 //! # Exact decision
 //!
-//! The estimates `Δ'` only screen the candidates: [`crate::adaptive`]
-//! solves the 16 best-estimated ones at a time for their exact gains
+//! The estimates `Δ'` only screen the candidates: after each checkpoint
+//! [`crate::adaptive`] solves 16 of them for their exact gains
 //! `Δ(u, S) = ‖x‖² / x_u` with `x = L_{-S}^{-1} e_u`, one
 //! [`RHS_CHUNK`](cfcc_linalg::sdd::RHS_CHUNK)-column panel through a
-//! factor of `L_{-S}` built at the call's first panel, and picks the best
-//! of them. The exact gain depends on `S` alone; `T` only steers the
-//! sampling, so an empty `T` decides the same way. The factor's solver
-//! work is folded into the workspace's run statistics.
+//! factor of `L_{-S}` built at the call's first panel: the 12 best
+//! unsolved candidates by the unbiased estimate and the 4 best of the
+//! rest by the optimistic one. It picks the best exact gain and stops
+//! once no unsolved unbiased estimate beats it by more than the slack.
+//! The 4 optimistic columns keep a strong but noisy node from being
+//! passed over at a small checkpoint: with the unbiased ranking alone,
+//! ForestCFCM on contiguous-usa (Fig. 1's parameters) picked a node of
+//! exact gain 2.600 over exact greedy's 2.813, which ranked 17th. The
+//! exact gain depends on `S` alone; `T` only steers the sampling, so an
+//! empty `T` decides the same way. The factor's solver work is folded
+//! into the workspace's run statistics. Unsolved nodes return their
+//! unbiased estimate in [`SchurDeltaEstimates::deltas`].
 
 use crate::adaptive::{sample_until_certified, unit_columns};
 use crate::engine::{GreedyWorkspace, SchurScratch};
@@ -71,8 +104,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct SchurDeltaEstimates {
     /// `Δ(u, S)` per node (`NaN` for `u ∈ S`): exact (to the solver's
-    /// tolerance) for the candidates the round solved, the forest estimate
-    /// `Δ'` for the rest.
+    /// tolerance) for the candidates the round solved, the unbiased
+    /// forest estimate `Δ'` for the rest.
     pub deltas: Vec<f64>,
     /// The solved candidate with the largest exact gain.
     pub best: Node,
@@ -264,7 +297,7 @@ pub fn schur_delta_ws(
         pool.seed,
         params,
         &mut pool.acc,
-        |acc, deltas| {
+        |acc, unbiased, optimistic| {
             ridge = compute_schur_deltas(
                 g,
                 in_s,
@@ -273,7 +306,8 @@ pub fn schur_delta_ws(
                 &pool.sketch_q,
                 params.threads,
                 &mut ws.schur,
-                deltas,
+                unbiased,
+                optimistic,
             )?;
             Ok(())
         },
@@ -313,10 +347,14 @@ fn exact_gains(factor: &mut dyn SddFactor, nodes: &[Node]) -> Result<Vec<f64>, C
         .collect())
 }
 
-/// Assemble Δ' for all `u ∉ S` from the current accumulator state. The
-/// dense buffers come from the run's persistent [`SchurScratch`], whose
-/// `w_signs` holds this round's sketch `W`; every product below is one
-/// blocked GEMM, bit-identical for every thread count.
+/// Assemble both estimates of Δ' for all `u ∉ S` from the current
+/// accumulator state (see the module docs): the unbiased
+/// `⟨Y^A_u + c_u, Y^B_u + c_u⟩ / z_u` and the optimistic one, which adds
+/// `‖(Y^A_u − Y^B_u)/2‖² / z_u`. With an empty half both are
+/// `‖Ŷ_u + c_u‖² / z_u`. The dense buffers come from the run's
+/// persistent [`SchurScratch`], whose `w_signs` holds this round's sketch
+/// `W`; every product below is one blocked GEMM, bit-identical for every
+/// thread count.
 #[allow(clippy::too_many_arguments)]
 fn compute_schur_deltas(
     g: &Graph,
@@ -326,7 +364,8 @@ fn compute_schur_deltas(
     sketch_q: &JlSketch,
     threads: usize,
     ws: &mut SchurScratch,
-    deltas: &mut [f64],
+    unbiased: &mut [f64],
+    optimistic: &mut [f64],
 ) -> Result<f64, CfcmError> {
     let n = g.num_nodes();
     let rooted = acc.rooted().expect("rooted tracking enabled");
@@ -362,9 +401,17 @@ fn compute_schur_deltas(
     // ht = G · wfq_t ∈ R^{|T| × w}; row t is the column `H e_t` of
     // H = (W F̃ + Q) Σ̃^{-1}.
     gmat.matmul_into(&ws.wfq_t, &mut ws.ht, threads);
-    // Y's column correction: Y e_u += H·f_u for every u, i.e. Y += F̃·Hᵀ
-    // (rows of S ∪ T have f_u = 0 and stay as they are).
-    acc.y_matrix_into(&mut ws.y);
+    // Y's column correction: Y e_u += c_u = H·f_u for every u, i.e.
+    // Y += F̃·Hᵀ, the same for both halves (rows of S ∪ T have f_u = 0
+    // and stay as they are).
+    let halves = acc.half_forests().iter().all(|&k| k > 0);
+    if halves {
+        acc.y_half_into(0, &mut ws.y);
+        acc.y_half_into(1, &mut ws.y_b);
+        ws.y_b.gemm_acc(&ws.counts, &ws.ht, inv_n, threads);
+    } else {
+        acc.y_matrix_into(&mut ws.y);
+    }
     ws.y.gemm_acc(&ws.counts, &ws.ht, inv_n, threads);
     // Quadratic forms f_uᵀ G f_u = (C·G)_u · C_u / Ñ².
     ws.counts.matmul_into(&gmat, &mut ws.cg, threads);
@@ -372,20 +419,30 @@ fn compute_schur_deltas(
     for u in 0..n as Node {
         let ui = u as usize;
         if in_s[ui] {
-            deltas[ui] = f64::NAN;
+            (unbiased[ui], optimistic[ui]) = (f64::NAN, f64::NAN);
             continue;
         }
         if let Some(ti) = rooted.index().index_of(u) {
             // u = t ∈ T: bottom-right block of Eq. (11).
             let zt = gmat.get(ti, ti).max(f64::MIN_POSITIVE);
-            deltas[ui] = norm2_sq(ws.ht.row(ti)) / zt;
+            unbiased[ui] = norm2_sq(ws.ht.row(ti)) / zt;
+            optimistic[ui] = unbiased[ui];
             continue;
         }
         // u ∈ U: top-left block.
         let quad = dot(ws.counts.row(ui), ws.cg.row(ui)) * inv_n * inv_n;
         let floor = 1.0 / g.degree(u) as f64;
         let zu = acc.diag_mean(u).max(floor) + quad.max(0.0);
-        deltas[ui] = norm2_sq(ws.y.row(ui)) / zu;
+        let ya = ws.y.row(ui);
+        if halves {
+            let yb = ws.y_b.row(ui);
+            let spread: f64 = ya.iter().zip(yb).map(|(a, b)| (a - b) * (a - b)).sum();
+            unbiased[ui] = dot(ya, yb) / zu;
+            optimistic[ui] = unbiased[ui] + spread / 4.0 / zu;
+        } else {
+            unbiased[ui] = norm2_sq(ya) / zu;
+            optimistic[ui] = unbiased[ui];
+        }
     }
     Ok(ridge)
 }
@@ -533,6 +590,106 @@ mod tests {
         for (a, b) in pooled.deltas.iter().zip(&fresh.deltas) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    /// The forests of [`pool_case`], rooted at `S ∪ T`, in an accumulator
+    /// with a width-16 sketch, and the round's scratch.
+    fn scored_pool(forests: u64) -> (Graph, Vec<bool>, Vec<Node>, ElectricalAccumulator, JlSketch) {
+        let (g, in_s, t_nodes) = pool_case();
+        let mut in_root = in_s.clone();
+        for &t in &t_nodes {
+            in_root[t as usize] = true;
+        }
+        let mut rng = StdRng::seed_from_u64(35);
+        let sketch_w = JlSketch::sample(16, 50, &mut rng);
+        let sketch_q = JlSketch::sample(16, t_nodes.len(), &mut rng);
+        let index = Arc::new(RootIndex::new(50, &t_nodes));
+        let mut acc = ElectricalAccumulator::new(
+            &g,
+            &in_root,
+            Some(sketch_w),
+            DiagMode::Diagonal,
+            Some(index),
+        );
+        let cfg = cfcc_forest::SamplerConfig {
+            seed: 9,
+            threads: 2,
+        };
+        cfcc_forest::absorb_batch(&g, &in_root, 0, forests, &cfg, &mut acc);
+        (g, in_s, t_nodes, acc, sketch_q)
+    }
+
+    /// Both estimates of every node, and the scratch that computed them.
+    fn score(forests: u64) -> (Vec<f64>, Vec<f64>, SchurScratch, ElectricalAccumulator) {
+        let (g, in_s, t_nodes, acc, sketch_q) = scored_pool(forests);
+        let mut ws = SchurScratch::default();
+        ws.begin_round(acc.sketch().unwrap(), t_nodes.len());
+        let (mut unbiased, mut optimistic) = (vec![0.0; 50], vec![0.0; 50]);
+        compute_schur_deltas(
+            &g,
+            &in_s,
+            &t_nodes,
+            &acc,
+            &sketch_q,
+            1,
+            &mut ws,
+            &mut unbiased,
+            &mut optimistic,
+        )
+        .unwrap();
+        for u in 0..50 {
+            assert_eq!(in_s[u], unbiased[u].is_nan(), "node {u}");
+            assert_eq!(in_s[u], optimistic[u].is_nan(), "node {u}");
+        }
+        (unbiased, optimistic, ws, acc)
+    }
+
+    #[test]
+    fn with_equal_halves_the_optimistic_estimate_is_the_full_norm() {
+        // ⟨a, b⟩ + ‖(a − b)/2‖² = ‖(a + b)/2‖², and with 32 forests per
+        // half (a + b)/2 is Ŷ_u + c_u of all 64 forests.
+        let (unbiased, optimistic, ws, acc) = score(64);
+        assert_eq!(acc.half_forests(), [32, 32]);
+        let mut y = acc.y_matrix();
+        y.gemm_acc(&ws.counts, &ws.ht, 1.0 / 64.0, 1);
+        let tracked = acc.rooted().unwrap().index();
+        let mut spread = 0.0;
+        for u in (0..50).filter(|&u| !unbiased[u].is_nan()) {
+            if tracked.index_of(u as Node).is_some() {
+                assert_eq!(unbiased[u], optimistic[u], "rows of T have one estimate");
+                continue;
+            }
+            let product = dot(ws.y.row(u), ws.y_b.row(u));
+            // z_u, recovered from the unbiased estimate.
+            let zu = product / unbiased[u];
+            let full = norm2_sq(y.row(u)) / zu;
+            assert!(
+                (optimistic[u] - full).abs() <= 1e-12 * full,
+                "node {u}: optimistic {} vs ‖Ŷ_u + c_u‖²/z_u {full}",
+                optimistic[u]
+            );
+            spread += optimistic[u] - unbiased[u];
+        }
+        assert!(spread > 0.0, "the halves differ");
+    }
+
+    #[test]
+    fn a_checkpoint_with_an_empty_half_still_scores() {
+        // One forest: the second half is empty, and both estimates are
+        // ‖Ŷ_u + c_u‖²/z_u of that forest.
+        let (unbiased, optimistic, _, acc) = score(1);
+        assert_eq!(acc.half_forests(), [1, 0]);
+        for u in (0..50).filter(|&u| !unbiased[u].is_nan()) {
+            assert!(unbiased[u].is_finite() && unbiased[u] >= 0.0, "node {u}");
+            assert_eq!(unbiased[u], optimistic[u], "node {u}");
+        }
+        // And a round of one forest decides through the loop.
+        let (g, in_s, t_nodes) = pool_case();
+        let mut params = CfcmParams::with_epsilon(0.3).seed(6);
+        (params.min_batch, params.max_forests) = (1, 1);
+        let est = schur_delta(&g, &in_s, &t_nodes, &params, 1).unwrap();
+        assert_eq!(est.forests, 1);
+        assert!(est.deltas[est.best as usize].is_finite());
     }
 
     #[test]

@@ -8,6 +8,11 @@
 //!   expectation is the weighted current through that edge (Lemma 3.2 +
 //!   linearity); BFS-path prefix sums then telescope to voltages
 //!   (Lemma 3.3 with the fixed path `P_{v,S}` = BFS path).
+//! * **Two halves** of those rows: forest `i` of the stream lands in half
+//!   `i mod 2` ([`ElectricalAccumulator::y_half_into`]). The halves
+//!   average disjoint sets of independent forests, so `⟨Ŷ^A_u, Ŷ^B_u⟩` is
+//!   an unbiased estimate of `‖Y_u‖²`, while `‖Ŷ_u‖²` of all the forests
+//!   overshoots it by the variance of `Ŷ_u`.
 //! * **Diagonal samples** `X_f(u)` with `E[X_f(u)] = (L_{-S}^{-1})_{uu}`:
 //!   along `u`'s BFS path, count forest-path traversals of each edge in both
 //!   directions, using O(1) Euler-tour ancestor tests. Each node's sample
@@ -24,17 +29,23 @@
 //! # Integer layout
 //!
 //! The JL sketch is Rademacher, so every subtree sum `sw_j(x)` is an
-//! integer multiple of `1/√w`. The accumulator keeps `sw` in `i32` lanes
-//! and the edge deltas in `i64` lanes, and applies `(1/√w) / Ñ` once, in
-//! [`ElectricalAccumulator::y_matrix_into`]. Diagonal samples are integers
+//! integer multiple of `1/√w`. Each sampling worker (see
+//! [`crate::sampler`]) keeps its `sw` scratch in `n × w` `i32` lanes and
+//! its edge deltas in `n × w` `i64` lanes, one buffer per half it
+//! absorbs: worker `t` of two or more absorbs half `t mod 2` only, and a
+//! lone worker keeps one buffer per half. The buffers live as long as
+//! the accumulator, so no batch allocates or merges them. A half is the
+//! exact integer sum of its buffers, taken when `Y` is read, and
+//! `(1/√w) / Ñ_h` is applied then, once. Diagonal samples are integers
 //! and first-phase samples are integers over `n`, so their moments are
-//! exact integer sums (`Σx` in `i64`, `Σx²` in `i128`). Every merge is an
-//! exact integer sum: no estimate depends on how the forests were split
-//! across threads.
+//! exact integer sums (`Σx` in `i64`, `Σx²` in `i128`). They and the
+//! rooted counts are `O(n·|T|)` per worker and are folded into the
+//! accumulator after every batch. Every sum is exact: no estimate
+//! depends on how the forests were split across threads.
 
 use crate::forest::{EulerTour, Forest};
 use crate::rooted::{RootIndex, RootedCounts};
-use crate::sampler::ForestAccumulator;
+use crate::sampler::{ForestAccumulator, ForestWorker};
 use cfcc_graph::traversal::{bfs_from_set, NO_PARENT};
 use cfcc_graph::{Graph, Node};
 use cfcc_linalg::jl::JlSketch;
@@ -51,7 +62,7 @@ pub enum DiagMode {
     FirstPhase,
 }
 
-/// Immutable sampling context shared by accumulator clones.
+/// Immutable sampling context shared by the accumulator and its workers.
 #[derive(Debug)]
 struct Ctx {
     n: usize,
@@ -70,13 +81,32 @@ struct Ctx {
 #[derive(Debug)]
 pub struct ElectricalAccumulator {
     ctx: Arc<Ctx>,
-    num_forests: u64,
+    /// Forests per half: half `h` holds the forests of stream index
+    /// `i ≡ h (mod 2)`.
+    half_forests: [u64; 2],
     total_walk_steps: u64,
-    /// `n × w` node-major edge deltas in units of `1/√w` (empty when no
-    /// sketch).
-    edge_acc: Vec<i64>,
     /// Per-node `Σx` and `Σx²` over the integer samples (`X_f(u)`, or
     /// `n·x_u` in the first phase); roots stay 0.
+    diag_sum: Vec<i64>,
+    diag_sumsq: Vec<i128>,
+    rooted: Option<RootedCounts>,
+    /// The sampling workers, with the edge-delta lanes.
+    workers: Vec<ElectricalWorker>,
+}
+
+/// One sampling worker's share of an [`ElectricalAccumulator`]: its
+/// edge-delta lanes, which persist, and the current batch's moments and
+/// rooted counts, which the accumulator folds in after the batch.
+#[derive(Debug)]
+pub struct ElectricalWorker {
+    ctx: Arc<Ctx>,
+    /// `n × w` node-major edge deltas of this worker's forests of half
+    /// `h`, in units of `1/√w`; empty until its first such forest (and
+    /// without a sketch).
+    edge_acc: [Vec<i64>; 2],
+    // ---- the current batch ----
+    forests: [u64; 2],
+    walk_steps: u64,
     diag_sum: Vec<i64>,
     diag_sumsq: Vec<i128>,
     rooted: Option<RootedCounts>,
@@ -131,35 +161,25 @@ impl ElectricalAccumulator {
                 DiagMode::FirstPhase => n as f64,
             },
         });
-        Self::from_ctx(ctx, root_index.map(|idx| RootedCounts::new(n, idx)))
-    }
-
-    fn from_ctx(ctx: Arc<Ctx>, rooted: Option<RootedCounts>) -> Self {
-        let n = ctx.n;
-        let w = ctx.w;
-        let first_phase = ctx.mode == DiagMode::FirstPhase;
         Self {
-            num_forests: 0,
+            ctx,
+            half_forests: [0; 2],
             total_walk_steps: 0,
-            edge_acc: vec![0; n * w],
             diag_sum: vec![0; n],
             diag_sumsq: vec![0; n],
-            root_of: if rooted.is_some() {
-                vec![NO_PARENT; n]
-            } else {
-                Vec::new()
-            },
-            rooted,
-            sw: vec![0; n * w],
-            yones: if first_phase { vec![0; n] } else { Vec::new() },
-            tour: EulerTour::default(),
-            ctx,
+            rooted: root_index.map(|idx| RootedCounts::new(n, idx)),
+            workers: Vec::new(),
         }
     }
 
     /// Forests absorbed so far (`Ñ` in the paper).
     pub fn num_forests(&self) -> u64 {
-        self.num_forests
+        self.half_forests[0] + self.half_forests[1]
+    }
+
+    /// Forests absorbed into each half (see the module docs).
+    pub fn half_forests(&self) -> [u64; 2] {
+        self.half_forests
     }
 
     /// Total random-walk steps over all forests (the Lemma 3.7 cost metric).
@@ -175,10 +195,11 @@ impl ElectricalAccumulator {
     /// Mean diagonal/first-phase estimate of node `u` (0 for roots and
     /// before any forest).
     pub fn diag_mean(&self, u: Node) -> f64 {
-        if self.num_forests == 0 {
+        let k = self.num_forests();
+        if k == 0 {
             return 0.0;
         }
-        self.diag_sum[u as usize] as f64 / (self.num_forests as f64 * self.ctx.sample_unit)
+        self.diag_sum[u as usize] as f64 / (k as f64 * self.ctx.sample_unit)
     }
 
     /// [`ElectricalAccumulator::diag_mean`] of every node.
@@ -189,7 +210,7 @@ impl ElectricalAccumulator {
     /// Unbiased sample variance of node `u`'s samples (0 for fewer than two
     /// forests).
     pub fn diag_variance(&self, u: Node) -> f64 {
-        let k = self.num_forests;
+        let k = self.num_forests();
         if k < 2 {
             return 0.0;
         }
@@ -226,36 +247,22 @@ impl ElectricalAccumulator {
             .as_mut()
             .expect("rooted tracking enabled")
             .untrack(roots);
+        for worker in &mut self.workers {
+            if let Some(counts) = &mut worker.rooted {
+                counts.untrack(roots);
+            }
+        }
     }
 
-    /// The sketched voltage matrix `Y ≈ W L_{-S}^{-1}`, written into `y`
-    /// (reshaped to `n × w`, node-major): row `u` is `Y·e_u`. Root rows are
-    /// zero.
+    /// The sketched voltage matrix `Y ≈ W L_{-S}^{-1}` of all the forests,
+    /// written into `y` (reshaped to `n × w`, node-major): row `u` is
+    /// `Y·e_u`. Root rows are zero.
     ///
     /// The integer deltas are scaled by `(1/√w) / Ñ` here, once. For
     /// `w = 4^k` that factor is a power of two times `1/Ñ`, so the result
     /// is bit-identical to summing the `±1/√w` entries in `f64`.
     pub fn y_matrix_into(&self, y: &mut DenseMatrix) {
-        let ctx = &*self.ctx;
-        let (n, w) = (ctx.n, ctx.w);
-        let sketch = ctx.sketch.as_ref().expect("no sketch configured");
-        assert!(self.num_forests > 0, "no forests absorbed");
-        let unit = sketch.scale() * (1.0 / self.num_forests as f64);
-        y.reshape(n, w);
-        let data = y.data_mut();
-        for &u in &ctx.bfs_order {
-            let ui = u as usize;
-            let p = ctx.bfs_parent[ui];
-            if p == NO_PARENT {
-                data[ui * w..ui * w + w].fill(0.0); // root: zero voltage
-                continue;
-            }
-            let (dst, src) = split_rows(data, ui, p as usize, w);
-            let acc = &self.edge_acc[ui * w..ui * w + w];
-            for ((d, &s), &a) in dst.iter_mut().zip(src).zip(acc) {
-                *d = s + a as f64 * unit;
-            }
-        }
+        self.voltages_into(&[0, 1], y);
     }
 
     /// [`ElectricalAccumulator::y_matrix_into`] into a new matrix.
@@ -265,17 +272,94 @@ impl ElectricalAccumulator {
         y
     }
 
-    fn absorb_inner(&mut self, f: &Forest) {
+    /// [`ElectricalAccumulator::y_matrix_into`] over the forests of half
+    /// `h` (0 or 1) alone, scaled by that half's count. Panics if the
+    /// half is empty.
+    pub fn y_half_into(&self, h: usize, y: &mut DenseMatrix) {
+        self.voltages_into(&[h], y);
+    }
+
+    /// `Y` over the forests of `halves`: the exact integer sum of their
+    /// workers' lanes, scaled once and prefix-summed along BFS order.
+    fn voltages_into(&self, halves: &[usize], y: &mut DenseMatrix) {
+        let ctx = &*self.ctx;
+        let (n, w) = (ctx.n, ctx.w);
+        let sketch = ctx.sketch.as_ref().expect("no sketch configured");
+        let forests: u64 = halves.iter().map(|&h| self.half_forests[h]).sum();
+        assert!(forests > 0, "no forests absorbed");
+        let unit = sketch.scale() * (1.0 / forests as f64);
+        let lanes: Vec<&[i64]> = self
+            .workers
+            .iter()
+            .flat_map(|worker| halves.iter().map(|&h| &worker.edge_acc[h][..]))
+            .filter(|lane| !lane.is_empty())
+            .collect();
+        let mut sum = vec![0i64; w];
+        y.reshape(n, w);
+        let data = y.data_mut();
+        for &u in &ctx.bfs_order {
+            let ui = u as usize;
+            let p = ctx.bfs_parent[ui];
+            if p == NO_PARENT {
+                data[ui * w..ui * w + w].fill(0.0); // root: zero voltage
+                continue;
+            }
+            sum.fill(0);
+            for lane in &lanes {
+                add_lanes(&mut sum, &lane[ui * w..ui * w + w]);
+            }
+            let (dst, src) = split_rows(data, ui, p as usize, w);
+            for ((d, &s), &a) in dst.iter_mut().zip(src).zip(&sum) {
+                *d = s + a as f64 * unit;
+            }
+        }
+    }
+}
+
+impl ElectricalWorker {
+    fn new(ctx: Arc<Ctx>, rooted: Option<RootedCounts>) -> Self {
+        let (n, w) = (ctx.n, ctx.w);
+        Self {
+            edge_acc: [Vec::new(), Vec::new()],
+            forests: [0; 2],
+            walk_steps: 0,
+            diag_sum: vec![0; n],
+            diag_sumsq: vec![0; n],
+            root_of: if rooted.is_some() {
+                vec![NO_PARENT; n]
+            } else {
+                Vec::new()
+            },
+            rooted,
+            sw: vec![0; n * w],
+            yones: if ctx.mode == DiagMode::FirstPhase {
+                vec![0; n]
+            } else {
+                Vec::new()
+            },
+            tour: EulerTour::default(),
+            ctx,
+        }
+    }
+}
+
+impl ForestWorker for ElectricalWorker {
+    fn absorb(&mut self, index: u64, f: &Forest) {
         let ctx = &*self.ctx;
         let w = ctx.w;
         debug_assert_eq!(f.parent.len(), ctx.n);
-        self.num_forests += 1;
-        self.total_walk_steps += f.walk_steps;
+        let half = (index % 2) as usize;
+        self.forests[half] += 1;
+        self.walk_steps += f.walk_steps;
 
         // ---- sketched subtree sums and per-BFS-edge deltas, one pass ----
         // Children come first, so when `x` is reached its row holds the sum
         // over its children; adding `x`'s own signs makes `sw(x)` final.
         if let Some(q) = &ctx.sketch {
+            let edge_acc = &mut self.edge_acc[half];
+            if edge_acc.is_empty() {
+                edge_acc.resize(ctx.n * w, 0);
+            }
             for &x in &f.bottomup {
                 let xi = x as usize;
                 let p = f.parent[xi];
@@ -286,12 +370,12 @@ impl ElectricalAccumulator {
                 let swx = &self.sw[xi * w..xi * w + w];
                 if p == ctx.bfs_parent[xi] {
                     // Forest edge x → π_x runs along BFS edge (x, p_x).
-                    for (e, &s) in self.edge_acc[xi * w..xi * w + w].iter_mut().zip(swx) {
+                    for (e, &s) in edge_acc[xi * w..xi * w + w].iter_mut().zip(swx) {
                         *e += i64::from(s);
                     }
                 } else if ctx.bfs_parent[pi] == x {
                     // It runs against BFS edge (π_x, p_{π_x} = x).
-                    for (e, &s) in self.edge_acc[pi * w..pi * w + w].iter_mut().zip(swx) {
+                    for (e, &s) in edge_acc[pi * w..pi * w + w].iter_mut().zip(swx) {
                         *e -= i64::from(s);
                     }
                 }
@@ -399,42 +483,52 @@ fn add_lanes<T: Copy + std::ops::AddAssign>(a: &mut [T], b: &[T]) {
     }
 }
 
+/// `a += b` lane by lane, leaving `b` zero.
+fn drain_lanes<T: Default + std::ops::AddAssign>(a: &mut [T], b: &mut [T]) {
+    assert_eq!(a.len(), b.len());
+    for (x, y) in a.iter_mut().zip(b) {
+        *x += std::mem::take(y);
+    }
+}
+
 impl ForestAccumulator for ElectricalAccumulator {
-    fn absorb(&mut self, forest: &Forest) {
-        self.absorb_inner(forest);
+    type Worker = ElectricalWorker;
+
+    fn workers(&mut self, threads: usize) -> &mut [ElectricalWorker] {
+        while self.workers.len() < threads {
+            let rooted = self.rooted.as_ref().map(RootedCounts::fresh);
+            self.workers
+                .push(ElectricalWorker::new(self.ctx.clone(), rooted));
+        }
+        &mut self.workers[..threads]
     }
 
-    fn merge(&mut self, other: Self) {
-        assert!(
-            Arc::ptr_eq(&self.ctx, &other.ctx),
-            "merging incompatible accumulators"
-        );
-        self.num_forests += other.num_forests;
-        self.total_walk_steps += other.total_walk_steps;
-        add_lanes(&mut self.edge_acc, &other.edge_acc);
-        add_lanes(&mut self.diag_sum, &other.diag_sum);
-        add_lanes(&mut self.diag_sumsq, &other.diag_sumsq);
-        if let (Some(mine), Some(theirs)) = (&mut self.rooted, other.rooted) {
-            mine.merge(theirs);
+    /// Fold every worker's batch moments, rooted counts and forest counts
+    /// into the totals, in worker order (every sum is exact, so the order
+    /// does not matter), and zero them for the next batch.
+    fn end_batch(&mut self) {
+        for worker in &mut self.workers {
+            for (total, batch) in self.half_forests.iter_mut().zip(&mut worker.forests) {
+                *total += std::mem::take(batch);
+            }
+            self.total_walk_steps += std::mem::take(&mut worker.walk_steps);
+            drain_lanes(&mut self.diag_sum, &mut worker.diag_sum);
+            drain_lanes(&mut self.diag_sumsq, &mut worker.diag_sumsq);
+            if let (Some(total), Some(batch)) = (&mut self.rooted, &mut worker.rooted) {
+                total.drain_from(batch);
+            }
         }
     }
 
-    fn fresh(&self) -> Self {
-        Self::from_ctx(
-            self.ctx.clone(),
-            self.rooted.as_ref().map(RootedCounts::fresh),
-        )
-    }
-
     fn count(&self) -> u64 {
-        self.num_forests
+        self.num_forests()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sampler::{absorb_batch, SamplerConfig};
+    use crate::sampler::{absorb_batch, forest_rng, SamplerConfig};
     use crate::wilson::sample_forest_into;
     use cfcc_graph::generators;
     use cfcc_linalg::laplacian::laplacian_submatrix_dense;
@@ -540,8 +634,8 @@ mod tests {
 
     #[test]
     fn parallel_merge_matches_serial_means() {
-        // Integer lanes and moments merge exactly: every estimate is the
-        // same bits at every thread count, in both modes.
+        // Integer lanes and moments sum exactly: every estimate, and each
+        // half, is the same bits at every thread count, in both modes.
         let mut rng = SmallRng::seed_from_u64(43);
         let g = generators::barabasi_albert(40, 2, &mut rng);
         let in_root = mask(40, &[0]);
@@ -555,10 +649,15 @@ mod tests {
                 acc
             };
             let serial = run(1);
-            for threads in [2, 3, 4] {
+            assert_eq!(serial.half_forests(), [167, 166]);
+            for threads in [1, 2, 3, 4] {
                 let (par, at) = (run(threads), format!("{mode:?}, {threads} threads"));
                 assert_eq!(serial.num_forests(), par.num_forests(), "{at}");
+                assert_eq!(serial.half_forests(), par.half_forests(), "{at}");
                 assert_eq!(serial.y_matrix(), par.y_matrix(), "{at}");
+                for h in 0..2 {
+                    assert_eq!(half(&serial, h), half(&par, h), "{at}, half {h}");
+                }
                 for u in 0..40 {
                     let (a, b) = (&serial, &par);
                     assert_eq!(a.diag_mean(u), b.diag_mean(u), "{at}, node {u}");
@@ -566,6 +665,95 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Half `h`'s voltage matrix.
+    fn half(acc: &ElectricalAccumulator, h: usize) -> DenseMatrix {
+        let mut y = DenseMatrix::default();
+        acc.y_half_into(h, &mut y);
+        y
+    }
+
+    #[test]
+    fn the_halves_product_is_unbiased_and_the_full_norm_is_not() {
+        // T = ∅ and a fixed sketch W: over many independent streams of 4
+        // forests (2 per half), the mean of ⟨Ŷ^A_u, Ŷ^B_u⟩ is ‖W L_{-S}^{-1}
+        // e_u‖², while the mean of ‖Ŷ_u‖² exceeds it by the variance of
+        // Ŷ_u, which ‖(Ŷ^A_u − Ŷ^B_u)/2‖² estimates without bias. Sums over
+        // the nodes, with tolerances of a few standard errors.
+        let mut rng = SmallRng::seed_from_u64(61);
+        let g = generators::barabasi_albert(16, 2, &mut rng);
+        let n = g.num_nodes();
+        let in_root = mask(n, &[0]);
+        let (sub, keep) = laplacian_submatrix_dense(&g, &in_root);
+        let inv = sub.cholesky().unwrap().inverse();
+        let sketch = JlSketch::sample(4, n, &mut rng);
+        // truth = Σ_u ‖W L^{-1} e_u‖².
+        let mut truth = 0.0;
+        for cu in 0..keep.len() {
+            for j in 0..4 {
+                let col: f64 = keep
+                    .iter()
+                    .enumerate()
+                    .map(|(cv, &v)| {
+                        f64::from(sketch.signs(v as usize)[j]) * sketch.scale() * inv.get(cv, cu)
+                    })
+                    .sum();
+                truth += col * col;
+            }
+        }
+        let streams = 3000;
+        let (mut product, mut full, mut noise) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut a, mut b) = (DenseMatrix::default(), DenseMatrix::default());
+        for seed in 0..streams {
+            let mut acc = ElectricalAccumulator::new(
+                &g,
+                &in_root,
+                Some(sketch.clone()),
+                DiagMode::Diagonal,
+                None,
+            );
+            let cfg = SamplerConfig { seed, threads: 1 };
+            absorb_batch(&g, &in_root, 0, 4, &cfg, &mut acc);
+            acc.y_half_into(0, &mut a);
+            acc.y_half_into(1, &mut b);
+            let y = acc.y_matrix();
+            let (mut p, mut f, mut q) = (0.0, 0.0, 0.0);
+            for u in 0..n {
+                for j in 0..4 {
+                    let (ya, yb) = (a.get(u, j), b.get(u, j));
+                    p += ya * yb;
+                    f += y.get(u, j) * y.get(u, j);
+                    q += (ya - yb) * (ya - yb) / 4.0;
+                }
+            }
+            product.push(p);
+            full.push(f);
+            noise.push(q);
+        }
+        let stats = |xs: &[f64]| {
+            let k = xs.len() as f64;
+            let mean = xs.iter().sum::<f64>() / k;
+            let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (k - 1.0);
+            (mean, (var / k).sqrt())
+        };
+        let (p, p_se) = stats(&product);
+        assert!(
+            (p - truth).abs() < 4.0 * p_se,
+            "⟨A, B⟩ mean {p} vs truth {truth} (se {p_se})"
+        );
+        let (f, f_se) = stats(&full);
+        let (q, q_se) = stats(&noise);
+        assert!(
+            f - truth > 10.0 * f_se,
+            "‖Ŷ‖² mean {f} must exceed truth {truth} (se {f_se})"
+        );
+        let bias_se = (f_se * f_se + q_se * q_se).sqrt();
+        assert!(
+            (f - truth - q).abs() < 4.0 * bias_se,
+            "‖Ŷ‖² overshoot {} vs its noise term {q} (se {bias_se})",
+            f - truth
+        );
     }
 
     #[test]
@@ -593,12 +781,13 @@ mod tests {
         // Forests rooted at S ∪ T = {0} ∪ {5, 9, 17}: absorb N tracking T,
         // drop t = 9, absorb M more. Tracking a root only adds its column,
         // so this must be bit for bit the N + M forests tracked without 9.
+        // Three threads put two workers on one half.
         let mut rng = SmallRng::seed_from_u64(59);
         let g = generators::barabasi_albert(60, 2, &mut rng);
         let in_root = mask(60, &[0, 5, 9, 17]);
         let sketch = JlSketch::sample(16, 60, &mut rng);
         let (n_first, m_more) = (96, 160);
-        for threads in [1, 2] {
+        for threads in [1, 2, 3] {
             let cfg = SamplerConfig { seed: 8, threads };
             let acc = |t_nodes: &[Node]| {
                 let idx = Arc::new(RootIndex::new(60, t_nodes));
@@ -614,8 +803,12 @@ mod tests {
 
             let at = format!("{threads} threads");
             assert_eq!(dropped.num_forests(), never.num_forests(), "{at}");
+            assert_eq!(dropped.half_forests(), never.half_forests(), "{at}");
             assert_eq!(dropped.total_walk_steps(), never.total_walk_steps(), "{at}");
             assert_eq!(dropped.y_matrix(), never.y_matrix(), "{at}");
+            for h in 0..2 {
+                assert_eq!(half(&dropped, h), half(&never, h), "{at}, half {h}");
+            }
             let (rd, rn) = (dropped.rooted().unwrap(), never.rooted().unwrap());
             assert_eq!(rd.index().nodes(), rn.index().nodes(), "{at}");
             for u in 0..60 {
@@ -632,15 +825,16 @@ mod tests {
 
     /// The accumulator before the integer layout, kept as a reference: three
     /// `n × w` `f64` passes (copy the sketch columns, add children into
-    /// parents, then the per-BFS-edge deltas), per-node root tallies, and
-    /// diagonal samples from ancestor sets found by walking up the forest.
+    /// parents, then the per-BFS-edge deltas) into the forest's half,
+    /// per-node root tallies, and diagonal samples from ancestor sets found
+    /// by walking up the forest.
     struct ThreePassOracle {
         in_root: Vec<bool>,
         bfs_parent: Vec<Node>,
         bfs_order: Vec<Node>,
         sketch: JlSketch,
-        forests: u64,
-        edge_acc: Vec<f64>,
+        forests: [u64; 2],
+        edge_acc: [Vec<f64>; 2],
         sw: Vec<f64>,
         diag_sum: Vec<f64>,
         tally: Vec<HashMap<Node, u32>>,
@@ -657,18 +851,19 @@ mod tests {
                 bfs_parent: bfs.parent,
                 bfs_order: bfs.order,
                 sketch,
-                forests: 0,
-                edge_acc: vec![0.0; n * w],
+                forests: [0; 2],
+                edge_acc: [vec![0.0; n * w], vec![0.0; n * w]],
                 sw: vec![0.0; n * w],
                 diag_sum: vec![0.0; n],
                 tally: vec![HashMap::new(); n],
             }
         }
 
-        fn absorb(&mut self, f: &Forest) {
+        fn absorb(&mut self, index: u64, f: &Forest) {
             let w = self.sketch.width();
             let scale = self.sketch.scale();
-            self.forests += 1;
+            let half = (index % 2) as usize;
+            self.forests[half] += 1;
             for &x in &f.bottomup {
                 let xi = x as usize;
                 for (v, &s) in self.sw[xi * w..xi * w + w]
@@ -687,15 +882,16 @@ mod tests {
                     }
                 }
             }
+            let edge_acc = &mut self.edge_acc[half];
             for &x in &f.bottomup {
                 let xi = x as usize;
                 let pb = self.bfs_parent[xi] as usize;
                 for j in 0..w {
                     if f.parent[xi] as usize == pb {
-                        self.edge_acc[xi * w + j] += self.sw[xi * w + j];
+                        edge_acc[xi * w + j] += self.sw[xi * w + j];
                     }
                     if !self.in_root[pb] && f.parent[pb] == x {
-                        self.edge_acc[xi * w + j] -= self.sw[pb * w + j];
+                        edge_acc[xi * w + j] -= self.sw[pb * w + j];
                     }
                 }
             }
@@ -722,9 +918,11 @@ mod tests {
             }
         }
 
-        fn y_matrix(&self) -> DenseMatrix {
+        /// `Y` over the forests of `halves`.
+        fn y_matrix(&self, halves: &[usize]) -> DenseMatrix {
             let w = self.sketch.width();
-            let inv = 1.0 / self.forests as f64;
+            let forests: u64 = halves.iter().map(|&h| self.forests[h]).sum();
+            let inv = 1.0 / forests as f64;
             let mut y = DenseMatrix::zeros(self.bfs_parent.len(), w);
             for &u in &self.bfs_order {
                 let p = self.bfs_parent[u as usize];
@@ -732,7 +930,11 @@ mod tests {
                     continue;
                 }
                 for j in 0..w {
-                    let v = y.get(p as usize, j) + self.edge_acc[u as usize * w + j] * inv;
+                    let delta: f64 = halves
+                        .iter()
+                        .map(|&h| self.edge_acc[h][u as usize * w + j])
+                        .sum();
+                    let v = y.get(p as usize, j) + delta * inv;
                     y.set(u as usize, j, v);
                 }
             }
@@ -742,6 +944,9 @@ mod tests {
 
     #[test]
     fn integer_accumulator_matches_three_pass_oracle() {
+        // The oracle absorbs the sampler's stream, forest by forest; the
+        // accumulator absorbs it through `absorb_batch` in two batches, at
+        // 1 to 3 threads. Both halves and their union must agree.
         let mut rng = SmallRng::seed_from_u64(53);
         let ba = generators::barabasi_albert(80, 2, &mut rng);
         let grid = generators::grid(9, 9);
@@ -750,7 +955,7 @@ mod tests {
             let in_root = mask(n, &roots);
             // S is the first root; T the others.
             let t_nodes = &roots[1..];
-            for w in [6usize, 16, 34, 64] {
+            for (w, threads) in [(6usize, 1), (16, 2), (34, 3), (64, 2)] {
                 let sketch = JlSketch::sample(w, n, &mut rng);
                 let index = Arc::new(RootIndex::new(n, t_nodes));
                 let mut acc = ElectricalAccumulator::new(
@@ -760,21 +965,39 @@ mod tests {
                     DiagMode::Diagonal,
                     Some(index),
                 );
+                let cfg = SamplerConfig {
+                    seed: w as u64,
+                    threads,
+                };
+                absorb_batch(g, &in_root, 0, 101, &cfg, &mut acc);
+                absorb_batch(g, &in_root, 101, 199, &cfg, &mut acc);
                 let mut oracle = ThreePassOracle::new(g, &in_root, sketch);
                 let mut f = Forest::default();
-                for _ in 0..300 {
-                    sample_forest_into(g, &in_root, &mut rng, &mut f);
-                    acc.absorb(&f);
-                    oracle.absorb(&f);
+                for i in 0..300 {
+                    sample_forest_into(g, &in_root, &mut forest_rng(cfg.seed, i), &mut f);
+                    oracle.absorb(i, &f);
                 }
-                let (got, want) = (acc.y_matrix(), oracle.y_matrix());
-                if w.is_power_of_two() && w.trailing_zeros() % 2 == 0 {
-                    // 1/√w is a power of two: the f64 sums were exact too.
-                    assert_eq!(got, want, "w={w}");
-                } else {
-                    let scale = want.data().iter().fold(0.0f64, |m, v| m.max(v.abs()));
-                    let diff = got.max_abs_diff(&want);
-                    assert!(diff <= 1e-12 * scale, "w={w}: diff {diff} scale {scale}");
+                assert_eq!(acc.half_forests(), oracle.forests, "w={w}");
+                let at = |h: &[usize]| format!("w={w}, {threads} threads, halves {h:?}");
+                for halves in [&[0usize, 1][..], &[0], &[1]] {
+                    let got = if halves.len() == 2 {
+                        acc.y_matrix()
+                    } else {
+                        half(&acc, halves[0])
+                    };
+                    let want = oracle.y_matrix(halves);
+                    if w.is_power_of_two() && w.trailing_zeros() % 2 == 0 {
+                        // 1/√w is a power of two: the f64 sums were exact too.
+                        assert_eq!(got, want, "{}", at(halves));
+                    } else {
+                        let scale = want.data().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+                        let diff = got.max_abs_diff(&want);
+                        assert!(
+                            diff <= 1e-12 * scale,
+                            "{}: diff {diff} scale {scale}",
+                            at(halves)
+                        );
+                    }
                 }
                 let rooted = acc.rooted().unwrap();
                 for u in 0..n as Node {
@@ -782,7 +1005,7 @@ mod tests {
                         let want = oracle.tally[u as usize].get(&t_nodes[ti]);
                         assert_eq!(c, want.copied().unwrap_or(0), "u={u} t={}", t_nodes[ti]);
                     }
-                    let mean = oracle.diag_sum[u as usize] / oracle.forests as f64;
+                    let mean = oracle.diag_sum[u as usize] / 300.0;
                     assert_eq!(acc.diag_mean(u), mean, "u={u}");
                 }
             }

@@ -15,7 +15,9 @@
 //! * [`rooted`] — rooted-probability counters `Ñ(ρ_u = t)` (Lemma 4.2),
 //!   feeding SchurCFCM's Schur-complement estimation.
 //! * [`sampler`] — deterministic (seeded) serial/parallel batch driver with
-//!   doubling batch sizes, mirroring the `2^{r'}` loop of Algorithms 2–5.
+//!   doubling batch sizes, mirroring the `2^{r'}` loop of Algorithms 2–5;
+//!   forest `i` belongs to half `i mod 2`, and each worker absorbs one
+//!   half into state it alone writes.
 
 #![forbid(unsafe_code)]
 
@@ -26,5 +28,5 @@ pub mod sampler;
 pub mod wilson;
 
 pub use forest::Forest;
-pub use sampler::{absorb_batch, ForestAccumulator, SamplerConfig};
+pub use sampler::{absorb_batch, ForestAccumulator, ForestWorker, SamplerConfig};
 pub use wilson::{sample_forest, sample_forest_into};

@@ -127,11 +127,12 @@ impl RootedCounts {
         &self.counts[u as usize * t..(u as usize + 1) * t]
     }
 
-    /// Merge counts from another accumulator (parallel reduction).
-    pub fn merge(&mut self, other: RootedCounts) {
+    /// Add the counts of `other` (a sampling worker's batch, over the same
+    /// roots) to these, and zero `other`'s.
+    pub fn drain_from(&mut self, other: &mut RootedCounts) {
         assert_eq!(self.counts.len(), other.counts.len());
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
+        for (a, b) in self.counts.iter_mut().zip(&mut other.counts) {
+            *a += std::mem::take(b);
         }
     }
 }
@@ -167,10 +168,14 @@ mod tests {
         let mut b = RootedCounts::new(5, idx);
         b.record(2, 1);
         b.record(4, 0);
-        a.merge(b);
+        a.drain_from(&mut b);
         assert_eq!(a.row(2), &[2, 2]);
         assert_eq!(a.row(3), &[0, 0]);
         assert_eq!(a.row(4), &[1, 0]);
+        assert!(
+            (0..5).all(|u| b.row(u) == [0, 0]),
+            "drained counts are zero"
+        );
     }
 
     /// Lemma 4.2: empirical rooted probabilities converge to

@@ -6,7 +6,20 @@
 //!
 //! Determinism: every forest's RNG is seeded from `(seed, global index)`
 //! through SplitMix64, so the same forests are sampled for any thread
-//! count, and partial accumulators are merged in a fixed order.
+//! count, and which worker absorbs a forest depends on its index and the
+//! thread count alone.
+//!
+//! # Workers and halves
+//!
+//! Forest `i` of a stream belongs to half `i mod 2`. With `threads ≥ 2`,
+//! worker `t` absorbs only forests of half `t mod 2`, dealt round-robin
+//! among the workers of that half; a lone worker absorbs every forest.
+//! Each worker absorbs into state that it alone writes and that lives as
+//! long as the accumulator, so no batch allocates per-thread copies or
+//! merges them back. An accumulator that keeps a buffer per half (the
+//! electrical estimators' two independent halves) thus never has two
+//! workers writing one buffer, and each half holds the same forests at
+//! every thread count.
 
 use crate::forest::Forest;
 use crate::wilson::sample_forest_into;
@@ -16,16 +29,24 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::{Mutex, PoisonError};
 
-/// Accumulators that consume sampled forests.
+/// Accumulators that consume sampled forests through persistent workers.
 pub trait ForestAccumulator: Send {
-    /// Absorb one forest.
-    fn absorb(&mut self, forest: &Forest);
-    /// Merge a sibling accumulator produced by [`ForestAccumulator::fresh`].
-    fn merge(&mut self, other: Self);
-    /// An empty accumulator with the same configuration.
-    fn fresh(&self) -> Self;
+    /// What one worker writes while it absorbs its share of a batch.
+    type Worker: ForestWorker;
+    /// The state of workers `0..threads`, kept across batches (created on
+    /// first use).
+    fn workers(&mut self, threads: usize) -> &mut [Self::Worker];
+    /// Fold what the workers absorbed during a batch into the totals.
+    /// Called once after every batch.
+    fn end_batch(&mut self) {}
     /// Number of forests absorbed.
     fn count(&self) -> u64;
+}
+
+/// One worker's share of a [`ForestAccumulator`].
+pub trait ForestWorker: Send {
+    /// Absorb the forest with global index `index` of the stream.
+    fn absorb(&mut self, index: u64, forest: &Forest);
 }
 
 /// Sampling controls.
@@ -55,17 +76,30 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-fn forest_rng(seed: u64, index: u64) -> SmallRng {
+/// The RNG of forest `index` of the stream `seed`.
+pub(crate) fn forest_rng(seed: u64, index: u64) -> SmallRng {
     SmallRng::seed_from_u64(splitmix64(seed ^ splitmix64(index.wrapping_add(1))))
 }
 
+/// The worker of `threads` that absorbs forest `index` (see the module
+/// docs): half `index mod 2` is dealt round-robin among workers
+/// `h, h + 2, …` below `threads`.
+fn worker_of(index: u64, threads: usize) -> usize {
+    if threads == 1 {
+        return 0;
+    }
+    let half = (index % 2) as usize;
+    let workers = (threads - half).div_ceil(2) as u64;
+    half + 2 * ((index / 2) % workers) as usize
+}
+
 /// Sample `batch` forests with global indices `start_index..start_index+batch`
-/// and absorb them into `acc`. With `cfg.threads > 1` the index range is
-/// split into contiguous chunks, each absorbed into a fresh accumulator on
-/// the linalg worker pool and merged back in chunk order. The same forests
-/// are sampled for any thread count (seeding is by global index), so an
-/// accumulator whose merge is exact — every one in this crate — ends in
-/// the same state for every thread count.
+/// and absorb them into `acc`: worker `t` of `cfg.threads` samples and
+/// absorbs its forests (see the module docs) on the linalg worker pool,
+/// then [`ForestAccumulator::end_batch`] folds the batch in. The same
+/// forests are sampled for any thread count (seeding is by global index),
+/// so an accumulator whose totals are exact sums — every one in this
+/// crate — ends in the same state for every thread count.
 pub fn absorb_batch<A: ForestAccumulator>(
     g: &Graph,
     in_root: &[bool],
@@ -77,49 +111,23 @@ pub fn absorb_batch<A: ForestAccumulator>(
     if batch == 0 {
         return;
     }
-    let threads = cfg.threads.max(1).min(batch as usize);
-    if threads == 1 {
-        absorb_range(g, in_root, cfg.seed, start_index..start_index + batch, acc);
-        return;
-    }
-    // Contiguous chunking keeps merge order deterministic.
-    let chunk = batch.div_ceil(threads as u64);
-    let tasks = batch.div_ceil(chunk) as usize;
-    let partials: Vec<Mutex<Option<A>>> =
-        (0..tasks).map(|_| Mutex::new(Some(acc.fresh()))).collect();
-    pool::run(threads, tasks, &|tix| {
-        let lo = start_index + tix as u64 * chunk;
-        let hi = (lo + chunk).min(start_index + batch);
-        // Task `tix` alone touches slot `tix`, and never while absorbing, so
-        // the locks are uncontended and cannot be poisoned.
-        let slot = &partials[tix];
-        let mut local = take(slot).expect("each task runs once");
-        absorb_range(g, in_root, cfg.seed, lo..hi, &mut local);
-        *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(local);
+    let threads = cfg.threads.max(1);
+    let range = start_index..start_index + batch;
+    let workers: Vec<Mutex<&mut A::Worker>> =
+        acc.workers(threads).iter_mut().map(Mutex::new).collect();
+    pool::run(threads, threads, &|t| {
+        // Task `t` alone locks worker `t`, so the lock is uncontended and
+        // cannot be poisoned.
+        let mut worker = workers[t].lock().unwrap_or_else(PoisonError::into_inner);
+        let mut forest = Forest::default();
+        for i in range.clone().filter(|&i| worker_of(i, threads) == t) {
+            let mut rng = forest_rng(cfg.seed, i);
+            sample_forest_into(g, in_root, &mut rng, &mut forest);
+            worker.absorb(i, &forest);
+        }
     });
-    for slot in &partials {
-        acc.merge(take(slot).expect("every task has finished"));
-    }
-}
-
-fn take<A>(slot: &Mutex<Option<A>>) -> Option<A> {
-    slot.lock().unwrap_or_else(PoisonError::into_inner).take()
-}
-
-/// Sample and absorb the forests with global indices in `range`.
-fn absorb_range<A: ForestAccumulator>(
-    g: &Graph,
-    in_root: &[bool],
-    seed: u64,
-    range: std::ops::Range<u64>,
-    acc: &mut A,
-) {
-    let mut forest = Forest::default();
-    for i in range {
-        let mut rng = forest_rng(seed, i);
-        sample_forest_into(g, in_root, &mut rng, &mut forest);
-        acc.absorb(&forest);
-    }
+    drop(workers);
+    acc.end_batch();
 }
 
 #[cfg(test)]
@@ -127,18 +135,23 @@ mod tests {
     use super::*;
     use cfcc_graph::generators;
 
-    /// Toy accumulator: tallies parent-pointer sums (order-insensitive) and
-    /// a sequence-sensitive checksum to verify deterministic merge order.
-    #[derive(Debug, Clone, Default)]
+    /// Toy accumulator: per worker, the forests' indices, parent-pointer
+    /// sums (order-insensitive) and a sequence-sensitive checksum.
+    #[derive(Debug, Default)]
     struct Tally {
-        forests: u64,
+        workers: Vec<WorkerTally>,
+    }
+
+    #[derive(Debug, Default)]
+    struct WorkerTally {
+        indices: Vec<u64>,
         parent_sum: u64,
         checksum: u64,
     }
 
-    impl ForestAccumulator for Tally {
-        fn absorb(&mut self, f: &Forest) {
-            self.forests += 1;
+    impl ForestWorker for WorkerTally {
+        fn absorb(&mut self, index: u64, f: &Forest) {
+            self.indices.push(index);
             let s: u64 = f
                 .bottomup
                 .iter()
@@ -147,17 +160,29 @@ mod tests {
             self.parent_sum += s;
             self.checksum = splitmix64(self.checksum ^ s);
         }
-        fn merge(&mut self, other: Self) {
-            self.forests += other.forests;
-            self.parent_sum += other.parent_sum;
-            // order-sensitive combine
-            self.checksum = splitmix64(self.checksum ^ other.checksum);
-        }
-        fn fresh(&self) -> Self {
-            Self::default()
+    }
+
+    impl ForestAccumulator for Tally {
+        type Worker = WorkerTally;
+        fn workers(&mut self, threads: usize) -> &mut [WorkerTally] {
+            let len = self.workers.len().max(threads);
+            self.workers.resize_with(len, WorkerTally::default);
+            &mut self.workers[..threads]
         }
         fn count(&self) -> u64 {
-            self.forests
+            self.workers.iter().map(|w| w.indices.len() as u64).sum()
+        }
+    }
+
+    impl Tally {
+        fn parent_sum(&self) -> u64 {
+            self.workers.iter().map(|w| w.parent_sum).sum()
+        }
+        /// The workers' checksums, combined in worker order.
+        fn checksum(&self) -> u64 {
+            self.workers
+                .iter()
+                .fold(0, |c, w| splitmix64(c ^ w.checksum))
         }
     }
 
@@ -174,8 +199,8 @@ mod tests {
         absorb_batch(&g, &in_root, 0, 64, &cfg, &mut a);
         let mut b = Tally::default();
         absorb_batch(&g, &in_root, 0, 64, &cfg, &mut b);
-        assert_eq!(a.parent_sum, b.parent_sum);
-        assert_eq!(a.checksum, b.checksum);
+        assert_eq!(a.parent_sum(), b.parent_sum());
+        assert_eq!(a.checksum(), b.checksum());
         assert_eq!(a.count(), 64);
     }
 
@@ -208,7 +233,7 @@ mod tests {
             },
             &mut b,
         );
-        assert_ne!(a.parent_sum, b.parent_sum);
+        assert_ne!(a.parent_sum(), b.parent_sum());
     }
 
     #[test]
@@ -226,8 +251,8 @@ mod tests {
         absorb_batch(&g, &in_root, 32, 32, &cfg, &mut split);
         let mut whole = Tally::default();
         absorb_batch(&g, &in_root, 0, 64, &cfg, &mut whole);
-        assert_eq!(split.parent_sum, whole.parent_sum);
-        assert_eq!(split.checksum, whole.checksum);
+        assert_eq!(split.parent_sum(), whole.parent_sum());
+        assert_eq!(split.checksum(), whole.checksum());
     }
 
     #[test]
@@ -261,8 +286,37 @@ mod tests {
             &mut par,
         );
         // Order-insensitive quantities must match exactly.
-        assert_eq!(serial.parent_sum, par.parent_sum);
+        assert_eq!(serial.parent_sum(), par.parent_sum());
         assert_eq!(serial.count(), par.count());
+    }
+
+    #[test]
+    fn each_worker_absorbs_one_half() {
+        // Forest i belongs to half i mod 2. Every forest is absorbed once
+        // at every thread count, a lone worker absorbs all of them, and
+        // with two or more workers, worker t absorbs half t mod 2 only.
+        let g = generators::cycle(12);
+        let mut in_root = vec![false; 12];
+        in_root[0] = true;
+        for threads in 1..=4 {
+            let cfg = SamplerConfig { seed: 3, threads };
+            let mut tally = Tally::default();
+            absorb_batch(&g, &in_root, 0, 5, &cfg, &mut tally);
+            absorb_batch(&g, &in_root, 5, 12, &cfg, &mut tally);
+            let mut all: Vec<u64> = Vec::new();
+            for (t, w) in tally.workers.iter().enumerate() {
+                if threads > 1 {
+                    assert!(
+                        w.indices.iter().all(|&i| i % 2 == t as u64 % 2),
+                        "{threads} threads, worker {t}: {:?}",
+                        w.indices
+                    );
+                }
+                all.extend(&w.indices);
+            }
+            all.sort_unstable();
+            assert_eq!(all, (0..17).collect::<Vec<u64>>(), "{threads} threads");
+        }
     }
 
     #[test]

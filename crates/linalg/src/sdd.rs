@@ -626,6 +626,15 @@ impl SddBackend {
             .or_else(|| Self::ALL.into_iter().find(|b| b.name() == name))
     }
 
+    /// The aliases [`SddBackend::parse`] accepts for this backend besides
+    /// its name, in table order (none for `auto`).
+    pub fn aliases(self) -> impl Iterator<Item = &'static str> {
+        ALIASES
+            .into_iter()
+            .filter(move |&(_, backend)| backend == self)
+            .map(|(alias, _)| alias)
+    }
+
     /// Display name ("auto" or the canonical backend name).
     pub fn name(self) -> &'static str {
         match self {
@@ -793,6 +802,14 @@ mod tests {
         assert_eq!(SddBackend::parse("SPARSE"), Some(SddBackend::SparseCg));
         assert_eq!(SddBackend::parse("nope"), None);
         assert!(SddBackend::name_list().starts_with("auto"));
+        // Every listed alias parses to its backend.
+        let aliases = |b: SddBackend| b.aliases().collect::<Vec<_>>();
+        assert_eq!(aliases(SddBackend::DenseCholesky), ["dense", "cholesky"]);
+        assert_eq!(aliases(SddBackend::SparseCg), ["sparse", "ic"]);
+        assert!(aliases(SddBackend::Auto).is_empty());
+        for b in SddBackend::ALL {
+            assert!(b.aliases().all(|a| SddBackend::parse(a) == Some(b)));
+        }
     }
 
     #[test]
